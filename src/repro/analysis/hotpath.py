@@ -1,7 +1,7 @@
 """Hot-path allocation lint (REP104).
 
 Functions marked ``# simlint: hotpath`` are the kernel v3 per-event fast
-paths (now-queue drains, free-list grant/release, calendar push/pop).
+paths (now-queue drains, free-list grant/release, the event loop).
 The bench gate catches regressions *after* they cost a run; this pass
 catches them structurally: every project function reachable from a
 hotpath root through the call graph is scanned for allocation-bearing
@@ -13,11 +13,11 @@ Exemptions, matching how the kernel is actually written:
 * constructs inside a ``raise`` statement — error paths are cold, and
   the kernel's f-string diagnostics live there by design;
 * tuple literals — the ``(time, priority, eid, event)`` entry tuple *is*
-  the scheduler contract, and tuples are the cheapest container CPython
+  the heap-entry contract, and tuples are the cheapest container CPython
   has;
 * traversal stops at functions marked ``# simlint: coldpath`` (e.g.
-  ``CalendarQueue._resize``: reachable from ``push`` but amortized and
-  deliberately allocation-heavy).
+  the sanitizer's bookkeeping hooks: reachable from the kernel's
+  scheduling paths but opt-in diagnostics, allocation-heavy by design).
 """
 
 from __future__ import annotations

@@ -25,9 +25,11 @@ Metrics per scenario:
 Usage::
 
     repro bench                       # full scenarios, print a table
-    repro bench --quick               # ~4x smaller trace, for CI smoke
+    repro bench --quick               # ~4x smaller trace, for a smoke run
     repro bench --out BENCH_kernel.json
-    repro bench --check BENCH_kernel.json   # fail on >25% events/s drop
+    repro bench --check BENCH_kernel.json   # fail on >25% events/s drop,
+                                            # moved throughput, or a
+                                            # baseline at another scale
     repro bench --profile 15          # cProfile top-15 per scenario
     repro bench --farm 4              # also record the farm speedup series
 """
@@ -153,8 +155,6 @@ def run_bench(
     policies: Optional[List[str]] = None,
 ) -> Dict[str, object]:
     """Run all canonical scenarios; return the BENCH_kernel.json payload."""
-    from .des.core import DEFAULT_SCHEDULER
-
     num_requests = QUICK_REQUESTS if quick else FULL_REQUESTS
     scenarios = {}
     for policy in policies or CANONICAL_POLICIES:
@@ -177,7 +177,6 @@ def run_bench(
             "nodes": CANONICAL_NODES,
             "passes": CANONICAL_PASSES,
             "quick": quick,
-            "scheduler": os.environ.get("REPRO_DES_SCHEDULER", DEFAULT_SCHEDULER),
             "python": platform.python_version(),
             # Machine context: events/s comparisons across machines are
             # meaningless without it (the committed baseline pins CI).
@@ -243,19 +242,26 @@ def check_regression(
 ) -> List[str]:
     """Compare ``payload`` against a committed baseline file.
 
-    Returns human-readable failure strings (empty = pass).  Only
-    ``events_per_s`` is rate-based and machine-dependent, so it gets the
-    ``tolerance``; ``throughput_rps`` is simulated output and must match
-    the baseline exactly when the request counts agree (a moved number
-    means the kernel changed simulation behaviour, not just speed).
+    Returns human-readable failure strings (empty = pass).  A baseline
+    taken at a different request count is refused outright: events/s
+    depends on scale, and ``throughput_rps`` is only comparable at equal
+    scale.  Only ``events_per_s`` is rate-based and machine-dependent,
+    so it gets the ``tolerance``; ``throughput_rps`` is simulated output
+    and must match the baseline exactly (a moved number means the kernel
+    changed simulation behaviour, not just speed).
     """
     with open(baseline_path) as fh:
         baseline = json.load(fh)
+    base_requests = baseline.get("meta", {}).get("requests")
+    run_requests = payload["meta"]["requests"]
+    if base_requests != run_requests:
+        return [
+            f"baseline {baseline_path} was taken at {base_requests} "
+            f"requests, this run at {run_requests}; rerun at the "
+            "baseline's scale (drop or add --quick)"
+        ]
     failures: List[str] = []
     base_scenarios = baseline.get("scenarios", {})
-    same_scale = baseline.get("meta", {}).get("requests") == payload["meta"][
-        "requests"
-    ]
     for policy, r in payload["scenarios"].items():
         b = base_scenarios.get(policy)
         if b is None:
@@ -267,7 +273,7 @@ def check_regression(
                 f"{tolerance:.0%} below the baseline "
                 f"{b['events_per_s']:,.0f} (floor {floor:,.0f})"
             )
-        if same_scale and r["throughput_rps"] != b["throughput_rps"]:
+        if r["throughput_rps"] != b["throughput_rps"]:
             failures.append(
                 f"{policy}: simulated throughput moved "
                 f"({b['throughput_rps']} -> {r['throughput_rps']} req/s); "
@@ -282,7 +288,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--quick", action="store_true",
-        help=f"small trace ({QUICK_REQUESTS} requests) for CI smoke runs",
+        help=f"small trace ({QUICK_REQUESTS} requests) for local smoke runs",
     )
     parser.add_argument(
         "--repeats", type=int, default=1,

@@ -16,11 +16,10 @@ events per run, so this module is written for speed as much as clarity
 (see ``docs/KERNEL.md`` for the full story):
 
 * ``__slots__`` everywhere on the hot classes;
-* two interchangeable schedulers behind one ``(time, priority, eid,
-  event)`` contract — a C-accelerated binary heap (default) and a
-  calendar queue (:mod:`repro.des.calendar`), selected per environment
-  via ``Environment(scheduler=...)`` or the ``REPRO_DES_SCHEDULER``
-  environment variable;
+* one C-accelerated binary heap of ``(time, priority, eid, event)``
+  entries, drained by one event loop (:meth:`Environment._dispatch`)
+  that :meth:`Environment.run`, :meth:`Environment.step` and sanitized
+  runs all share;
 * a free-list pool recycling :class:`Timeout` and internal callback
   events once processed (``REPRO_DES_POOL=0`` disables it);
 * :meth:`Environment.call_later` / :meth:`Event.succeed_at` fast paths
@@ -28,12 +27,12 @@ events per run, so this module is written for speed as much as clarity
   allocating intermediate events or generator frames;
 * zero-delay *now queues* (kernel v3): events scheduled at exactly the
   current simulated time — resource grants, ``succeed()``, process
-  resumption, interrupts — bypass the scheduler entirely and land in
+  resumption, interrupts — bypass the heap entirely and land in
   two per-priority FIFO deques drained before the clock advances.  The
   drain respects the exact global (time, priority, eid) order (heap
   items at the current time were scheduled earlier and therefore carry
   smaller ids than any now-queue entry), so results are bit-identical
-  to routing everything through the scheduler; it just skips the
+  to routing everything through the heap; it just skips the
   O(log n) push/pop and the entry-tuple allocation for the roughly
   half of all events that fire "now".
 
@@ -63,8 +62,6 @@ try:
 except ImportError:  # pragma: no cover - non-CPython: pooling disabled
     _refcount = None
 
-from .calendar import CalendarQueue
-
 __all__ = [
     "Environment",
     "Event",
@@ -76,8 +73,6 @@ __all__ = [
     "PENDING",
     "URGENT",
     "NORMAL",
-    "DEFAULT_SCHEDULER",
-    "SCHEDULERS",
 ]
 
 #: Sentinel for the value of an event that has not been triggered yet.
@@ -88,16 +83,6 @@ PENDING: Any = object()
 URGENT = 0
 #: Default scheduling priority.
 NORMAL = 1
-
-#: Recognized scheduler backends.
-SCHEDULERS = ("heap", "calendar")
-
-#: Scheduler used when neither the constructor nor ``REPRO_DES_SCHEDULER``
-#: picks one.  The binary heap won the validation benchmarks
-#: (``repro bench``): heapq's C implementation beats the pure-Python
-#: calendar queue on every canonical scenario, so it stays the default;
-#: the calendar queue remains selectable and bit-identical.
-DEFAULT_SCHEDULER = "heap"
 
 #: Upper bound on each per-environment free list (events, not bytes).
 _POOL_MAX = 4096
@@ -488,11 +473,6 @@ class Environment:
     ----------
     initial_time:
         Starting value of the simulated clock.
-    scheduler:
-        ``"heap"`` (binary heap, the validated default) or ``"calendar"``
-        (calendar queue).  ``None`` consults the ``REPRO_DES_SCHEDULER``
-        environment variable, then :data:`DEFAULT_SCHEDULER`.  Both obey
-        the identical (time, priority, insertion-order) contract.
     pool_events:
         Enable the Timeout/callback-event free lists.  ``None`` consults
         ``REPRO_DES_POOL`` (default on; set ``0`` to disable).
@@ -508,7 +488,6 @@ class Environment:
     __slots__ = (
         "_now",
         "_queue",
-        "_cal",
         "_now_u",
         "_now_n",
         "_eid",
@@ -517,14 +496,12 @@ class Environment:
         "_cb_pool",
         "_req_pool",
         "_preq_pool",
-        "_scheduler",
         "_san",
     )
 
     def __init__(
         self,
         initial_time: float = 0.0,
-        scheduler: Optional[str] = None,
         pool_events: Optional[bool] = None,
         sanitize: Optional[bool] = None,
     ):
@@ -537,20 +514,8 @@ class Environment:
             self._san = DESSanitizer(self)
         else:
             self._san = None
-        if scheduler is None:
-            scheduler = os.environ.get("REPRO_DES_SCHEDULER", DEFAULT_SCHEDULER)
-        if scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; pick one of {SCHEDULERS}"
-            )
-        self._scheduler = scheduler
-        if scheduler == "heap":
-            # Heap of (time, priority, eid, event).
-            self._queue: Optional[list] = []
-            self._cal: Optional[CalendarQueue] = None
-        else:
-            self._queue = None
-            self._cal = CalendarQueue()
+        # Heap of (time, priority, eid, event).
+        self._queue: list = []
         if pool_events is None:
             pool_events = os.environ.get("REPRO_DES_POOL", "1") != "0"
         if _refcount is None:  # pragma: no cover - non-CPython
@@ -565,7 +530,7 @@ class Environment:
         self._preq_pool: Optional[list] = [] if pool_events else None
         # Zero-delay now queues (kernel v3), one per priority level.
         # Sanitized environments leave them empty: every event then flows
-        # through the fully-checked scheduler path, and the sanitizer's
+        # through the fully-checked heap path, and the sanitizer's
         # pop-order checks certify exactly the order the now queues
         # reproduce.
         self._now_u: deque = deque()
@@ -579,11 +544,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time."""
         return self._now
-
-    @property
-    def scheduler(self) -> str:
-        """Name of the scheduler backend ("heap" or "calendar")."""
-        return self._scheduler
 
     @property
     def pooling(self) -> bool:
@@ -682,11 +642,7 @@ class Environment:
         else:
             san.on_schedule(ev, t)
         eid = self._eid = self._eid + 1
-        q = self._queue
-        if q is not None:
-            heappush(q, (t, priority, eid, ev))
-        else:
-            self._cal.push((t, priority, eid, ev))
+        heappush(self._queue, (t, priority, eid, ev))
         return ev
 
     def process(
@@ -729,10 +685,10 @@ class Environment:
         if san is None:
             if t == now:
                 # Zero-delay fast path (kernel v3): the event fires at the
-                # current time, so it skips the scheduler and joins the
+                # current time, so it skips the heap and joins the
                 # per-priority now queue.  FIFO order there is eid order,
-                # and every scheduler entry at the current time was pushed
-                # earlier (smaller eid), so the drain in step()/run() keeps
+                # and every heap entry at the current time was pushed
+                # earlier (smaller eid), so the drain in _dispatch() keeps
                 # the exact (time, priority, eid) total order.
                 self._eid += 1
                 (self._now_u if priority == 0 else self._now_n).append(event)
@@ -740,139 +696,24 @@ class Environment:
         else:
             san.on_schedule(event, t)
         eid = self._eid = self._eid + 1
-        q = self._queue
-        if q is not None:
-            heappush(q, (t, priority, eid, event))
-        else:
-            self._cal.push((t, priority, eid, event))
+        heappush(self._queue, (t, priority, eid, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         if self._now_u or self._now_n:
             return self._now
         q = self._queue
-        if q is not None:
-            return q[0][0] if q else inf
-        head = self._cal.peek()
-        return head[0] if head is not None else inf
+        return q[0][0] if q else inf
 
     # simlint: hotpath
     def step(self) -> None:
         """Process the next event.  Raises :class:`EmptySchedule` if none.
 
-        The pop merges three sources in exact (time, priority, eid)
-        order: the scheduler (heap or calendar queue) and the two
-        zero-delay now queues.  Scheduler entries at the current time
-        always precede same-priority now-queue entries (they carry
-        smaller ids); an urgent now-queue entry precedes any NORMAL
-        entry at the current time regardless of id.
+        An event at ``t = inf`` lies beyond every horizon and counts as
+        none, exactly as :meth:`run` leaves it unprocessed.
         """
-        q = self._queue
-        if q is not None:
-            head = q[0] if q else None
-        else:
-            head = self._cal.peek()
-        now = self._now
-        now_u = self._now_u
-        event: Optional[Event] = None
-        if now_u:
-            if head is None or head[1] != URGENT or head[0] != now:
-                event = now_u.popleft()
-        elif head is None or head[0] != now:
-            now_n = self._now_n
-            if now_n:
-                event = now_n.popleft()
-        if event is not None:
-            # Now-queue drain: the clock does not move, and the
-            # sanitizer is never active here (sanitized environments
-            # route everything through the scheduler below).
-            callbacks = event.callbacks
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event._defused:
-                raise event._value
-            cls = event.__class__
-            if cls is Timeout:
-                pool = self._timeout_pool
-                if (
-                    pool is not None
-                    and len(pool) < _POOL_MAX
-                    and _refcount(event) == 2
-                ):
-                    event._value = PENDING
-                    pool.append(event)
-            elif cls is _Callback:
-                pool = self._cb_pool
-                if (
-                    pool is not None
-                    and len(pool) < _POOL_MAX
-                    and _refcount(event) == 2
-                ):
-                    event._value = PENDING
-                    pool.append(event)
-            return
-        if head is None:
+        if not self._dispatch(inf, True):
             raise EmptySchedule()
-        if q is not None:
-            t, priority, eid, event = heappop(q)
-        else:
-            t, priority, eid, event = self._cal.popmin()
-        # Drop the peeked entry tuple (it is the one just popped): a live
-        # reference would keep the event's refcount above the recycle
-        # threshold below.
-        head = None
-        san = self._san
-        if san is not None:
-            san.on_pop(t, priority, eid, event, self._now)
-        self._now = t
-
-        callbacks = event.callbacks
-        event.callbacks = None
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            # Nobody handled this failure.
-            raise event._value
-
-        # Free-list recycling.  An event is recyclable only when nothing
-        # outside this frame still references it: refcount 2 = the `event`
-        # local plus getrefcount's argument (3 when the sanitizer's record
-        # holds its extra reference).  A generator that kept the Timeout
-        # it yielded, a condition holding its constituents, or a caller
-        # retaining a call_later handle all raise the count and (safely)
-        # exempt that object from recycling.
-        recyclable = 2 if san is None else 3
-        cls = event.__class__
-        if cls is Timeout:
-            pool = self._timeout_pool
-            if (
-                pool is not None
-                and len(pool) < _POOL_MAX
-                and _refcount(event) == recyclable
-            ):
-                event._value = PENDING  # poison stale reads
-                pool.append(event)
-                if san is not None:
-                    san.on_recycle(event)
-            elif san is not None:
-                san.on_processed(event)
-        elif cls is _Callback:
-            pool = self._cb_pool
-            if (
-                pool is not None
-                and len(pool) < _POOL_MAX
-                and _refcount(event) == recyclable
-            ):
-                event._value = PENDING
-                pool.append(event)
-                if san is not None:
-                    san.on_recycle(event)
-            elif san is not None:
-                san.on_processed(event)
-        elif san is not None:
-            san.on_processed(event)
 
     # simlint: hotpath
     def run(self, until: Any = None) -> Any:
@@ -884,32 +725,9 @@ class Environment:
         :class:`Event` (run until it is processed and return its value).
         """
         stop_at = inf
-        stop_event: Optional[Event] = None
         if until is not None:
             if isinstance(until, Event):
-                stop_event = until
-                if stop_event.callbacks is None:
-                    # Already processed.
-                    if stop_event._ok:
-                        return stop_event._value
-                    raise stop_event._value
-                # Once per run() call (until-Event setup), not per event.
-                done = []  # simlint: disable=REP104
-                stop_event.callbacks.append(
-                    lambda _e: done.append(True)  # simlint: disable=REP104
-                )
-                while not done:
-                    try:
-                        self.step()
-                    except EmptySchedule:
-                        raise RuntimeError(
-                            "run(until=event): schedule drained before the "
-                            "event triggered"
-                        ) from None
-                if stop_event._ok:
-                    return stop_event._value
-                stop_event._defused = True
-                raise stop_event._value
+                return self._run_until_event(until)
             stop_at = float(until)
             if stop_at < self._now:
                 raise ValueError(
@@ -920,34 +738,72 @@ class Environment:
                 # No-op: events exactly at `now` stay unprocessed, exactly
                 # as a previous run(until=now) left them.
                 return None
+        self._dispatch(stop_at, False)
+        if stop_at is not inf:
+            self._now = stop_at
+        return None
 
+    # Once per run() call, not per event: the setup allocations are cold.
+    # simlint: coldpath
+    def _run_until_event(self, stop_event: Event) -> Any:
+        """``run(until=event)``: step the shared loop until it fires."""
+        if stop_event.callbacks is None:
+            # Already processed.
+            if stop_event._ok:
+                return stop_event._value
+            raise stop_event._value
+        done = []
+        stop_event.callbacks.append(lambda _e: done.append(True))
+        dispatch = self._dispatch
+        while not done:
+            if not dispatch(inf, True):
+                raise RuntimeError(
+                    "run(until=event): schedule drained before the "
+                    "event triggered"
+                )
+        if stop_event._ok:
+            return stop_event._value
+        stop_event._defused = True
+        raise stop_event._value
+
+    # simlint: hotpath
+    def _dispatch(self, stop_at: float, single: bool) -> bool:
+        """The event loop: the kernel's one pop/dispatch/recycle body.
+
+        Processes events in exact (time, priority, eid) order until the
+        schedule drains or the next event lies at or beyond ``stop_at``
+        (the clock never advances to it); with ``single`` it returns
+        True after the first event.  Returns False when it stopped
+        because nothing was left to process before ``stop_at``.
+
+        The pop merges the heap with the zero-delay now queues: heap
+        entries at the current time were scheduled earlier (smaller eid)
+        than any now-queue entry, and urgent now-queue entries overtake
+        NORMAL heap entries at the current time (priority compares
+        first).  Sanitized environments keep the now queues empty and
+        take every event off the heap with its full key, so the
+        sanitizer can check the order it comes out in.
+        """
         q = self._queue
-        if self._san is not None:
-            # Sanitized: every event must flow through the fully-checked
-            # step() path, so the inlined loops below are skipped.
-            step = self.step
-            while True:
-                if self.peek() >= stop_at:
-                    break
-                step()
-        elif q is not None:
-            # The heap main loop inlines step(): at millions of events per
-            # run the per-event call overhead is measurable.  Keep the two
-            # bodies in sync (step() remains the single-event API).  The
-            # pop merges the heap with the zero-delay now queues in exact
-            # (time, priority, eid) order: heap entries at the current
-            # time were scheduled earlier (smaller eid) than any now-queue
-            # entry, and urgent now-queue entries overtake NORMAL heap
-            # entries at the current time (priority compares first).
-            timeout_pool = self._timeout_pool
-            cb_pool = self._cb_pool
-            now_u = self._now_u
-            now_n = self._now_n
-            pop = heappop
-            pop_u = now_u.popleft
-            pop_n = now_n.popleft
-            now = self._now
-            while True:
+        san = self._san
+        timeout_pool = self._timeout_pool
+        cb_pool = self._cb_pool
+        now_u = self._now_u
+        now_n = self._now_n
+        pop = heappop
+        pop_u = now_u.popleft
+        pop_n = now_n.popleft
+        # Free-list recycling takes an event only when nothing outside
+        # this frame still references it: refcount 2 = the `event` local
+        # plus getrefcount's argument (3 when the sanitizer's record
+        # holds its extra reference).  A generator that kept the Timeout
+        # it yielded, a condition holding its constituents, or a caller
+        # retaining a call_later handle all raise the count and (safely)
+        # exempt that object from recycling.
+        recyclable = 2 if san is None else 3
+        now = self._now
+        while True:
+            if san is None:
                 # NB: the heap head is deliberately never bound to a
                 # local — a lingering reference to the popped entry tuple
                 # would keep the event's refcount above the recycle
@@ -964,105 +820,58 @@ class Environment:
                     elif now_n:
                         event = pop_n()
                     elif t >= stop_at:
-                        break
+                        return False
                     else:
                         self._now = now = t
                         event = pop(q)[3]
                 elif now_n:
                     event = pop_n()
                 else:
-                    break
-                callbacks = event.callbacks
-                event.callbacks = None
-                # Almost every event carries exactly one callback (the
-                # grant/chain continuation); skip the iterator for it.
-                if len(callbacks) == 1:
-                    callbacks[0](event)
-                else:
-                    for callback in callbacks:
-                        callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-                cls = event.__class__
-                if cls is _Callback:
-                    if (
-                        cb_pool is not None
-                        and len(cb_pool) < _POOL_MAX
-                        and _refcount(event) == 2
-                    ):
-                        event._value = PENDING
-                        cb_pool.append(event)
-                elif cls is Timeout:
-                    if (
-                        timeout_pool is not None
-                        and len(timeout_pool) < _POOL_MAX
-                        and _refcount(event) == 2
-                    ):
-                        event._value = PENDING
-                        timeout_pool.append(event)
-        else:
-            # Calendar-queue twin of the loop above (peek/popmin instead
-            # of direct heap indexing); keep the bodies in sync.
-            cal = self._cal
-            timeout_pool = self._timeout_pool
-            cb_pool = self._cb_pool
-            now_u = self._now_u
-            now_n = self._now_n
-            pop_u = now_u.popleft
-            pop_n = now_n.popleft
-            now = self._now
-            while True:
-                head = cal.peek() if cal else None
-                if now_u:
-                    if head is not None and head[0] == now and head[1] == 0:
-                        event = cal.popmin()[3]
-                    else:
-                        event = pop_u()
-                elif head is not None:
-                    t = head[0]
-                    if t == now:
-                        event = cal.popmin()[3]
-                    elif now_n:
-                        event = pop_n()
-                    elif t >= stop_at:
-                        break
-                    else:
-                        self._now = now = t
-                        event = cal.popmin()[3]
-                elif now_n:
-                    event = pop_n()
-                else:
-                    break
-                # Drop the peeked entry tuple: a live reference to it
-                # would hold the popped event's refcount above the
-                # recycle threshold and disable the free lists.
-                head = None
-                callbacks = event.callbacks
-                event.callbacks = None
-                if len(callbacks) == 1:
-                    callbacks[0](event)
-                else:
-                    for callback in callbacks:
-                        callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
-                cls = event.__class__
-                if cls is _Callback:
-                    if (
-                        cb_pool is not None
-                        and len(cb_pool) < _POOL_MAX
-                        and _refcount(event) == 2
-                    ):
-                        event._value = PENDING
-                        cb_pool.append(event)
-                elif cls is Timeout:
-                    if (
-                        timeout_pool is not None
-                        and len(timeout_pool) < _POOL_MAX
-                        and _refcount(event) == 2
-                    ):
-                        event._value = PENDING
-                        timeout_pool.append(event)
-        if stop_at is not inf:
-            self._now = stop_at
-        return None
+                    return False
+            else:
+                if not q or q[0][0] >= stop_at:
+                    return False
+                t, priority, eid, event = pop(q)
+                san.on_pop(t, priority, eid, event, now)
+                self._now = now = t
+            callbacks = event.callbacks
+            event.callbacks = None
+            # Almost every event carries exactly one callback (the
+            # grant/chain continuation); skip the iterator for it.
+            if len(callbacks) == 1:
+                callbacks[0](event)
+            else:
+                for callback in callbacks:
+                    callback(event)
+            if not event._ok and not event._defused:
+                # Nobody handled this failure.
+                raise event._value
+            cls = event.__class__
+            if cls is _Callback:
+                if (
+                    cb_pool is not None
+                    and len(cb_pool) < _POOL_MAX
+                    and _refcount(event) == recyclable
+                ):
+                    event._value = PENDING  # poison stale reads
+                    cb_pool.append(event)
+                    if san is not None:
+                        san.on_recycle(event)
+                elif san is not None:
+                    san.on_processed(event)
+            elif cls is Timeout:
+                if (
+                    timeout_pool is not None
+                    and len(timeout_pool) < _POOL_MAX
+                    and _refcount(event) == recyclable
+                ):
+                    event._value = PENDING
+                    timeout_pool.append(event)
+                    if san is not None:
+                        san.on_recycle(event)
+                elif san is not None:
+                    san.on_processed(event)
+            elif san is not None:
+                san.on_processed(event)
+            if single:
+                return True

@@ -207,11 +207,7 @@ class Resource:
             return
         san.on_schedule(req, now)
         eid = env._eid = env._eid + 1
-        q = env._queue
-        if q is not None:
-            heappush(q, (now, 1, eid, req))  # NORMAL
-        else:
-            env._cal.push((now, 1, eid, req))
+        heappush(env._queue, (now, 1, eid, req))  # NORMAL
 
     def _do_request(self, req: Request) -> None:
         if len(self.users) < self._capacity:

@@ -1,9 +1,10 @@
 """Runtime DES sanitizer: kernel invariant checking for sanitized runs.
 
-The kernel's fast paths (free-list event pooling, two schedulers with a
-delicate ``(time, priority, insertion-order)`` tie-break, callback chains)
-buy speed with exactly the kind of aliasing and ordering hazards that are
-invisible to spot tests.  The sanitizer wraps every scheduling entry point
+The kernel's fast paths (free-list event pooling, zero-delay now-queues
+merged with the heap under a delicate ``(time, priority,
+insertion-order)`` tie-break, callback chains) buy speed with exactly
+the kind of aliasing and ordering hazards that are invisible to spot
+tests.  The sanitizer wraps every scheduling entry point
 and every event pop with invariant checks, at a cost that is acceptable
 for smoke runs and CI but not for production sweeps — enable it with
 ``Environment(sanitize=True)`` or ``REPRO_DES_SANITIZE=1``.

@@ -1,9 +1,11 @@
 """Cross-variant equivalence: every kernel configuration must agree.
 
-The kernel ships two schedulers (binary heap and calendar queue), an
-event free-list pool, and a callback-chain request fast path.  All are
-pure optimizations: for a fixed seed, every combination must produce the
-*same simulation* — identical event orderings on randomized storms,
+The kernel has one event loop, entered three ways: ``run()`` drains it,
+``step()`` runs it for exactly one event, and a sanitized environment
+routes every pop through the sanitizer's checks.  On top sit an event
+free-list pool and a callback-chain request fast path.  None of these
+may change behaviour: for a fixed seed, every combination must produce
+the *same simulation* — identical event orderings on randomized storms,
 identical SimResults, and byte-identical ``repro reproduce`` reports.
 """
 
@@ -15,23 +17,62 @@ import random
 import pytest
 
 from repro.cluster import ClusterConfig
-from repro.des import Environment, Interrupt, Resource
+from repro.des import EmptySchedule, Environment, Interrupt, Resource
 from repro.servers import make_policy
 from repro.sim.driver import Simulation
 from repro.workload import build_fileset, generate_trace
 
-#: (scheduler, pooling) kernel variants.
-KERNEL_VARIANTS = list(itertools.product(["heap", "calendar"], [True, False]))
+#: (driver, pooling, sanitize) kernel variants; the first is the
+#: production configuration every other one is compared against.
+KERNEL_VARIANTS = list(
+    itertools.product(["run", "step"], [True, False], [False, True])
+)
+
+
+#: Storms pause once at this time, so the ``run(until=...)`` horizon is
+#: exercised too: events at exactly this time must wait for the resume.
+HORIZON = 4
+
+
+def _step_all(env):
+    while True:
+        try:
+            env.step()
+        except EmptySchedule:
+            return
+
+
+def _drive(env, driver, log):
+    """Drain ``env`` with ``run()`` or with repeated ``step()``, logging
+    the pause at :data:`HORIZON`."""
+    if driver == "run":
+        env.run(until=HORIZON)
+        log.append(("horizon",))
+        env.run()
+        return
+    while env.peek() < HORIZON:
+        env.step()
+    log.append(("horizon",))
+    _step_all(env)
+
+
+_ENV_RUN = Environment.run
+
+
+def _run_by_steps(self, until=None):
+    """``Environment.run`` stand-in that drains the loop by ``step()``."""
+    assert until is None, "simulations drain the schedule"
+    _step_all(self)
 
 
 # -- randomized event storms -------------------------------------------------
 
 
-def _storm(scheduler: str, pooling: bool, seed: int):
+def _storm(driver: str, pooling: bool, sanitize: bool, seed: int):
     """A seeded blizzard of timeouts, ties, priorities, resource contention,
     interrupts and failures; returns the processed-event log."""
     rng = random.Random(seed)
-    env = Environment(scheduler=scheduler, pool_events=pooling)
+    env = Environment(pool_events=pooling, sanitize=sanitize)
     res = Resource(env, capacity=2)
     log = []
 
@@ -84,18 +125,18 @@ def _storm(scheduler: str, pooling: bool, seed: int):
     env.process(chaos(procs))
     env.process(late_caller())
     env.process(failer())
-    env.run()
+    _drive(env, driver, log)
     return log
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 17])
 def test_storm_identical_across_variants(seed):
-    reference = _storm("heap", True, seed)
+    reference = _storm(*KERNEL_VARIANTS[0], seed)
     assert reference, "storm produced no events"
-    for scheduler, pooling in KERNEL_VARIANTS[1:]:
-        assert _storm(scheduler, pooling, seed) == reference, (
-            f"scheduler={scheduler} pooling={pooling} diverged from "
-            "heap+pool on the same seed"
+    for driver, pooling, sanitize in KERNEL_VARIANTS[1:]:
+        assert _storm(driver, pooling, sanitize, seed) == reference, (
+            f"driver={driver} pooling={pooling} sanitize={sanitize} "
+            "diverged from run()+pool on the same seed"
         )
 
 
@@ -103,8 +144,8 @@ def test_storm_final_state_identical():
     """Beyond ordering: clocks and event counts agree too."""
     for seed in (5, 6):
         finals = set()
-        for scheduler, pooling in KERNEL_VARIANTS:
-            env = Environment(scheduler=scheduler, pool_events=pooling)
+        for driver, pooling, sanitize in KERNEL_VARIANTS:
+            env = Environment(pool_events=pooling, sanitize=sanitize)
             rng = random.Random(seed)
 
             def burst():
@@ -112,7 +153,7 @@ def test_storm_final_state_identical():
                     yield env.timeout(rng.choice([0, 1, 1, 2, 7]))
 
             env.process(burst())
-            env.run()
+            _drive(env, driver, [])
             finals.add((env.now, env.event_count))
         assert len(finals) == 1, f"final states diverged: {finals}"
 
@@ -120,9 +161,12 @@ def test_storm_final_state_identical():
 # -- full simulations --------------------------------------------------------
 
 
-def _sim_result(monkeypatch, scheduler, pooling, fastpath, failures=None):
-    monkeypatch.setenv("REPRO_DES_SCHEDULER", scheduler)
+def _sim_result(monkeypatch, driver, pooling, sanitize, fastpath, failures=None):
+    monkeypatch.setattr(
+        Environment, "run", _run_by_steps if driver == "step" else _ENV_RUN
+    )
     monkeypatch.setenv("REPRO_DES_POOL", "1" if pooling else "0")
+    monkeypatch.setenv("REPRO_DES_SANITIZE", "1" if sanitize else "0")
     monkeypatch.setenv("REPRO_SIM_FASTPATH", "1" if fastpath else "0")
     fs = build_fileset(120, 15 * 1024, 12 * 1024, 0.9, seed=3, name="eq")
     trace = generate_trace(fs, 1200, seed=4, name="eq")
@@ -138,17 +182,19 @@ def _sim_result(monkeypatch, scheduler, pooling, fastpath, failures=None):
 
 @pytest.mark.parametrize("failures", [None, [(1, 300)]], ids=["healthy", "crash"])
 def test_simulation_identical_across_all_variants(monkeypatch, failures):
-    """SimResult equality across scheduler x pooling x fastpath (8 ways),
-    healthy and with a mid-run node crash."""
+    """SimResult equality across driver x pooling x sanitize x fastpath
+    (16 ways), healthy and with a mid-run node crash."""
     reference = None
-    for scheduler, pooling in KERNEL_VARIANTS:
+    for driver, pooling, sanitize in KERNEL_VARIANTS:
         for fastpath in (True, False):
-            r = _sim_result(monkeypatch, scheduler, pooling, fastpath, failures)
+            r = _sim_result(
+                monkeypatch, driver, pooling, sanitize, fastpath, failures
+            )
             if reference is None:
                 reference = r
             else:
                 assert r == reference, (
-                    f"scheduler={scheduler} pooling={pooling} "
+                    f"driver={driver} pooling={pooling} sanitize={sanitize} "
                     f"fastpath={fastpath} changed the simulation"
                 )
 
@@ -172,15 +218,14 @@ def test_other_policies_fastpath_equivalence(monkeypatch, policy):
 
 @pytest.mark.slow
 def test_reproduce_report_byte_identical_across_kernels(monkeypatch, tmp_path):
-    """`repro reproduce --workers 2` output must not depend on the kernel
-    variant (workers inherit the variant through the environment)."""
+    """`repro reproduce --workers 2` output must not depend on event
+    pooling (workers inherit the setting through the environment)."""
     from repro.experiments.reproduce import write_report
 
     texts = {}
-    for scheduler in ("heap", "calendar"):
-        monkeypatch.setenv("REPRO_DES_SCHEDULER", scheduler)
-        monkeypatch.setenv("REPRO_DES_POOL", "1" if scheduler == "heap" else "0")
-        out = tmp_path / f"report-{scheduler}.md"
+    for pool in ("1", "0"):
+        monkeypatch.setenv("REPRO_DES_POOL", pool)
+        out = tmp_path / f"report-pool{pool}.md"
         write_report(
             str(out),
             num_requests=800,
@@ -189,5 +234,5 @@ def test_reproduce_report_byte_identical_across_kernels(monkeypatch, tmp_path):
             workers=2,
             timing_footer=False,
         )
-        texts[scheduler] = out.read_bytes()
-    assert texts["heap"] == texts["calendar"]
+        texts[pool] = out.read_bytes()
+    assert texts["1"] == texts["0"]

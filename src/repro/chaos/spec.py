@@ -429,8 +429,8 @@ class Scenario:
         problems: List[str] = []
         if self.policy == "lard-ng":
             problems.append(
-                "policy lard-ng: async_decide election needs the DES "
-                "generator substrate (LiveUnsupported in repro.live)"
+                "policy lard-ng: the async_decide round-trip needs the DES "
+                "messaging substrate (LiveUnsupported in repro.live)"
             )
         for i, item in enumerate(self.plan):
             if item.kind not in LIVE_KINDS:

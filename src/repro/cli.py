@@ -437,13 +437,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
         result = sim.run()
         print(result.summary_row())
-        print(sim.env.sanitizer.finish().render())
+        report = sim.env.sanitizer.finish()
+        print(report.render())
+        status = 0 if report.clean else 1
     else:
         result = run_simulation(
             trace, args.policy, nodes=args.nodes, cache_bytes=args.memory * MB,
             record_latencies=True,
         )
         print(result.summary_row())
+        status = 0
     pct = result.latency_percentiles
     if pct:
         print(
@@ -465,7 +468,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"verify: books balance ({result.requests_generated:,} "
             "requests conserved)"
         )
-    return 0
+    # A sanitized run whose leak report is not clean fails the command.
+    return status
 
 
 def _cmd_overload(args: argparse.Namespace) -> int:

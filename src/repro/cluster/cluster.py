@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Generator, List
+from typing import List
 
 from ..des import Environment
 from .config import ClusterConfig
@@ -41,17 +41,6 @@ class Cluster:
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
-
-    def fetch_file(self, node_id: int, file_id: int, size_bytes: int) -> Generator:
-        """Bring a file into node ``node_id``'s cache (hit: free).
-
-        The caching unit is the whole file; on a miss the DFS read path is
-        charged and the file inserted with LRU replacement.
-        """
-        node = self.nodes[node_id]
-        if not node.cache.lookup(file_id):
-            yield from self.dfs.read(node_id, file_id, size_bytes)
-            node.cache.insert(file_id, size_bytes)
 
     def note_shed(self, node: Node) -> None:
         """Count one admission/breaker shed at ``node`` and notify the

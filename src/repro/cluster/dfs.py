@@ -14,13 +14,13 @@ Under an unreliable interconnect (``config.net_faults``) either leg of a
 remote fetch can be lost; both ride the reliability protocol when it
 covers their kinds (``dfs_req``/``dfs_data``), and an exhausted fetch
 either falls back to a degraded local-disk replica
-(``NetFaultConfig.dfs_local_fallback``, the default) or surfaces to the
-client as a :class:`RemoteFetchFailed` error.
+(``NetFaultConfig.dfs_local_fallback``, the default) or fails the
+request.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List
+from typing import Callable, List
 
 from ..des import Environment
 from .config import ClusterConfig
@@ -32,7 +32,7 @@ __all__ = ["DistributedFS", "RemoteFetchFailed"]
 
 class RemoteFetchFailed(Exception):
     """A partitioned-DFS remote fetch exhausted its retries with local
-    fallback disabled; the request fails with a client-visible error."""
+    fallback disabled (raised where no request can fail instead)."""
 
     def __init__(self, node_id: int, home: int):
         super().__init__(f"remote fetch from node {home} failed at node {node_id}")
@@ -65,59 +65,70 @@ class DistributedFS:
         """The node whose disk holds ``file_id`` in partitioned layout."""
         return file_id % len(self.nodes)
 
-    def read(self, node_id: int, file_id: int, size_bytes: int) -> Generator:
-        """Fetch a file from stable storage into node ``node_id``'s memory.
+    def read_cb(
+        self,
+        node_id: int,
+        file_id: int,
+        size_kb: float,
+        read_local: Callable[[], None],
+        done: Callable[[], None],
+        failed: Callable[[], None],
+    ) -> None:
+        """Serve a cache miss on ``file_id`` at node ``node_id``.
 
-        Replicated layout: local disk read.  Partitioned layout with a
-        remote home: request message out, remote disk read, bulk data
-        transfer back through the NIs.
+        ``read_local()`` fires when the node must read its own disk (the
+        caller charges that read): under the replicated layout, for a
+        file homed there, or for the degraded local replica once a
+        remote read gave up.  Otherwise the file's home serves it —
+        request message out, the home's disk read, the bulk data back
+        through the NIs — and ``done()`` fires on arrival.  ``failed()``
+        fires when a remote read gave up with local fallback off.
         """
-        size_kb = size_bytes / 1024.0
-        reader = self.nodes[node_id]
-        if self.config.replicated_disks:
-            self.local_reads += 1
-            yield from reader.read_from_disk(size_kb)
-            return
-        home = self.home_of(file_id)
+        home = node_id if self.config.replicated_disks else self.home_of(file_id)
         if home == node_id:
             self.local_reads += 1
-            yield from reader.read_from_disk(size_kb)
+            read_local()
             return
         self.remote_reads += 1
-        proto = self.net.protocol
-        if proto is not None and proto.covers("dfs_req"):
-            ok = yield from proto.request_gen(
-                node_id,
-                home,
-                self.config.control_kb,
-                "dfs_req",
-                ni_time_s=self.config.ni_control_time(),
+        cfg = self.config
+        net = self.net
+
+        def requested(ok: bool) -> None:
+            if not ok:
+                arrived(False)
+                return
+            # The home node reads from its disk, then streams the file
+            # back.
+            self.nodes[home].disk.hold(
+                cfg.hardware.disk_time(size_kb),
+                lambda: net.transmit_cb(home, node_id, size_kb, "dfs_data", arrived),
             )
-        else:
-            ok = yield from self.net.send_control(node_id, home, kind="dfs_req")
-        if ok:
-            # The home node reads from its disk...
-            yield from self.nodes[home].read_from_disk(size_kb)
-            # ...and streams the file back.
-            if proto is not None and proto.covers("dfs_data"):
-                ok = yield from proto.request_gen(home, node_id, size_kb, "dfs_data")
+
+        def arrived(ok: bool) -> None:
+            if ok:
+                done()
+                return
+            # The messaging (and its retries, if any) gave up: degrade.
+            self.remote_failures += 1
+            nf = net.netfaults
+            if nf is not None and nf.config.dfs_local_fallback:
+                self.local_fallbacks += 1
+                read_local()
             else:
-                ok = yield from self.net.send_message(
-                    home, node_id, size_kb, kind="dfs_data"
-                )
-        if ok:
-            return
-        # Both retries and (if any) the protocol gave up: degrade.
-        self.remote_failures += 1
-        nf = self.net.netfaults
-        if nf is not None and nf.config.dfs_local_fallback:
-            self.local_fallbacks += 1
-            yield from reader.read_from_disk(size_kb)
-            return
-        raise RemoteFetchFailed(node_id, home)
+                failed()
+
+        net.transmit_cb(
+            node_id,
+            home,
+            cfg.control_kb,
+            "dfs_req",
+            requested,
+            ni_time_s=cfg.ni_control_time(),
+        )
 
     def reset_accounting(self) -> None:
         self.remote_reads = 0
         self.local_reads = 0
         self.remote_failures = 0
         self.local_fallbacks = 0
+

@@ -2,13 +2,12 @@
 
 Each hardware component is a FIFO :class:`repro.des.Resource`, so all the
 contention the paper simulates "faithfully" (CPU, NI, disk) emerges from
-queueing.  Convenience generators (``use_cpu``, ``read_from_disk``, ...)
-encapsulate the acquire/hold/release pattern.
+queueing.  The request lifecycle (:mod:`repro.sim.lifecycle`) and the
+interconnect's message chains acquire, hold and free them directly.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
 
 from ..des import Environment, PriorityResource, Resource, TimeWeightedValue
 from .cache import LRUFileCache
@@ -32,7 +31,6 @@ class Node:
         self.env = env
         self.id = node_id
         self.config = config
-        hw = config.hardware
         self.cpu = PriorityResource(env, capacity=1, name=f"cpu{node_id}")
         self.ni_in = Resource(env, capacity=1, name=f"ni_in{node_id}")
         self.ni_out = Resource(env, capacity=1, name=f"ni_out{node_id}")
@@ -67,7 +65,6 @@ class Node:
         #: Configured speed; ``slow`` fault events scale relative to this
         #: and recovery restores it.
         self.base_speed = self.speed
-        self._hw = hw
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.id} conn={self.open_connections}>"
@@ -126,58 +123,7 @@ class Node:
             raise ValueError(f"speed factor must be positive, got {factor}")
         self.speed = self.base_speed * factor
 
-    # -- hardware occupancy generators --------------------------------------
-
-    def use_cpu(self, seconds: float, priority: int = CPU_PROMPT) -> Generator:
-        """Occupy the CPU for ``seconds``.
-
-        Control work (the default ``CPU_PROMPT``) overtakes queued bulk
-        reply work, mirroring an event-driven server; work at equal
-        priority is FIFO.  ``seconds`` is the baseline (speed 1.0) cost;
-        slower nodes take proportionally longer.
-        """
-        with self.cpu.request(priority=priority) as req:
-            yield req
-            yield self.env.timeout(seconds / self.speed)
-
-    def use_ni_in(self, seconds: float) -> Generator:
-        with self.ni_in.request() as req:
-            yield req
-            yield self.env.timeout(seconds)
-
-    def use_ni_out(self, seconds: float) -> Generator:
-        with self.ni_out.request() as req:
-            yield req
-            yield self.env.timeout(seconds)
-
-    def parse_request(self) -> Generator:
-        """CPU work to read and parse an incoming request (1/mu_p)."""
-        yield from self.use_cpu(self._hw.parse_time())
-
-    def forward_work(self) -> Generator:
-        """CPU work to hand a request off to another node (1/mu_f)."""
-        yield from self.use_cpu(self._hw.forward_time())
-
-    def reply_work(self, size_kb: float) -> Generator:
-        """CPU work to send a locally available file (1/mu_m, bulk)."""
-        yield from self.use_cpu(self._hw.reply_time(size_kb), priority=CPU_BULK)
-
-    def read_from_disk(self, size_kb: float) -> Generator:
-        """Disk occupancy for a whole-file read (1/mu_d)."""
-        with self.disk.request() as req:
-            yield req
-            yield self.env.timeout(self._hw.disk_time(size_kb))
-
-    # -- cache path ----------------------------------------------------------
-
-    def serve_file(self, file_id: int, size_bytes: int) -> Generator:
-        """Bring a file into memory: cache hit is free, miss reads disk.
-
-        Updates LRU state and hit/miss counters; yields disk time on miss.
-        """
-        if not self.cache.lookup(file_id):
-            yield from self.read_from_disk(size_bytes / 1024.0)
-            self.cache.insert(file_id, size_bytes)
+    # -- cache ---------------------------------------------------------------
 
     def warm_cache(self, file_id: int, size_bytes: int) -> None:
         """Zero-time cache touch used by warmup passes (no stats)."""

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from heapq import heappush
-from typing import Deque, List, Optional
+from typing import Callable, Deque, List, Optional
 
 from .core import Environment, Event, PENDING, _POOL_MAX
 
@@ -273,6 +273,48 @@ class Resource:
     #: generator API needs to have something to yield.  The handle may be
     #: recycled by the call: drop (or overwrite) it immediately after.
     free = _do_release
+
+    def hold(
+        self,
+        seconds: float,
+        then: Callable[[], None],
+        priority: Optional[int] = None,
+    ) -> None:
+        """Occupy one slot for ``seconds`` once granted, free it, then
+        call ``then()`` — the callback-chain form of ``with request():
+        yield req; yield timeout(seconds)``.  ``priority`` is for
+        :class:`PriorityResource`."""
+        req = (
+            self.request()
+            if priority is None
+            else self.request(priority)  # type: ignore[call-arg]
+        )
+        env = self.env
+
+        def held(_e) -> None:
+            env.call_later(seconds, done)
+
+        def done(_e) -> None:
+            self.free(req)
+            then()
+
+        req.callbacks.append(held)
+
+    def withdraw(self, req: Request) -> None:
+        """Take a callback chain's request off this resource early.
+
+        The chain twin of an exception leaving a ``with request()``
+        block: a queued request leaves the queue, a granted one frees its
+        slot at once.  A grant not yet processed loses its callbacks, so
+        the chain's continuation never runs.  Drop the handle afterwards,
+        as with :meth:`free`.
+        """
+        if req.usage_since is None:
+            self._do_cancel(req)
+            return
+        if req.callbacks:
+            req.callbacks.clear()
+        self._do_release(req)
 
 
 class PriorityRequest(Request):

@@ -212,7 +212,7 @@ class RetryPolicy:
     capped exponential backoff — up to ``max_retries`` times, after which
     it counts as permanently failed.  ``timeout_s``, when set, bounds how
     long a client waits for a response before giving up and retrying
-    (the request is interrupted wherever it is).
+    (the request is cancelled wherever it is).
     """
 
     #: Maximum re-issues per request (0 = fail immediately, the legacy

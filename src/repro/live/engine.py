@@ -160,7 +160,8 @@ class PolicyEngine:
     ) -> None:
         if getattr(policy, "async_decide", False):
             raise LiveUnsupported(
-                f"policy {policy.name!r} decides through a DES generator "
+                f"policy {policy.name!r} decides through a DES message "
+                "round-trip "
                 "(async_decide=True) and cannot run on the live substrate"
             )
         if num_nodes < 1:

@@ -6,15 +6,16 @@ on an ack timeout with capped exponential backoff, and per-send sequence
 numbers give at-most-once effect semantics — a retransmission arriving
 after the original is counted as a dedup and its effect is suppressed.
 
-Two forms mirror the interconnect's two delivery paths:
+Two forms, both callback chains over the interconnect's one delivery
+path:
 
-* :meth:`ReliableMessenger.request_gen` — a generator the caller drives
-  inline (``yield from``); the caller resumes once a transmission has
-  been acknowledged, or after retries exhaust.  Used for hand-offs, the
-  LARD-NG query/reply pair, and DFS fetch legs.
-* :meth:`ReliableMessenger.send_cb` — fire-and-forget callback form for
-  control messages whose sender never blocks (LARD completion notices,
-  L2S server-set updates).  The ``deliver`` effect fires at the first
+* :meth:`ReliableMessenger.request_cb` — the sender waits: ``done(ok)``
+  fires once a transmission has been acknowledged, or after retries
+  exhaust.  Used for hand-offs, the LARD-NG query/reply pair, and DFS
+  fetch legs.
+* :meth:`ReliableMessenger.send_cb` — fire-and-forget form for control
+  messages whose sender never blocks (LARD completion notices, L2S
+  server-set updates).  The ``deliver`` effect fires at the first
   delivery only.
 
 Which message kinds opt in is the policy's choice, expressed through
@@ -24,7 +25,7 @@ best-effort send.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, Optional, TYPE_CHECKING
+from typing import Callable, Dict, Optional, TYPE_CHECKING
 
 from .model import NetFaultConfig, RetrySpec
 
@@ -78,61 +79,80 @@ class ReliableMessenger:
             "failures": dict(self.failures),
         }
 
-    # -- inline (generator) form -------------------------------------------
+    # -- awaited form --------------------------------------------------------
 
-    def request_gen(
+    def request_cb(
         self,
         src: int,
         dst: int,
         size_kb: float,
         kind: str,
+        done: Callable[[bool], None],
         ni_time_s: Optional[float] = None,
-    ) -> Generator:
-        """Send reliably; the caller resumes at ack (True) or give-up (False).
+    ) -> None:
+        """Send reliably; ``done(True)`` at ack, ``done(False)`` at give-up.
 
         Stop-and-wait: each attempt transmits the payload, then — on
         delivery — waits for the receiver's ack to cross back.  An
         undelivered attempt (or a lost ack) charges the remainder of the
         kind's timeout before the backoff pause and the retransmission.
+        With ``src == dst`` nothing crosses the fabric and ``done(True)``
+        fires at once.
         """
+        if src == dst:
+            done(True)
+            return
         net = self.net
         env = self.env
-        if src == dst:
-            yield from net.send_message(src, dst, size_kb, kind, ni_time_s)
-            return True
-        spec = self.spec_for(kind)
         cfg = net.config
+        spec = self.spec_for(kind)
+        attempt = 0
+        started = 0.0
         delivered_once = False
-        for attempt in range(spec.max_retries + 1):
+
+        def transmit(_e=None) -> None:
+            nonlocal started
             started = env.now
             if attempt:
                 self._bump(self.retries, kind)
-            got = yield from net.send_message(src, dst, size_kb, kind, ni_time_s)
-            if got:
-                if delivered_once:
-                    self._bump(self.dedups, kind)
-                delivered_once = True
-                # The receiver acks every copy it sees; the ack itself
-                # can be lost, forcing a (deduped) retransmission.
-                self._bump(self.acks, kind)
-                acked = yield from net.send_message(
-                    dst,
-                    src,
-                    cfg.control_kb,
-                    kind + "_ack",
-                    ni_time_s=cfg.ni_control_time(),
-                )
-                if acked:
-                    return True
+            net.send_message_inline(
+                src, dst, size_kb, kind, ni_time_s, delivered, lost
+            )
+
+        def delivered() -> None:
+            nonlocal delivered_once
+            if delivered_once:
+                self._bump(self.dedups, kind)
+            delivered_once = True
+            # The receiver acks every copy it sees; the ack itself can
+            # be lost, forcing a (deduped) retransmission.
+            self._bump(self.acks, kind)
+            net.send_message_inline(
+                dst, src, cfg.control_kb, kind + "_ack",
+                cfg.ni_control_time(), lambda: done(True), lost,
+            )
+
+        def lost() -> None:
             remaining = spec.timeout_s - (env.now - started)
             if remaining > 0:
-                yield env.timeout(remaining)
-            if attempt < spec.max_retries:
-                backoff = spec.backoff(attempt + 1)
-                if backoff > 0:
-                    yield env.timeout(backoff)
-        self._bump(self.failures, kind)
-        return False
+                env.call_later(remaining, timed_out)
+            else:
+                timed_out(None)
+
+        def timed_out(_e) -> None:
+            nonlocal attempt
+            if attempt >= spec.max_retries:
+                self._bump(self.failures, kind)
+                done(False)
+                return
+            attempt += 1
+            backoff = spec.backoff(attempt)
+            if backoff > 0:
+                env.call_later(backoff, transmit)
+            else:
+                transmit()
+
+        transmit()
 
     # -- fire-and-forget (callback) form -----------------------------------
 

@@ -145,6 +145,10 @@ class DistributionPolicy(ABC):
 
     #: Human-readable policy name (used in reports and benchmarks).
     name: str = "base"
+    #: True when decisions travel through the messaging layer: the
+    #: simulator then calls ``decide_cb(initial, file_id, done, failed)``
+    #: instead of :meth:`decide` (lard-ng's dispatcher round-trip).
+    async_decide: bool = False
 
     def __init__(self) -> None:
         self.cluster: Optional[Cluster] = None

@@ -299,7 +299,7 @@ class L2SPolicy(DistributionPolicy):
     ) -> None:
         """Fire-and-forget load message; the estimate updates on delivery.
 
-        Rides the interconnect's callback-chain fast path — the dominant
+        A fire-and-forget message chain — the dominant
         message source in an L2S run (one broadcast per connection-count
         drift), so not paying a process per message matters.
         """

@@ -237,7 +237,7 @@ class LARDPolicy(DistributionPolicy):
     def _deliver_notice(self, back_end: int, batch: int) -> None:
         """Back-end -> front-end message; the view updates on delivery.
 
-        Rides the callback-chain fast path (no per-notice process).  An
+        A fire-and-forget message chain (no per-notice process).  An
         elected lard-ng dispatcher also serves; its own notices are a
         local table update, not a network message — ``send_control_cb``'s
         ``src == dst`` shortcut applies the update synchronously.

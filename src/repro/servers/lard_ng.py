@@ -28,7 +28,7 @@ single-point-of-failure claim in its starkest form.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Callable, Optional
 
 from .base import Decision, DistributionPolicy, ServiceUnavailable, ShuffledRoundRobin
 from .lard import LARDPolicy
@@ -40,8 +40,8 @@ class DispatcherLARDPolicy(LARDPolicy):
     """LARD/R run at a dedicated dispatcher, queried per request."""
 
     name = "lard-ng"
-    #: The simulator must obtain decisions through
-    #: :meth:`decide_process`, which charges the query round-trip.
+    #: The simulator must obtain decisions through :meth:`decide_cb`,
+    #: which charges the query round-trip.
     async_decide = True
 
     def __init__(
@@ -149,68 +149,80 @@ class DispatcherLARDPolicy(LARDPolicy):
 
     # -- decisions ---------------------------------------------------------------
 
-    def decide_process(self, initial: int, file_id: int) -> Generator:
+    def decide_cb(
+        self,
+        initial: int,
+        file_id: int,
+        done: Callable[[Decision], None],
+        failed: Callable[[], None],
+    ) -> None:
         """Query round-trip to the dispatcher, then the LARD/R decision.
 
         Charged: control message initial -> dispatcher, decision CPU at
         the dispatcher, control message back (both messages skipped when
         the accepting node *is* the dispatcher — possible after an
-        election).  Returns the :class:`Decision` (``forwarded`` only
-        when the dispatcher picked a different node than the accepting
-        one).
+        election).  ``done(decision)`` receives the :class:`Decision`
+        (``forwarded`` only when the dispatcher picked a different node
+        than the accepting one); ``failed()`` fires when the dispatcher
+        could not be reached or had no back-end left.  Raises
+        :class:`ServiceUnavailable` at once when the dispatcher is down.
         """
         cluster = self._require_cluster()
         if self._single_node:
-            return Decision(target=0, forwarded=False)
+            done(Decision(target=0, forwarded=False))
+            return
         if self._dispatcher in self.failed_nodes:
             raise ServiceUnavailable("the dispatcher has failed")
         self.queries += 1
-        proto = cluster.net.protocol
-        if initial != self._dispatcher:
-            if proto is not None and proto.covers("lardng_query"):
-                ok = yield from proto.request_gen(
-                    initial,
-                    self._dispatcher,
-                    cluster.config.control_kb,
-                    "lardng_query",
-                    ni_time_s=cluster.config.ni_control_time(),
-                )
-            else:
-                ok = yield from cluster.net.send_control(
-                    initial, self._dispatcher, kind="lardng_query"
-                )
+        cfg = cluster.config
+
+        def control(src: int, dst: int, kind: str, then) -> None:
+            # A dispatcher that is itself the accepting node (possible
+            # after an election) skips the message: src == dst.
+            cluster.net.transmit_cb(
+                src, dst, cfg.control_kb, kind, then,
+                ni_time_s=cfg.ni_control_time(),
+            )
+
+        def queried(ok: bool) -> None:
             if not ok:
                 # The dispatcher is unreachable (lost query after
                 # retries, crash, partition): the accepting node times
                 # out and the client retries — the request aborts.
-                raise ServiceUnavailable("dispatcher query timed out")
-        if self.decision_cpu_s > 0:
-            yield from cluster.node(self._dispatcher).use_cpu(self.decision_cpu_s)
-        decision = super().decide(initial, file_id)
-        if initial != self._dispatcher:
-            if proto is not None and proto.covers("lardng_reply"):
-                ok = yield from proto.request_gen(
-                    self._dispatcher,
-                    initial,
-                    cluster.config.control_kb,
-                    "lardng_reply",
-                    ni_time_s=cluster.config.ni_control_time(),
-                )
+                failed()
+                return
+            if self.decision_cpu_s > 0:
+                node = cluster.node(self._dispatcher)
+                node.cpu.hold(self.decision_cpu_s / node.speed, decide)
             else:
-                ok = yield from cluster.net.send_control(
-                    self._dispatcher, initial, kind="lardng_reply"
-                )
-            if not ok:
-                # The decision never reached the accepting node: undo
-                # the dispatcher's optimistic view charge and abort.
-                self.on_handoff_failed(initial, decision.target)
-                raise ServiceUnavailable("dispatcher reply timed out")
-        return decision
+                decide()
+
+        def decide() -> None:
+            try:
+                decision = LARDPolicy.decide(self, initial, file_id)
+            except ServiceUnavailable:
+                failed()
+                return
+
+            def replied(ok: bool) -> None:
+                if not ok:
+                    # The decision never reached the accepting node: undo
+                    # the dispatcher's optimistic view charge and abort.
+                    self.on_handoff_failed(initial, decision.target)
+                    failed()
+                    return
+                done(decision)
+
+            control(self._dispatcher, initial, "lardng_reply", replied)
+
+        # Each step reads the dispatcher afresh: an election that lands
+        # mid-query moves the remaining steps to the new dispatcher.
+        control(initial, self._dispatcher, "lardng_query", queried)
 
     def decide(self, initial: int, file_id: int) -> Decision:
         raise RuntimeError(
             "lard-ng decisions require the messaging round-trip; drive it "
-            "through decide_process (async_decide=True)"
+            "through decide_cb (async_decide=True)"
         )
 
     def stats(self):
@@ -219,3 +231,4 @@ class DispatcherLARDPolicy(LARDPolicy):
         s["elections"] = self.elections
         s["dispatcher"] = self._dispatcher
         return s
+

@@ -8,7 +8,6 @@ lifecycle (:mod:`repro.sim.lifecycle`) exercises the simulated hardware
 """
 
 from .driver import Simulation
-from .lifecycle import client_request
 from .persistent import PersistentSimulation, run_persistent_simulation
 from .results import SimResult
 from .runner import (
@@ -20,7 +19,6 @@ from .runner import (
 __all__ = [
     "Simulation",
     "SimResult",
-    "client_request",
     "run_simulation",
     "model_bound_for_trace",
     "DEFAULT_SIM_CACHE_BYTES",

@@ -22,7 +22,6 @@ its latency signal high (see the ``_admission_armed`` comment).
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,7 +32,7 @@ from ..faults import AvailabilityTimeline, FaultInjector, FaultSchedule, RetryPo
 from ..netfaults import NetFaultInjector
 from ..servers import DistributionPolicy
 from ..workload import Trace
-from .lifecycle import client_request, start_fast_request
+from .lifecycle import start_fast_request
 from .results import SimResult
 
 __all__ = ["Simulation"]
@@ -202,23 +201,6 @@ class Simulation:
         self._shed_front = 0
         if self.timeline is not None:
             self.cluster.shed_listener = self.timeline.record_shed
-        #: Callback-chain request lifecycle (see docs/KERNEL.md).  The
-        #: fast path covers the common shape — replicated disks, a
-        #: synchronous ``decide``, no client-side timeout interrupts; the
-        #: generator path keeps the rest.  Crash/recovery schedules stay
-        #: eligible: the chain performs the same incarnation-aware abort
-        #: checks at every stage boundary.  REPRO_SIM_FASTPATH=0 forces
-        #: the generator path everywhere (used by the equivalence suite).
-        #: Netfault runs force the generator path: reliable hand-offs
-        #: wait out protocol timeouts inline, which the callback chain
-        #: cannot express.
-        self._fastpath = (
-            os.environ.get("REPRO_SIM_FASTPATH", "1") != "0"
-            and config.replicated_disks
-            and not getattr(policy, "async_decide", False)
-            and (retry is None or retry.timeout_s is None)
-            and self.cluster.net.netfaults is None
-        )
 
     # -- injection -------------------------------------------------------------
 
@@ -254,40 +236,20 @@ class Simulation:
 
     def _spawn_index(self, i: int) -> None:
         fid = int(self._ids[i])
-        if self._fastpath:
-            start_fast_request(
-                self.cluster,
-                self.policy,
-                i,
-                fid,
-                int(self._sizes[fid]),
-                self._on_done,
-                self._on_failed,
-            )
-            return
-        proc = self.env.process(
-            client_request(
-                self.cluster,
-                self.policy,
-                i,
-                fid,
-                int(self._sizes[fid]),
-                self._on_done,
-                self._on_failed,
-            ),
-            name=f"req{i}",
+        request = start_fast_request(
+            self.cluster,
+            self.policy,
+            i,
+            fid,
+            int(self._sizes[fid]),
+            self._on_done,
+            self._on_failed,
         )
         if self.retry is not None and self.retry.timeout_s is not None:
-            self.env.schedule_callback(
-                self.retry.timeout_s, lambda p=proc: self._client_timeout(p)
-            )
-
-    def _client_timeout(self, proc) -> None:
-        """Abort a request the client has given up on.  The lifecycle
-        catches the interrupt as an abort, which feeds the normal
-        failure/retry path."""
-        if proc.is_alive:
-            proc.interrupt("client timeout")
+            # Client timeout: the client gives up on the request, which
+            # aborts into the normal failure/retry path (a no-op once it
+            # has completed or failed on its own).
+            self.env.schedule_callback(self.retry.timeout_s, request.cancel)
 
     @property
     def _finished(self) -> int:

@@ -23,16 +23,23 @@ now counts *connections* in flight.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Optional
 
 from ..cluster import Cluster, ClusterConfig
+from ..cluster.dfs import RemoteFetchFailed
+from ..cluster.node import CPU_BULK, CPU_PROMPT
 from ..des import Environment, Tally
+from ..des.core import URGENT
 from ..servers import DistributionPolicy
+from ..servers.base import ServiceUnavailable
 from ..workload import Trace
 from ..workload.sessions import SessionTrace, sessionize
 from .results import SimResult
 
 __all__ = ["PersistentSimulation", "run_persistent_simulation"]
+
+#: LARD's front-end node.
+FRONT_END = 0
 
 
 class PersistentSimulation:
@@ -74,95 +81,6 @@ class PersistentSimulation:
         #: nodes' own per-connection counters).
         self._node_requests = [0] * config.nodes
 
-    # -- connection lifecycle -------------------------------------------------
-
-    def _connection(self, conn_index: int) -> Generator:
-        cluster = self.cluster
-        policy = self.policy
-        env = self.env
-        hw = self.config.hardware
-        k = conn_index % self._conns_per_pass
-        first, last = self.sessions.connection_span(k)
-        ids = self.trace.file_ids
-        sizes = self.trace.fileset.sizes
-
-        is_lard = policy.name == "lard" and cluster.num_nodes > 1
-        front_end = 0
-
-        current = policy.initial_node(conn_index, int(ids[first]))
-        entry = current  # where client packets enter (LARD: front-end)
-        owner: Optional[int] = None  # LARD: back-end holding the connection
-
-        cluster.node(current).connection_opened()
-        policy.on_connection_change(current)
-        try:
-            for r in range(first, last):
-                fid = int(ids[r])
-                size_kb = int(sizes[fid]) / 1024.0
-                start = env.now
-
-                # The request reaches the entry node.
-                yield from cluster.net.route(hw.request_kb)
-                yield from cluster.node(entry).use_ni_in(
-                    hw.ni_message_time(hw.request_kb)
-                )
-
-                migrated = False
-                if is_lard:
-                    if owner is None:
-                        # First request: the front-end parses and decides.
-                        yield from cluster.node(front_end).parse_request()
-                        decision = policy.decide(front_end, fid)
-                        owner = decision.target
-                        cluster.node(front_end).forwarded += 1
-                        yield from cluster.node(front_end).forward_work()
-                        yield from cluster.net.send_message(
-                            front_end, owner, hw.request_kb, kind="handoff"
-                        )
-                        self._move_connection(current, owner)
-                        current = owner
-                        migrated = True
-                    else:
-                        # Relay: L4 forward through the front-end, no
-                        # distribution decision.
-                        yield from cluster.node(front_end).use_cpu(
-                            self.config.cpu_msg_overhead_s
-                        )
-                        yield from cluster.net.send_message(
-                            front_end, owner, hw.request_kb, kind="relay"
-                        )
-                        yield from cluster.node(owner).parse_request()
-                        migrated = False
-                else:
-                    yield from cluster.node(current).parse_request()
-                    if getattr(policy, "async_decide", False):
-                        decision = yield from policy.decide_process(current, fid)
-                    else:
-                        decision = policy.decide(current, fid)
-                    if decision.target != current:
-                        cluster.node(current).forwarded += 1
-                        yield from cluster.node(current).forward_work()
-                        yield from cluster.net.send_message(
-                            current, decision.target, hw.request_kb, kind="handoff"
-                        )
-                        self._move_connection(current, decision.target)
-                        current = decision.target
-                        entry = current
-                        migrated = True
-
-                node = cluster.node(current)
-                yield from cluster.fetch_file(current, fid, int(sizes[fid]))
-                yield from node.reply_work(size_kb)
-                yield from node.use_ni_out(hw.ni_reply_time(size_kb))
-                yield from cluster.net.route(size_kb)
-                policy.on_complete(current, fid)
-                self._request_done(start, migrated, current)
-        finally:
-            cluster.node(current).connection_closed()
-            policy.on_connection_change(current)
-            policy.on_connection_end(current)
-            self._connection_done()
-
     def _move_connection(self, src: int, dst: int) -> None:
         cluster = self.cluster
         cluster.node(src).connection_closed()
@@ -202,7 +120,7 @@ class PersistentSimulation:
         if i >= self._total_conns:
             return False
         self._next_conn += 1
-        self.env.process(self._connection(i), name=f"conn{i}")
+        _Connection(self, i)
         return True
 
     # -- run ------------------------------------------------------------------------
@@ -247,6 +165,177 @@ class PersistentSimulation:
             node_completions=list(self._node_requests),
             policy_stats=self.policy.stats(),
         )
+
+
+class _Connection:
+    """One persistent connection as a callback chain.
+
+    Loops over the connection's requests; each walks router, entry
+    NI-in, parse (and decide, or relay), an optional hand-off, fetch,
+    reply, NI-out and router, holding one station at a time.
+    """
+
+    def __init__(self, sim: PersistentSimulation, conn_index: int):
+        self.sim = sim
+        self.cluster = sim.cluster
+        self.policy = sim.policy
+        self.hw = sim.config.hardware
+        self.ids = sim.trace.file_ids
+        self.sizes = sim.trace.fileset.sizes
+        self.index = conn_index
+        k = conn_index % sim._conns_per_pass
+        self.r, self.last = sim.sessions.connection_span(k)
+        self.is_lard = self.policy.name == "lard" and self.cluster.num_nodes > 1
+        #: LARD: the back-end holding the connection once handed off.
+        self.owner: Optional[int] = None
+        sim.env.call_later(0.0, self._open, priority=URGENT)
+
+    def _cpu(self, node_id: int, seconds: float, then, priority=CPU_PROMPT):
+        node = self.cluster.node(node_id)
+        node.cpu.hold(seconds / node.speed, then, priority)
+
+    def _open(self, _e) -> None:
+        current = self.policy.initial_node(self.index, int(self.ids[self.r]))
+        self.current = current
+        self.entry = current  # where client packets enter (LARD: front-end)
+        self.cluster.node(current).connection_opened()
+        self.policy.on_connection_change(current)
+        self._next_request()
+
+    def _next_request(self) -> None:
+        if self.r >= self.last:
+            self._close()
+            return
+        self.fid = int(self.ids[self.r])
+        self.r += 1
+        self.size_kb = int(self.sizes[self.fid]) / 1024.0
+        self.start = self.sim.env.now
+        self.migrated = False
+        # The request reaches the entry node.
+        hw = self.hw
+        self.cluster.net.router.hold(
+            hw.route_time(hw.request_kb),
+            lambda: self.cluster.node(self.entry).ni_in.hold(
+                hw.ni_message_time(hw.request_kb), self._arrived
+            ),
+        )
+
+    def _arrived(self) -> None:
+        hw = self.hw
+        if not self.is_lard:
+            self._cpu(self.current, hw.parse_time(), self._decide)
+        elif self.owner is None:
+            # First request: the front-end parses and decides.
+            self._cpu(FRONT_END, hw.parse_time(), self._lard_decide)
+        else:
+            # Relay: L4 forward through the front-end, no distribution
+            # decision.
+            self._cpu(FRONT_END, self.sim.config.cpu_msg_overhead_s, self._relay)
+
+    def _lard_decide(self) -> None:
+        self.owner = self.policy.decide(FRONT_END, self.fid).target
+        self._hand_off(FRONT_END, self.owner)
+
+    def _relay(self) -> None:
+        self._send(
+            FRONT_END,
+            self.owner,
+            "relay",
+            lambda: self._cpu(self.owner, self.hw.parse_time(), self._fetch),
+        )
+
+    def _decide(self) -> None:
+        if self.policy.async_decide:
+            self.policy.decide_cb(
+                self.current, self.fid, self._decided, self._undecided
+            )
+        else:
+            self._decided(self.policy.decide(self.current, self.fid))
+
+    def _undecided(self) -> None:
+        raise ServiceUnavailable("dispatcher round-trip failed")
+
+    def _decided(self, decision) -> None:
+        if decision.target == self.current:
+            self._fetch()
+        else:
+            self._hand_off(self.current, decision.target)
+
+    def _hand_off(self, src: int, dst: int) -> None:
+        """Forwarding CPU work, the hand-off message, and the move."""
+
+        def moved() -> None:
+            self.sim._move_connection(src, dst)
+            self.current = dst
+            if not self.is_lard:
+                self.entry = dst
+            self.migrated = True
+            self._fetch()
+
+        self.cluster.node(src).forwarded += 1
+        self._cpu(
+            src, self.hw.forward_time(), lambda: self._send(src, dst, "handoff", moved)
+        )
+
+    def _send(self, src: int, dst: int, kind: str, then) -> None:
+        """A request-sized message the connection waits on (a drop is
+        not modelled here: either outcome continues)."""
+        self.cluster.net.send_message_inline(
+            src, dst, self.hw.request_kb, kind, None, then, then
+        )
+
+    def _fetch(self) -> None:
+        if self.cluster.node(self.current).cache.lookup(self.fid):
+            self._reply()
+            return
+        self.cluster.dfs.read_cb(
+            self.current,
+            self.fid,
+            self.size_kb,
+            self._read_disk,
+            self._fetched,
+            self._fetch_failed,
+        )
+
+    def _fetch_failed(self) -> None:
+        raise RemoteFetchFailed(self.current, self.cluster.dfs.home_of(self.fid))
+
+    def _read_disk(self) -> None:
+        self.cluster.node(self.current).disk.hold(
+            self.hw.disk_time(self.size_kb), self._fetched
+        )
+
+    def _fetched(self) -> None:
+        size_bytes = int(self.sizes[self.fid])
+        self.cluster.node(self.current).cache.insert(self.fid, size_bytes)
+        self._reply()
+
+    def _reply(self) -> None:
+        hw = self.hw
+        size_kb = self.size_kb
+        net = self.cluster.net
+        ni_out = self.cluster.node(self.current).ni_out
+        self._cpu(
+            self.current,
+            hw.reply_time(size_kb),
+            lambda: ni_out.hold(
+                hw.ni_reply_time(size_kb),
+                lambda: net.router.hold(hw.route_time(size_kb), self._replied),
+            ),
+            CPU_BULK,
+        )
+
+    def _replied(self) -> None:
+        self.policy.on_complete(self.current, self.fid)
+        self.sim._request_done(self.start, self.migrated, self.current)
+        self._next_request()
+
+    def _close(self) -> None:
+        current = self.current
+        self.cluster.node(current).connection_closed()
+        self.policy.on_connection_change(current)
+        self.policy.on_connection_end(current)
+        self.sim._connection_done()
 
 
 def run_persistent_simulation(

@@ -1,14 +1,16 @@
 """Sanitized runs must be observationally identical to unsanitized runs.
 
 The sanitizer only *observes*: same SimResult field for field, same event
-order, on both request lifecycles.  These are the acceptance tests for
+order, on every path a request or message can take.  These are the acceptance tests for
 `Environment(sanitize=True)` being safe to flip on in CI smoke runs.
 """
 
 import pytest
 
 from repro.cluster import ClusterConfig
+from repro.faults import RetryPolicy
 from repro.model import MB
+from repro.netfaults import NetFaultConfig
 from repro.servers import make_policy
 from repro.sim import Simulation
 from repro.workload import build_fileset, generate_trace
@@ -20,15 +22,15 @@ def trace():
     return generate_trace(fs, 2500, seed=4, name="santrace")
 
 
-def cfg(nodes=4):
+def cfg(nodes=4, **kw):
     return ClusterConfig(
-        nodes=nodes, cache_bytes=2 * MB, multiprogramming_per_node=8
+        nodes=nodes, cache_bytes=2 * MB, multiprogramming_per_node=8, **kw
     )
 
 
-def run(trace, policy_name, sanitize, **kw):
+def run(trace, policy_name, sanitize, config=None, **kw):
     sim = Simulation(
-        trace, make_policy(policy_name), cfg(), passes=2,
+        trace, make_policy(policy_name), config or cfg(), passes=2,
         sanitize=sanitize, **kw
     )
     return sim, sim.run()
@@ -55,14 +57,38 @@ def test_sanitized_canonical_run_is_leak_free(trace):
     assert san.pops > 1000
 
 
-def test_sanitized_generator_lifecycle_identical(trace, monkeypatch):
-    # The generator lifecycle (interruptible processes) instead of the
-    # callback fast path: both must be clean under the sanitizer.
-    monkeypatch.setenv("REPRO_SIM_FASTPATH", "0")
-    _, plain = run(trace, "l2s", sanitize=False)
-    sim, sanitized = run(trace, "l2s", sanitize=True)
+#: (policy, run options) of the paths beyond the plain request chain:
+#: client timeouts cancelling requests mid-stage, the ack/retry protocol
+#: on a lossy fabric, partitioned-DFS remote reads (lossy, so fallbacks
+#: happen too), and lard-ng's dispatcher round-trip.
+PATHS = {
+    "timeout": ("lard", dict(retry=RetryPolicy(timeout_s=0.05))),
+    "netloss": (
+        "l2s",
+        dict(config=cfg(net_faults=NetFaultConfig(loss_rate=0.02, seed=1))),
+    ),
+    "dfs": (
+        "lard",
+        dict(
+            config=cfg(
+                replicated_disks=False,
+                net_faults=NetFaultConfig(loss_rate=0.02, seed=2),
+            )
+        ),
+    ),
+    "lard-ng": ("lard-ng", {}),
+}
+
+
+@pytest.mark.parametrize("path", sorted(PATHS))
+def test_sanitized_paths_identical_and_leak_free(trace, path):
+    policy_name, kw = PATHS[path]
+    _, plain = run(trace, policy_name, sanitize=False, **kw)
+    sim, sanitized = run(trace, policy_name, sanitize=True, **kw)
     assert sanitized == plain
-    assert sim.env.sanitizer.finish().clean
+    report = sim.env.sanitizer.finish()
+    assert report.clean, report.render()
+    assert sim.env.sanitizer.violations == []
 
 
 def test_env_var_sanitize_matches_explicit(trace, monkeypatch):

@@ -1,9 +1,9 @@
 """Delta-debugging shrinker: minimality, determinism, budget honesty.
 
 The expensive end-to-end property — the planted fixture shrinking to
-the same byte-identical <= 3-event reproducer under both request
-lifecycles — is the contract that makes soak-produced reproducers
-trustworthy.
+the same byte-identical <= 3-event reproducer with the kernel's event
+pooling on and off — is the contract that makes soak-produced
+reproducers trustworthy.
 """
 
 import os
@@ -42,11 +42,11 @@ class TestPlantedFixture:
         assert a.scenario.to_json() == b.scenario.to_json()
         assert a.runs == b.runs
 
-    @pytest.mark.parametrize("fastpath", ["0", "1"])
+    @pytest.mark.parametrize("pooling", ["0", "1"])
     def test_minimal_reproducer_is_engine_independent(
-        self, monkeypatch, fastpath, reference_minimal
+        self, monkeypatch, pooling, reference_minimal
     ):
-        monkeypatch.setenv("REPRO_SIM_FASTPATH", fastpath)
+        monkeypatch.setenv("REPRO_DES_POOL", pooling)
         result = shrink_scenario(_planted(), oracle_config=STRICT)
         expected = reference_minimal.scenario.to_json()
         assert result.scenario.to_json() == expected

@@ -1,9 +1,11 @@
-"""Accounting equivalence of the two message-delivery paths.
+"""Accounting equivalence of the two ways to start a message.
 
-``send_message`` (generator) and ``send_message_cb`` (callback chain)
-must move the same counters at the same simulated times, including under
-an active netfault layer — loss/dup/jitter draws happen at the switch
-stage in both paths, in the same event order, off the same seeded RNG.
+``transmit_cb`` (a sender that waits: the first charge starts inline)
+and ``send_message_cb`` (fire-and-forget: the first charge starts at an
+urgent kick) must move the same counters at the same simulated times,
+including under an active netfault layer — loss/dup/jitter draws happen
+at the switch stage in both, in the same event order, off the same
+seeded RNG.
 """
 
 import pytest
@@ -42,9 +44,9 @@ BURST = [
 ] * 10
 
 
-def run_gen_burst(net, env):
+def run_awaited_burst(net, env):
     for src, dst, size, kind in BURST:
-        env.process(net.send_message(src, dst, size, kind))
+        net.transmit_cb(src, dst, size, kind, lambda ok: None)
     env.run()
 
 
@@ -62,9 +64,9 @@ def run_cb_burst(net, env):
     ],
     ids=["perfect", "lossy"],
 )
-def test_generator_and_callback_paths_account_identically(nf):
+def test_awaited_and_fire_and_forget_account_identically(nf):
     env_g, cluster_g = make_cluster(net_faults=nf)
-    run_gen_burst(cluster_g.net, env_g)
+    run_awaited_burst(cluster_g.net, env_g)
     env_c, cluster_c = make_cluster(net_faults=nf)
     run_cb_burst(cluster_c.net, env_c)
 
@@ -82,7 +84,7 @@ def test_generator_and_callback_paths_account_identically(nf):
 def test_lossy_burst_actually_drops_and_duplicates():
     nf = NetFaultConfig(loss_rate=0.25, dup_rate=0.2, seed=5)
     env, cluster = make_cluster(net_faults=nf)
-    run_gen_burst(cluster.net, env)
+    run_cb_burst(cluster.net, env)
     assert sum(cluster.net.dropped_counts.values()) > 0
     assert sum(cluster.net.dup_counts.values()) > 0
     assert cluster.net.drop_causes.get("loss", 0) > 0
@@ -90,14 +92,13 @@ def test_lossy_burst_actually_drops_and_duplicates():
 
 def test_send_counters_move_synchronously_in_both_paths():
     env, cluster = make_cluster()
-    gen = cluster.net.send_message(0, 1, 1.0, "x")
-    # The generator form counts at call time, before any advance...
+    cluster.net.send_message_cb(0, 1, 1.0, "x")
+    # The fire-and-forget form counts at call time, before its kick...
     assert cluster.net.message_counts == {"x": 1}
     assert cluster.net.in_flight_counts == {"x": 1}
-    # ...exactly like the callback form.
-    cluster.net.send_message_cb(0, 1, 1.0, "x")
+    # ...exactly like the awaited form.
+    cluster.net.transmit_cb(0, 1, 1.0, "x", lambda ok: None)
     assert cluster.net.message_counts == {"x": 2}
-    env.process(gen)
     env.run()
     assert cluster.net.delivered_counts == {"x": 2}
     assert cluster.net.in_flight_counts == {"x": 0}
@@ -121,7 +122,7 @@ def test_callback_path_reports_drops():
 
 def test_reset_accounting_keeps_in_flight_level():
     env, cluster = make_cluster()
-    env.process(cluster.net.send_message(0, 1, 64.0, "bulk"))
+    cluster.net.send_message_cb(0, 1, 64.0, "bulk")
     env.run(until=1e-6)  # mid-flight
     assert cluster.net.in_flight_counts == {"bulk": 1}
     cluster.net.reset_accounting()

@@ -5,6 +5,8 @@ import pytest
 from repro.cluster import Cluster, ClusterConfig
 from repro.des import Environment
 from repro.model import MB
+from repro.servers import make_policy
+from repro.sim.lifecycle import start_fast_request
 
 
 def make_cluster(nodes=4, **cfg):
@@ -13,10 +15,36 @@ def make_cluster(nodes=4, **cfg):
     return env, Cluster(env, config)
 
 
-def run(env, gen):
-    p = env.process(gen)
-    env.run(until=p)
-    return env.now
+def serve(env, cluster, file_id, size, index=0):
+    """Run one round-robin request to completion; returns its node."""
+    policy = make_policy("round-robin")
+    policy.bind(cluster)
+    start_fast_request(cluster, policy, index, file_id, size)
+    env.run()
+    return policy.initial_node(index, file_id)
+
+
+def read(env, cluster, node_id, file_id, size_kb):
+    """One DFS miss read; returns how it was served."""
+    how = []
+    cluster.dfs.read_cb(
+        node_id, file_id, size_kb,
+        lambda: how.append("local"),
+        lambda: how.append("remote"),
+        lambda: how.append("failed"),
+    )
+    env.run()
+    return how[0]
+
+
+def send(env, cluster, src, dst, size_kb, **kwargs):
+    """Send one message and run; returns the delivery time."""
+    delivered = []
+    cluster.net.send_message_cb(
+        src, dst, size_kb, done=lambda: delivered.append(env.now), **kwargs
+    )
+    env.run()
+    return delivered[0]
 
 
 def test_config_validation():
@@ -53,7 +81,9 @@ def test_node_cpu_occupancy_is_serialized():
     done = []
 
     def work(name):
-        yield from node.use_cpu(1.0)
+        with node.cpu.request() as req:
+            yield req
+            yield env.timeout(1.0)
         done.append((name, env.now))
 
     env.process(work("a"))
@@ -63,19 +93,11 @@ def test_node_cpu_occupancy_is_serialized():
 
 
 def test_node_parse_reply_disk_times_match_table1():
-    env, cluster = make_cluster(1)
-    node = cluster.node(0)
-
-    assert run(env, node.parse_request()) == pytest.approx(1 / 6300)
-    t0 = env.now
-    run(env, node.reply_work(12.0))
-    assert env.now - t0 == pytest.approx(0.0001 + 12 / 12000)
-    t0 = env.now
-    run(env, node.read_from_disk(100.0))
-    assert env.now - t0 == pytest.approx(0.028 + 100 / 10000)
-    t0 = env.now
-    run(env, node.forward_work())
-    assert env.now - t0 == pytest.approx(1 / 10000)
+    hw = ClusterConfig().hardware
+    assert hw.parse_time() == pytest.approx(1 / 6300)
+    assert hw.reply_time(12.0) == pytest.approx(0.0001 + 12 / 12000)
+    assert hw.disk_time(100.0) == pytest.approx(0.028 + 100 / 10000)
+    assert hw.forward_time() == pytest.approx(1 / 10000)
 
 
 def test_connection_accounting():
@@ -95,24 +117,37 @@ def test_connection_accounting():
 def test_serve_file_hit_is_instant_miss_reads_disk():
     env, cluster = make_cluster(1)
     node = cluster.node(0)
-    run(env, node.serve_file(7, 10 * 1024))
+    serve(env, cluster, 7, 10 * 1024, index=0)
     miss_time = env.now
-    assert miss_time == pytest.approx(0.028 + 10 / 10000)
-    t0 = env.now
-    run(env, node.serve_file(7, 10 * 1024))
-    assert env.now == t0  # hit: no time passes
+    serve(env, cluster, 7, 10 * 1024, index=1)
+    # The hit skips exactly the disk read.
+    hit_time = env.now - miss_time
+    assert miss_time - hit_time == pytest.approx(0.028 + 10 / 10000)
     assert node.cache.hits == 1 and node.cache.misses == 1
+
+
+def test_fetch_file_caches_after_miss():
+    env, cluster = make_cluster(1)
+    serve(env, cluster, 42, 100 * 1024, index=0)
+    assert 42 in cluster.node(0).cache
+    t0 = env.now
+    serve(env, cluster, 42, 100 * 1024, index=1)
+    assert env.now - t0 < t0
+    assert cluster.overall_miss_rate() == pytest.approx(0.5)
 
 
 def test_router_serializes_transfers():
     env, cluster = make_cluster(2)
+    router = cluster.net.router
     times = []
 
     def xfer():
-        yield from cluster.net.route(500.0)  # 1 ms each at 500000 KB/s
+        with router.request() as req:
+            yield req
+            yield env.timeout(cluster.config.hardware.route_time(500.0))
         times.append(env.now)
 
-    env.process(xfer())
+    env.process(xfer())  # 1 ms each at 500000 KB/s
     env.process(xfer())
     env.run()
     assert times == [pytest.approx(0.001), pytest.approx(0.002)]
@@ -120,24 +155,27 @@ def test_router_serializes_transfers():
 
 def test_send_message_end_to_end_cost():
     env, cluster = make_cluster(2)
-    run(env, cluster.net.send_control(0, 1))
-    assert env.now == pytest.approx(cluster.config.one_way_message_latency(), rel=1e-6)
+    delivered = []
+    cluster.net.send_control_cb(0, 1, done=lambda: delivered.append(env.now))
+    env.run()
+    assert delivered == [
+        pytest.approx(cluster.config.one_way_message_latency(), rel=1e-6)
+    ]
     assert cluster.net.messages_sent == 1
 
 
 def test_send_message_same_node_is_free():
     env, cluster = make_cluster(2)
-    run(env, cluster.net.send_message(0, 0, 1.0))
-    assert env.now == 0.0
+    assert send(env, cluster, 0, 0, 1.0) == 0.0
     assert cluster.net.messages_sent == 0
 
 
 def test_send_message_validation():
     env, cluster = make_cluster(2)
     with pytest.raises(ValueError):
-        run(env, cluster.net.send_message(0, 5, 1.0))
+        cluster.net.send_message_cb(0, 5, 1.0)
     with pytest.raises(ValueError):
-        run(env, cluster.net.send_message(0, 1, 0.0))
+        cluster.net.send_message_cb(0, 1, 0.0)
 
 
 def test_broadcast_control_reaches_all_other_nodes():
@@ -156,7 +194,7 @@ def test_broadcast_control_exclude():
 
 def test_message_occupies_both_nis_and_cpus():
     env, cluster = make_cluster(2)
-    run(env, cluster.net.send_message(0, 1, 64.0))
+    send(env, cluster, 0, 1, 64.0)
     n0, n1 = cluster.nodes
     assert n0.ni_out.busy_time() > 0
     assert n1.ni_in.busy_time() > 0
@@ -164,44 +202,29 @@ def test_message_occupies_both_nis_and_cpus():
     assert n1.cpu.busy_time() == pytest.approx(3e-6)
 
 
-def test_fetch_file_caches_after_miss():
-    env, cluster = make_cluster(2)
-    run(env, cluster.fetch_file(0, 42, 100 * 1024))
-    assert 42 in cluster.node(0).cache
-    t0 = env.now
-    run(env, cluster.fetch_file(0, 42, 100 * 1024))
-    assert env.now == t0
-    assert cluster.overall_miss_rate() == pytest.approx(0.5)
-
-
 def test_dfs_replicated_reads_local():
     env, cluster = make_cluster(4)
-    run(env, cluster.dfs.read(2, 7, 10 * 1024))
+    node = serve(env, cluster, 7, 10 * 1024)
     assert cluster.dfs.local_reads == 1
     assert cluster.dfs.remote_reads == 0
-    assert cluster.node(2).disk.busy_time() > 0
+    assert cluster.node(node).disk.busy_time() > 0
 
 
 def test_dfs_partitioned_remote_read_costs_more():
-    env1, c1 = make_cluster(4, replicated_disks=True)
-    run(env1, c1.dfs.read(0, 3, 50 * 1024))
-    local_time = env1.now
-
-    env2, c2 = make_cluster(4, replicated_disks=False)
+    env, cluster = make_cluster(4, replicated_disks=False)
     # file 3 homes at node 3 (3 % 4), so node 0's read is remote.
-    run(env2, c2.dfs.read(0, 3, 50 * 1024))
-    remote_time = env2.now
-    assert c2.dfs.remote_reads == 1
-    assert remote_time > local_time
+    assert read(env, cluster, 0, 3, 50.0) == "remote"
+    assert cluster.dfs.remote_reads == 1
+    assert env.now > cluster.config.hardware.disk_time(50.0)
     # The remote disk did the work.
-    assert c2.node(3).disk.busy_time() > 0
-    assert c2.node(0).disk.busy_time() == 0
+    assert cluster.node(3).disk.busy_time() > 0
+    assert cluster.node(0).disk.busy_time() == 0
 
 
 def test_dfs_partitioned_local_home():
     env, cluster = make_cluster(4, replicated_disks=False)
-    run(env, cluster.dfs.read(0, 4, 10 * 1024))  # 4 % 4 == 0: local
-    assert cluster.dfs.local_reads == 1
+    assert read(env, cluster, 0, 4, 10.0) == "local"  # 4 % 4 == 0
+    assert cluster.dfs.local_reads == 1 and env.now == 0.0
 
 
 def test_least_loaded_node_with_ties():
@@ -217,12 +240,12 @@ def test_least_loaded_node_with_ties():
 
 def test_reset_accounting_preserves_cache_contents():
     env, cluster = make_cluster(2)
-    run(env, cluster.fetch_file(0, 1, 1024))
+    node = serve(env, cluster, 1, 1024)
     cluster.reset_accounting()
-    assert 1 in cluster.node(0).cache
+    assert 1 in cluster.node(node).cache
     assert cluster.total_cache_misses() == 0
     assert cluster.net.messages_sent == 0
-    assert cluster.node(0).disk.busy_time() == 0.0
+    assert cluster.node(node).disk.busy_time() == 0.0
 
 
 def test_cluster_len_and_counts():

@@ -25,55 +25,39 @@ def test_ports_created_when_enabled():
     assert len(cluster.net.switch_ports) == 3
 
 
+def send(env, cluster, sends):
+    """Send one message per ``(src, dst, size_kb)``; run; delivery times."""
+    done = []
+    for src, dst, size_kb in sends:
+        cluster.net.send_message_cb(
+            src, dst, size_kb, done=lambda: done.append(env.now)
+        )
+    env.run()
+    return done
+
+
 def test_single_message_latency_slightly_higher_with_contention():
     env1, c1 = make(False)
-    p1 = env1.process(c1.net.send_message(0, 1, 64.0))
-    env1.run(until=p1)
+    (t1,) = send(env1, c1, [(0, 1, 64.0)])
     env2, c2 = make(True)
-    p2 = env2.process(c2.net.send_message(0, 1, 64.0))
-    env2.run(until=p2)
+    (t2,) = send(env2, c2, [(0, 1, 64.0)])
     # Uncontended: only the fabric transfer time is added.
-    assert env2.now > env1.now
-    assert env2.now - env1.now == pytest.approx(64.0 / 128_000.0, rel=1e-6)
+    assert t2 > t1
+    assert t2 - t1 == pytest.approx(64.0 / 128_000.0, rel=1e-6)
 
 
 def test_destination_port_serializes_concurrent_senders():
     env, cluster = make(True)
-    done = []
-
-    def send(src):
-        yield from cluster.net.send_message(src, 2, 640.0)  # 5 ms fabric
-        done.append((src, env.now))
-
-    env.process(send(0))
-    env.process(send(1))
-    env.run()
-    t0, t1 = sorted(t for _, t in done)
+    # 640 KB: a 5 ms fabric transfer each.
+    t0, t1 = sorted(send(env, cluster, [(0, 2, 640.0), (1, 2, 640.0)]))
     # The second transfer had to wait for the port (~one transfer time).
     assert t1 - t0 == pytest.approx(640.0 / 128_000.0, rel=0.2)
 
 
 def test_different_destinations_do_not_contend():
     env, cluster = make(True)
-    done = []
-
-    def send(src, dst):
-        yield from cluster.net.send_message(src, dst, 640.0)
-        done.append(env.now)
-
-    env.process(send(0, 1))
-    env.process(send(2, 1))  # same port: serialized
-    env.run()
-    serialized_last = max(done)
-
+    # Same destination port: serialized.
+    serialized_last = max(send(env, cluster, [(0, 1, 640.0), (2, 1, 640.0)]))
     env2, cluster2 = make(True)
-    done2 = []
-
-    def send2(src, dst):
-        yield from cluster2.net.send_message(src, dst, 640.0)
-        done2.append(env2.now)
-
-    env2.process(send2(0, 1))
-    env2.process(send2(2, 0))  # distinct ports: parallel
-    env2.run()
-    assert max(done2) < serialized_last
+    # Distinct ports: parallel.
+    assert max(send(env2, cluster2, [(0, 1, 640.0), (2, 0, 640.0)])) < serialized_last

@@ -161,13 +161,12 @@ def test_storm_final_state_identical():
 # -- full simulations --------------------------------------------------------
 
 
-def _sim_result(monkeypatch, driver, pooling, sanitize, fastpath, failures=None):
+def _sim_result(monkeypatch, driver, pooling, sanitize, failures=None):
     monkeypatch.setattr(
         Environment, "run", _run_by_steps if driver == "step" else _ENV_RUN
     )
     monkeypatch.setenv("REPRO_DES_POOL", "1" if pooling else "0")
     monkeypatch.setenv("REPRO_DES_SANITIZE", "1" if sanitize else "0")
-    monkeypatch.setenv("REPRO_SIM_FASTPATH", "1" if fastpath else "0")
     fs = build_fileset(120, 15 * 1024, 12 * 1024, 0.9, seed=3, name="eq")
     trace = generate_trace(fs, 1200, seed=4, name="eq")
     sim = Simulation(
@@ -182,35 +181,18 @@ def _sim_result(monkeypatch, driver, pooling, sanitize, fastpath, failures=None)
 
 @pytest.mark.parametrize("failures", [None, [(1, 300)]], ids=["healthy", "crash"])
 def test_simulation_identical_across_all_variants(monkeypatch, failures):
-    """SimResult equality across driver x pooling x sanitize x fastpath
-    (16 ways), healthy and with a mid-run node crash."""
+    """SimResult equality across driver x pooling x sanitize (8 ways),
+    healthy and with a mid-run node crash."""
     reference = None
     for driver, pooling, sanitize in KERNEL_VARIANTS:
-        for fastpath in (True, False):
-            r = _sim_result(
-                monkeypatch, driver, pooling, sanitize, fastpath, failures
+        r = _sim_result(monkeypatch, driver, pooling, sanitize, failures)
+        if reference is None:
+            reference = r
+        else:
+            assert r == reference, (
+                f"driver={driver} pooling={pooling} sanitize={sanitize} "
+                "changed the simulation"
             )
-            if reference is None:
-                reference = r
-            else:
-                assert r == reference, (
-                    f"driver={driver} pooling={pooling} sanitize={sanitize} "
-                    f"fastpath={fastpath} changed the simulation"
-                )
-
-
-@pytest.mark.parametrize("policy", ["traditional", "lard"])
-def test_other_policies_fastpath_equivalence(monkeypatch, policy):
-    fs = build_fileset(120, 15 * 1024, 12 * 1024, 0.9, seed=3, name="eq")
-    trace = generate_trace(fs, 1000, seed=4, name="eq")
-    results = []
-    for fastpath in ("1", "0"):
-        monkeypatch.setenv("REPRO_SIM_FASTPATH", fastpath)
-        sim = Simulation(
-            trace, make_policy(policy), ClusterConfig(nodes=4), passes=2
-        )
-        results.append(sim.run())
-    assert results[0] == results[1]
 
 
 # -- end-to-end report bytes -------------------------------------------------

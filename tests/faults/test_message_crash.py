@@ -2,9 +2,10 @@
 
 A crash must kill every message bound for the dead incarnation — at the
 switch, in the NI, or on the receiver's CPU — and a recovered node must
-never see bytes sent to its previous incarnation.  Both delivery paths
-report the drop (``cause == "crash"``) and the reliability protocol
-turns repeated crash drops into a give-up.
+never see bytes sent to its previous incarnation.  Both send forms (a
+sender that waits, a fire-and-forget one) report the drop
+(``cause == "crash"``) and the reliability protocol turns repeated crash
+drops into a give-up.
 """
 
 import pytest
@@ -21,16 +22,22 @@ def make_cluster(nodes=2, net_faults=None):
     return env, Cluster(env, config)
 
 
-def run(env, gen):
-    p = env.process(gen)
-    env.run(until=p)
-    return p.value
+def awaited(env, cluster, size_kb, kind, at=None, action=None):
+    """Send 0 -> 1 through ``transmit_cb`` (with ``action`` at time
+    ``at``) and run; returns the reported outcome."""
+    outcome = []
+    cluster.net.transmit_cb(0, 1, size_kb, kind, outcome.append)
+    if action is not None:
+        env.call_later(at, lambda _e: action())
+    env.run()
+    assert len(outcome) == 1
+    return outcome[0]
 
 
-def test_generator_message_to_crashed_node_is_dropped():
+def test_awaited_message_to_crashed_node_is_dropped():
     env, cluster = make_cluster()
     cluster.node(1).crash()
-    ok = run(env, cluster.net.send_message(0, 1, 1.0, "x"))
+    ok = awaited(env, cluster, 1.0, "x")
     assert ok is False
     assert cluster.net.dropped_counts == {"x": 1}
     assert cluster.net.drop_causes == {"crash": 1}
@@ -40,26 +47,22 @@ def test_generator_message_to_crashed_node_is_dropped():
 def test_crash_mid_flight_kills_the_message():
     env, cluster = make_cluster()
     # A bulk message whose NI occupancy far outlasts the crash time.
-    p = env.process(cluster.net.send_message(0, 1, 500.0, "bulk"))
-    env.call_later(1e-6, lambda _e: cluster.node(1).crash())
-    env.run(until=p)
-    assert p.value is False
+    ok = awaited(env, cluster, 500.0, "bulk", 1e-6, cluster.node(1).crash)
+    assert ok is False
     assert cluster.net.drop_causes == {"crash": 1}
 
 
 def test_crash_then_recover_still_drops_old_incarnation_bytes():
     env, cluster = make_cluster()
-    p = env.process(cluster.net.send_message(0, 1, 500.0, "bulk"))
 
-    def flap(_e):
+    def flap():
         cluster.node(1).crash()
         cluster.node(1).recover()
 
-    env.call_later(1e-6, flap)
-    env.run(until=p)
+    ok = awaited(env, cluster, 500.0, "bulk", 1e-6, flap)
     # The node is back up, but the message belonged to incarnation 0.
     assert not cluster.node(1).failed
-    assert p.value is False
+    assert ok is False
     assert cluster.net.drop_causes == {"crash": 1}
 
 
@@ -92,7 +95,7 @@ def test_protocol_gives_up_on_a_crashed_receiver():
     )
     proto = cluster.net.protocol
     cluster.node(1).crash()
-    ok = run(env, proto.request_gen(0, 1, 1.0, "handoff"))
+    ok = awaited(env, cluster, 1.0, "handoff")
     assert ok is False
     assert proto.failures == {"handoff": 1}
     assert cluster.net.drop_causes == {"crash": 3}
@@ -105,8 +108,7 @@ def test_protocol_rides_out_a_crash_recover_cycle():
     )
     proto = cluster.net.protocol
     cluster.node(1).crash()
-    env.call_later(2.5e-3, lambda _e: cluster.node(1).recover())
-    ok = run(env, proto.request_gen(0, 1, 1.0, "handoff"))
+    ok = awaited(env, cluster, 1.0, "handoff", 2.5e-3, cluster.node(1).recover)
     assert ok is True
     assert proto.retries.get("handoff", 0) >= 2
     assert cluster.net.delivered_counts["handoff"] == 1

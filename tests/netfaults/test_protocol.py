@@ -17,10 +17,13 @@ def make_cluster(nodes=2, **nf_kwargs):
     return env, Cluster(env, config)
 
 
-def run(env, gen):
-    p = env.process(gen)
-    env.run(until=p)
-    return p.value
+def request(env, proto, src, dst, kind="handoff"):
+    """One stop-and-wait exchange run to its outcome."""
+    outcome = []
+    proto.request_cb(src, dst, 1.0, kind, outcome.append)
+    env.run()
+    assert len(outcome) == 1
+    return outcome[0]
 
 
 def test_active_config_attaches_layer_and_protocol():
@@ -41,25 +44,25 @@ def test_inert_config_attaches_nothing():
     assert cluster.net.protocol is None
 
 
-def test_request_gen_perfect_fabric_delivers_and_acks_once():
+def test_request_cb_perfect_fabric_delivers_and_acks_once():
     env, cluster = make_cluster()
     proto = cluster.net.protocol
-    ok = run(env, proto.request_gen(0, 1, 1.0, "handoff"))
+    ok = request(env, proto, 0, 1)
     assert ok is True
     assert cluster.net.delivered_counts == {"handoff": 1, "handoff_ack": 1}
     assert proto.acks == {"handoff": 1}
     assert proto.retries == {} and proto.failures == {} and proto.dedups == {}
 
 
-def test_request_gen_same_node_shortcut():
+def test_request_cb_same_node_shortcut():
     env, cluster = make_cluster()
-    ok = run(env, cluster.net.protocol.request_gen(0, 0, 1.0, "handoff"))
+    ok = request(env, cluster.net.protocol, 0, 0)
     assert ok is True
     assert env.now == 0.0
     assert cluster.net.messages_sent == 0
 
 
-def test_request_gen_gives_up_after_retries_on_a_dead_link():
+def test_request_cb_gives_up_after_retries_on_a_dead_link():
     spec = RetrySpec(
         timeout_s=1e-3, max_retries=2, base_backoff_s=1e-3, multiplier=2.0,
         cap_s=1e-2,
@@ -67,7 +70,7 @@ def test_request_gen_gives_up_after_retries_on_a_dead_link():
     env, cluster = make_cluster(default_spec=spec)
     proto = cluster.net.protocol
     cluster.net.netfaults.link_down(0, 1)
-    ok = run(env, proto.request_gen(0, 1, 1.0, "handoff"))
+    ok = request(env, proto, 0, 1)
     assert ok is False
     assert proto.retries == {"handoff": 2}
     assert proto.failures == {"handoff": 1}
@@ -77,13 +80,13 @@ def test_request_gen_gives_up_after_retries_on_a_dead_link():
     assert env.now == pytest.approx(6e-3, rel=0.05)
 
 
-def test_request_gen_succeeds_once_the_link_heals():
+def test_request_cb_succeeds_once_the_link_heals():
     spec = RetrySpec(timeout_s=1e-3, max_retries=5, base_backoff_s=0.0, cap_s=0.0)
     env, cluster = make_cluster(default_spec=spec)
     proto = cluster.net.protocol
     cluster.net.netfaults.link_down(0, 1)
     env.call_later(2.5e-3, lambda _e: cluster.net.netfaults.link_up(0, 1))
-    ok = run(env, proto.request_gen(0, 1, 1.0, "handoff"))
+    ok = request(env, proto, 0, 1)
     assert ok is True
     assert proto.retries.get("handoff", 0) >= 2
     assert proto.failures == {}
@@ -142,12 +145,15 @@ def test_lossy_protocol_is_deterministic_and_dedups():
         proto = cluster.net.protocol
         outcomes = []
 
-        def driver():
-            for i in range(60):
-                ok = yield from proto.request_gen(0, 1, 1.0, "handoff")
+        def next_send(ok=None):
+            # 60 exchanges, each starting when the previous one resolves.
+            if ok is not None:
                 outcomes.append(ok)
+            if len(outcomes) < 60:
+                proto.request_cb(0, 1, 1.0, "handoff", next_send)
 
-        run(env, driver())
+        next_send()
+        env.run()
         return outcomes, dict(proto.retries), dict(proto.dedups), env.now
 
     a = totals(11)
@@ -178,7 +184,7 @@ def test_send_control_cb_uses_control_sizing():
 def test_reset_accounting_clears_protocol_counters():
     env, cluster = make_cluster()
     proto = cluster.net.protocol
-    run(env, proto.request_gen(0, 1, 1.0, "handoff"))
+    request(env, proto, 0, 1)
     assert proto.acks
     cluster.net.reset_accounting()
     assert proto.acks == {} and proto.retries == {}

@@ -8,8 +8,6 @@ from repro.cluster import ClusterConfig
 from repro.experiments import run_netfault_simulation
 from repro.model import MB
 from repro.netfaults import NetFaultConfig, NetFaultSchedule, RetrySpec
-from repro.servers import make_policy
-from repro.sim import Simulation
 from repro.workload import build_fileset, generate_trace
 
 
@@ -32,16 +30,10 @@ def result_of(trace, policy, config, **kw):
 
 def test_inert_config_is_byte_identical_to_no_config(trace):
     """Zero-knob guarantee: an inert NetFaultConfig changes nothing."""
-    _, base = result_of(trace, "lard", cfg(net_faults=None))
-    _, inert = result_of(trace, "lard", cfg(net_faults=NetFaultConfig()))
-    assert asdict(base) == asdict(inert)
-
-
-def test_inert_identity_holds_on_the_generator_lifecycle(trace, monkeypatch):
-    monkeypatch.setenv("REPRO_SIM_FASTPATH", "0")
-    _, base = result_of(trace, "l2s", cfg(net_faults=None))
-    _, inert = result_of(trace, "l2s", cfg(net_faults=NetFaultConfig()))
-    assert asdict(base) == asdict(inert)
+    for policy in ("lard", "l2s"):
+        _, base = result_of(trace, policy, cfg(net_faults=None))
+        _, inert = result_of(trace, policy, cfg(net_faults=NetFaultConfig()))
+        assert asdict(base) == asdict(inert), policy
 
 
 def test_lossy_run_is_deterministic_for_a_seed(trace):
@@ -133,11 +125,3 @@ def test_partitioned_dfs_without_fallback_fails_requests(trace):
     )
     assert sim.cluster.dfs.remote_failures > 0
     assert r.requests_failed > 0
-
-
-def test_netfault_run_forces_generator_lifecycle(trace):
-    nf = NetFaultConfig(loss_rate=0.01)
-    sim = Simulation(trace, make_policy("lard"), cfg(net_faults=nf), passes=2)
-    assert not sim._fastpath
-    base = Simulation(trace, make_policy("lard"), cfg(), passes=2)
-    assert base._fastpath

@@ -1,13 +1,13 @@
 """Property tests: request conservation under admission shedding and
-circuit breakers, on both request lifecycles.
+circuit breakers, with the kernel's event pooling on and off.
 
 The conservation identity is the overload layer's hardest contract:
 every generated request resolves exactly once — completed, failed, or
 shed at the front door — no matter how the admission controller, the
-adaptive limit, and the breakers interleave with the DES's two request
-lifecycles (callback fast path / generator path).  Hypothesis drives
-the shape (rate, cap, deadline, trace seed); the lifecycles are
-exercised explicitly so a failure names its fastpath cell.
+adaptive limit, and the breakers interleave with the request lifecycle.
+Hypothesis drives the shape (rate, cap, deadline, trace seed); pooling
+(which recycles the events and requests the lifecycle runs on) is
+exercised explicitly so a failure names its cell.
 """
 
 import os
@@ -23,8 +23,8 @@ from repro.servers import make_policy
 from repro.sim import Simulation
 from repro.workload import build_fileset, generate_trace
 
-#: REPRO_SIM_FASTPATH values: callback fast path, generator path.
-FASTPATHS = ["1", "0"]
+#: REPRO_DES_POOL values: free lists on, off.
+POOLING = ["1", "0"]
 
 
 def make_trace(seed):
@@ -32,9 +32,9 @@ def make_trace(seed):
     return generate_trace(fs, 400, seed=seed + 1, name="ovp")
 
 
-def run_variant(fastpath, trace, rate, overload, policy):
-    before = os.environ.get("REPRO_SIM_FASTPATH")
-    os.environ["REPRO_SIM_FASTPATH"] = fastpath
+def run_variant(pooling, trace, rate, overload, policy):
+    before = os.environ.get("REPRO_DES_POOL")
+    os.environ["REPRO_DES_POOL"] = pooling
     try:
         sim = Simulation(
             trace,
@@ -51,9 +51,9 @@ def run_variant(fastpath, trace, rate, overload, policy):
         return sim, result
     finally:
         if before is None:
-            os.environ.pop("REPRO_SIM_FASTPATH", None)
+            os.environ.pop("REPRO_DES_POOL", None)
         else:
-            os.environ["REPRO_SIM_FASTPATH"] = before
+            os.environ["REPRO_DES_POOL"] = before
 
 
 def check_conservation(sim, result, trace):
@@ -73,7 +73,7 @@ def check_conservation(sim, result, trace):
     assert admission.admitted + admission.shed_total >= admission.shed_total
 
 
-@pytest.mark.parametrize("fastpath", FASTPATHS)
+@pytest.mark.parametrize("pooling", POOLING)
 @settings(
     max_examples=10,
     deadline=None,
@@ -84,18 +84,18 @@ def check_conservation(sim, result, trace):
     cap=st.integers(min_value=2, max_value=24),
     rate_x=st.floats(min_value=0.5, max_value=4.0),
 )
-def test_conservation_under_static_admission(fastpath, seed, cap, rate_x):
+def test_conservation_under_static_admission(pooling, seed, cap, rate_x):
     trace = make_trace(seed)
     overload = OverloadControl.default(
         3, max_inflight=cap, limiter_mode=None, deadline_s=0.05, seed=seed
     )
     sim, result = run_variant(
-        fastpath, trace, 800.0 * rate_x, overload, "round-robin"
+        pooling, trace, 800.0 * rate_x, overload, "round-robin"
     )
     check_conservation(sim, result, trace)
 
 
-@pytest.mark.parametrize("fastpath", FASTPATHS)
+@pytest.mark.parametrize("pooling", POOLING)
 @settings(
     max_examples=8,
     deadline=None,
@@ -107,7 +107,7 @@ def test_conservation_under_static_admission(fastpath, seed, cap, rate_x):
     target_ms=st.floats(min_value=1.0, max_value=100.0),
 )
 def test_conservation_under_adaptive_limit_and_breakers(
-    fastpath, seed, mode, target_ms
+    pooling, seed, mode, target_ms
 ):
     trace = make_trace(seed)
     overload = OverloadControl.default(
@@ -118,7 +118,7 @@ def test_conservation_under_adaptive_limit_and_breakers(
         seed=seed,
     )
     sim, result = run_variant(
-        fastpath, trace, 2500.0, overload, "lard"
+        pooling, trace, 2500.0, overload, "lard"
     )
     check_conservation(sim, result, trace)
     # Sheds never feed the breakers: an overloaded-but-healthy cluster
@@ -126,16 +126,16 @@ def test_conservation_under_adaptive_limit_and_breakers(
     assert sim.overload.breakers.trips == 0
 
 
-@pytest.mark.parametrize("fastpath", FASTPATHS)
-def test_variants_agree_on_the_books(fastpath):
-    """Same scenario, both lifecycles: identical shed/complete totals
-    (the lifecycle choice must be invisible to the books)."""
+@pytest.mark.parametrize("pooling", POOLING)
+def test_variants_agree_on_the_books(pooling):
+    """Same scenario, pooling on and off: identical shed/complete totals
+    (the kernel variant must be invisible to the books)."""
     trace = make_trace(9)
     overload = OverloadControl.default(
         3, max_inflight=8, limiter_mode=None, deadline_s=0.05, seed=9
     )
     sim, result = run_variant(
-        fastpath, trace, 3000.0, overload, "round-robin"
+        pooling, trace, 3000.0, overload, "round-robin"
     )
     check_conservation(sim, result, trace)
     books = (result.requests_shed, sim._completed, sim._failed)
@@ -143,4 +143,4 @@ def test_variants_agree_on_the_books(fastpath):
     if baseline is None:
         test_variants_agree_on_the_books._books = books
     else:
-        assert books == baseline, fastpath
+        assert books == baseline, pooling

@@ -271,3 +271,23 @@ def test_netfaults_spec_exclusive_with_sweep(capsys):
         == 2
     )
     assert "exclusive" in capsys.readouterr().err
+
+
+def test_simulate_sanitize_exits_nonzero_on_a_leak(capsys, monkeypatch):
+    from repro.des.sanitize import DESSanitizer
+
+    args = ["simulate", "calgary", "l2s", "--nodes", "2", "--requests", "300",
+            "--sanitize"]
+    assert main(args) == 0
+    assert "no leaks" in capsys.readouterr().out
+
+    # Plant a leak: an operation that never ends.
+    finish = DESSanitizer.finish
+
+    def leaky_finish(self):
+        self.op_begin("planted-op", "never ends")
+        return finish(self)
+
+    monkeypatch.setattr(DESSanitizer, "finish", leaky_finish)
+    assert main(args) == 1
+    assert "LEAKS DETECTED" in capsys.readouterr().out

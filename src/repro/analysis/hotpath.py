@@ -1,7 +1,8 @@
 """Hot-path allocation lint (REP104).
 
 Functions marked ``# simlint: hotpath`` are the kernel v3 per-event fast
-paths (now-queue drains, free-list grant/release, the event loop).
+paths (now-queue drains, free-list grant/release, the event loop) and
+the event callbacks of the request and message chains.
 The bench gate catches regressions *after* they cost a run; this pass
 catches them structurally: every project function reachable from a
 hotpath root through the call graph is scanned for allocation-bearing

@@ -3,18 +3,23 @@
 Three complementary layers:
 
 * :mod:`repro.analysis.simlint` — the file-local AST rules
-  (REP001–REP008: unseeded RNGs, unordered-set iteration, wall-clock
-  reads in the kernel, ``id()``-based ordering, mutable defaults,
-  swallowed exceptions, unseeded fault RNG ctors, fragile oracles).
+  (REP001–REP008 and REP108: unseeded RNGs, unordered-set iteration,
+  wall-clock reads in the kernel, ``id()``-based ordering, mutable
+  defaults, swallowed exceptions, unseeded fault RNG ctors, fragile
+  oracles, clocks in overload components).  The source rules among
+  them are scoped rows over one classifier,
+  :func:`~.modules.source_kind`.
 * The whole-program passes over a :class:`~.modules.ProjectModel` and
   its :class:`~.callgraph.CallGraph`: nondeterminism taint with full
   source→sink provenance (:mod:`~.taint`, REP101–REP103), hot-path
   allocation lint for ``# simlint: hotpath`` functions
   (:mod:`~.hotpath`, REP104), async-safety for ``repro.live``
   (:mod:`~.asyncsafe`, REP105–REP106), and DistributionPolicy contract
-  conformance (:mod:`~.conformance`, REP107).  Rule metadata lives in
-  the table-driven registry (:mod:`~.rules`); the ``repro lint`` CLI —
-  ``--baseline``, ``--sarif``, ``--explain`` — in :mod:`~.engine`.
+  conformance (:mod:`~.conformance`, REP107).  Both layers read the
+  same parsed :class:`~.modules.ModuleInfo` per file.  Rule metadata
+  lives in the table-driven registry (:mod:`~.rules`); the ``repro
+  lint`` CLI — ``--baseline``, ``--sarif``, ``--explain`` — in
+  :mod:`~.engine`.
 * :mod:`repro.des.sanitize` — the runtime DES sanitizer
   (``Environment(sanitize=True)`` / ``REPRO_DES_SANITIZE=1``),
   re-exported here for convenience.
@@ -30,13 +35,8 @@ from ..des.sanitize import (
     force_recycle,
 )
 from .rules import REGISTRY, RULES, Rule, explain, rule_ids
-from .simlint import (
-    Finding,
-    lint_file,
-    lint_paths,
-    lint_source,
-)
-from .simlint import main as lint_main
+from .engine import lint_paths
+from .simlint import Finding, lint_file, lint_source
 
 __all__ = [
     "REGISTRY",
@@ -48,7 +48,6 @@ __all__ = [
     "lint_source",
     "lint_file",
     "lint_paths",
-    "lint_main",
     "DESSanitizer",
     "SanitizerError",
     "LeakReport",

@@ -21,10 +21,10 @@ coroutine in ``asyncio.create_task`` / ``ensure_future`` / ``gather`` /
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from .callgraph import CallGraph
-from .modules import FunctionInfo, ProjectModel
+from .callgraph import CallGraph, chain_trace
+from .modules import FunctionInfo, ProjectModel, short_qualname
 from .simlint import Finding
 
 __all__ = ["run"]
@@ -50,25 +50,6 @@ _COROUTINE_CONSUMERS = {
     "create_task", "ensure_future", "gather", "wait", "wait_for", "run",
     "run_coroutine_threadsafe", "shield",
 }
-
-
-def _shorten(qualname: str) -> str:
-    parts = qualname.split(".")
-    return ".".join(parts[-2:]) if len(parts) > 1 else qualname
-
-
-def _chain_trace(
-    model: ProjectModel, path: Tuple[str, ...]
-) -> Tuple[str, ...]:
-    out: List[str] = []
-    for i, qual in enumerate(path):
-        fn = model.functions[qual]
-        note = (
-            "async def (event-loop context)" if i == 0
-            else f"called by {_shorten(path[i - 1])}"
-        )
-        out.append(f"{fn.module.path}:{fn.lineno}: {qual} ({note})")
-    return tuple(out)
 
 
 def _blocking_sites(
@@ -118,13 +99,15 @@ def _check_blocking(
             via = (
                 "" if depth == 0
                 else f" ({depth} call{'s' if depth > 1 else ''} below "
-                f"async {_shorten(path[0])})"
+                f"async {short_qualname(path[0])})"
             )
             findings.append(
                 Finding(
                     path=mod.path, line=line, col=col, rule="REP105",
                     message=f"{why}{via}",
-                    trace=_chain_trace(model, path)
+                    trace=chain_trace(
+                        model, path, "async def (event-loop context)"
+                    )
                     + (f"{mod.path}:{line}: blocking call", ),
                 )
             )
@@ -195,14 +178,14 @@ def _check_never_awaited(
                     col=call.col_offset + 1,
                     rule="REP106",
                     message=(
-                        f"coroutine {_shorten(target)}() is never awaited "
+                        f"coroutine {short_qualname(target)}() is never awaited "
                         f"({how}); its body silently never runs"
                     ),
                     trace=(
                         f"{callee.module.path}:{callee.lineno}: "
                         f"async def {target}",
                         f"{mod.path}:{call.lineno}: called from "
-                        f"{_shorten(qual)} without await",
+                        f"{short_qualname(qual)} without await",
                     ),
                 )
             )

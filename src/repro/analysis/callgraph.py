@@ -22,19 +22,19 @@ checks) can still reason about it.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .modules import (
     ClassInfo,
     FunctionInfo,
-    ModuleInfo,
     ProjectModel,
     annotation_class_name,
     dotted_name,
+    short_qualname,
 )
 
-__all__ = ["ResolvedCall", "CallGraph"]
+__all__ = ["ResolvedCall", "CallGraph", "chain_trace"]
 
 
 @dataclass(frozen=True)
@@ -105,24 +105,18 @@ class _LocalTypes(ast.NodeVisitor):
 
 
 class CallGraph:
-    """Call edges for every project function, plus reverse reachability."""
+    """Call edges for every project function, plus reachability."""
 
     def __init__(self, model: ProjectModel) -> None:
         self.model = model
         #: caller qualname -> call sites (in source order).
         self.calls: Dict[str, List[ResolvedCall]] = {}
-        #: callee qualname -> caller qualnames.
-        self.callers: Dict[str, Set[str]] = {}
 
     @classmethod
     def build(cls, model: ProjectModel) -> "CallGraph":
         graph = cls(model)
         for fn in model.functions.values():
             graph.calls[fn.qualname] = list(graph._resolve_function(fn))
-        for caller, sites in graph.calls.items():
-            for site in sites:
-                if site.target:
-                    graph.callers.setdefault(site.target, set()).add(caller)
         return graph
 
     # -- per-function resolution ------------------------------------------
@@ -203,55 +197,31 @@ class CallGraph:
                         caller=fn.qualname, node=node, lineno=node.lineno,
                         target=target.qualname, attr_name=func.attr,
                     )
-            # Dotted module path (``util.f()`` after ``from . import
-            # util``, ``pkg.mod.Class(...)``)?
-            name = dotted_name(func)
-            if name is not None:
-                qual = model.resolve(mod, name)
-                if qual in model.functions:
-                    return ResolvedCall(
-                        caller=fn.qualname, node=node, lineno=node.lineno,
-                        target=qual, attr_name=func.attr,
-                    )
-                if qual in model.classes:
-                    ctor = model.lookup_method(model.classes[qual], "__init__")
-                    return ResolvedCall(
-                        caller=fn.qualname, node=node, lineno=node.lineno,
-                        target=ctor.qualname if ctor else None,
-                        class_target=qual, attr_name=func.attr,
-                    )
-            # Unresolved attribute call — keep the name.
-            return ResolvedCall(
-                caller=fn.qualname, node=node, lineno=node.lineno,
-                attr_name=func.attr,
-            )
 
-        # Direct name (or dotted module path) call.
+        # Direct name or dotted module path (``helper()``, ``util.f()``
+        # after ``from . import util``, ``pkg.mod.Class(...)``).  An
+        # unresolved call keeps its trailing name for name-based matching.
         name = dotted_name(func)
-        if name is not None:
-            qual = model.resolve(mod, name)
-            if qual is not None:
-                if qual in model.classes:
-                    ctor = model.lookup_method(model.classes[qual], "__init__")
-                    return ResolvedCall(
-                        caller=fn.qualname, node=node, lineno=node.lineno,
-                        target=ctor.qualname if ctor else None,
-                        class_target=qual,
-                        attr_name=name.rpartition(".")[2],
-                    )
-                if qual in model.functions:
-                    return ResolvedCall(
-                        caller=fn.qualname, node=node, lineno=node.lineno,
-                        target=qual, attr_name=name.rpartition(".")[2],
-                    )
-            # Bare-name call to something we can't see (builtin, external
-            # function): keep the trailing name for name-based matching.
+        if name is None:
+            attr = func.attr if isinstance(func, ast.Attribute) else None
             return ResolvedCall(
                 caller=fn.qualname, node=node, lineno=node.lineno,
-                attr_name=name.rpartition(".")[2],
+                attr_name=attr,
             )
-
-        return ResolvedCall(caller=fn.qualname, node=node, lineno=node.lineno)
+        attr = name.rpartition(".")[2]
+        qual = model.resolve(mod, name)
+        cls = model.classes.get(qual) if qual is not None else None
+        if cls is not None:
+            ctor = model.lookup_method(cls, "__init__")
+            return ResolvedCall(
+                caller=fn.qualname, node=node, lineno=node.lineno,
+                target=ctor.qualname if ctor else None,
+                class_target=qual, attr_name=attr,
+            )
+        return ResolvedCall(
+            caller=fn.qualname, node=node, lineno=node.lineno,
+            target=qual if qual in model.functions else None, attr_name=attr,
+        )
 
     # -- queries -----------------------------------------------------------
 
@@ -290,3 +260,22 @@ class CallGraph:
                 if callee not in out:
                     queue.append((callee, path + (callee,)))
         return out
+
+
+def chain_trace(
+    model: ProjectModel, path: Tuple[str, ...], root_note: str
+) -> Tuple[str, ...]:
+    """One ``path:line: qualname (note)`` step per function on ``path``.
+
+    ``path`` is a :meth:`CallGraph.reachable_from` chain; the root's note
+    says why it is a root, every later step names its caller.
+    """
+    out: List[str] = []
+    for i, qual in enumerate(path):
+        fn = model.functions[qual]
+        note = (
+            root_note if i == 0
+            else f"called by {short_qualname(path[i - 1])}"
+        )
+        out.append(f"{fn.module.path}:{fn.lineno}: {qual} ({note})")
+    return tuple(out)

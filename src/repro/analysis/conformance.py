@@ -21,17 +21,12 @@ import ast
 from typing import List, Set, Tuple
 
 from .callgraph import CallGraph
-from .modules import ClassInfo, FunctionInfo, ProjectModel
+from .modules import ClassInfo, FunctionInfo, ProjectModel, short_qualname
 from .simlint import Finding
 
 __all__ = ["run"]
 
 _BASE_NAME = "DistributionPolicy"
-
-
-def _shorten(qualname: str) -> str:
-    parts = qualname.split(".")
-    return ".".join(parts[-2:]) if len(parts) > 1 else qualname
 
 
 def _calls_super(fn: FunctionInfo, method: str) -> bool:
@@ -158,7 +153,7 @@ def _check_policy(
                     ),
                     trace=cls_trace + (
                         f"{mod.path}:{line}: {text} read in "
-                        f"{_shorten(m.qualname)}",
+                        f"{short_qualname(m.qualname)}",
                     ),
                 )
             )

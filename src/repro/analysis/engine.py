@@ -2,13 +2,16 @@
 
 Pipeline::
 
-    paths ──> per-file v1 pass (REP001–REP008, unchanged)
-         └─> package roots ──> ProjectModel ──> CallGraph ──> passes
-                                  taint (REP101–103)
-                                  hotpath (REP104)
-                                  asyncsafe (REP105–106)
-                                  conformance (REP107)
-                                  wallclock (REP108)
+    paths ──> package roots ──> ProjectModel ──> CallGraph ──> passes
+      │                        (a ModuleInfo         taint (REP101–103)
+      │                         per file)            hotpath (REP104)
+      │                             │                asyncsafe (REP105–106)
+      │                             v                conformance (REP107)
+      └──> files ──────────> file-local rules (REP001–REP008, REP108)
+
+Each file is parsed once: a file under a package root reuses the
+:class:`ModuleInfo` its ProjectModel parsed, and only files outside any
+root (or every file, under ``--no-project``) are parsed on their own.
 
 plus the reporting machinery: ``--format text|json``, ``--sarif FILE``,
 ``--baseline``/``--write-baseline`` (adopt existing findings, fail only
@@ -20,25 +23,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import linecache
 import sys
+from collections import Counter
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from . import (
-    asyncsafe,
-    baseline as baseline_mod,
-    conformance,
-    hotpath,
-    taint,
-    wallclock,
-)
+from . import asyncsafe, baseline as baseline_mod, conformance, hotpath, taint
 from .callgraph import CallGraph
-from .modules import ProjectModel
+from .modules import ModuleInfo, ProjectModel, package_roots, python_files
 from .rules import REGISTRY, RULES, explain as explain_rule
 from .sarif import to_sarif
-from .simlint import Finding, _python_files, lint_file
+from .simlint import Finding, lint_file, lint_module
 
-__all__ = ["run_project_passes", "lint_all", "main"]
+__all__ = ["run_project_passes", "lint_all", "lint_paths", "main"]
 
 #: Pass runners in execution order; each yields findings for its rules.
 _PROJECT_PASSES = (
@@ -46,36 +44,7 @@ _PROJECT_PASSES = (
     ("hotpath", hotpath.run, ("REP104",)),
     ("asyncsafe", asyncsafe.run, ("REP105", "REP106")),
     ("conformance", conformance.run, ("REP107",)),
-    ("wallclock", wallclock.run, ("REP108",)),
 )
-
-
-def _package_roots(paths: Sequence[str]) -> List[Path]:
-    """Package directories among ``paths`` (or their immediate children).
-
-    ``src`` itself is no package, but ``src/repro`` is; passing either
-    must run the whole-program passes over the package.
-    """
-    roots: List[Path] = []
-    seen: Set[str] = set()
-
-    def add(p: Path) -> None:
-        key = str(p.resolve())
-        if key not in seen:
-            seen.add(key)
-            roots.append(p)
-
-    for raw in paths:
-        p = Path(raw)
-        if not p.is_dir():
-            continue
-        if (p / "__init__.py").is_file():
-            add(p)
-        else:
-            for child in sorted(p.iterdir()):
-                if child.is_dir() and (child / "__init__.py").is_file():
-                    add(child)
-    return roots
 
 
 def run_project_passes(
@@ -98,41 +67,41 @@ def lint_all(
     active: Optional[Set[str]] = None,
     *,
     project: bool = True,
-) -> tuple:
+) -> Tuple[List[Finding], int]:
     """Per-file + whole-program lint.  Returns (findings, files_checked)."""
-    files = _python_files(paths)
+    files = python_files(paths)
+    models = (
+        [ProjectModel.load(root) for root in package_roots(paths)]
+        if project else []
+    )
+    parsed: Dict[str, ModuleInfo] = {}
+    for model in models:
+        for mod in model.modules.values():
+            parsed.setdefault(mod.path, mod)
     findings: List[Finding] = []
-    local_select = active if active is not None else None
     for f in files:
-        findings.extend(lint_file(f, select=local_select))
-    if project:
-        linted = {str(Path(f)) for f in files}
-        for root in _package_roots(paths):
-            model = ProjectModel.load(root)
-            for finding in run_project_passes(model, active):
-                # Only report findings in files the user asked about
-                # (a model loaded from src/repro never strays, but keep
-                # the contract explicit).
-                if finding.path in linted:
-                    findings.append(finding)
+        mod = parsed.get(f)
+        findings.extend(
+            lint_file(f, select=active) if mod is None
+            else lint_module(mod, select=active)
+        )
+    linted = set(files)
+    for model in models:
+        for finding in run_project_passes(model, active):
+            # Only report findings in files the user asked about (a
+            # model loaded from src/repro never strays, but keep the
+            # contract explicit).
+            if finding.path in linted:
+                findings.append(finding)
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings, len(files)
 
 
-class _LineCache:
-    def __init__(self) -> None:
-        self._files: Dict[str, List[str]] = {}
-
-    def __call__(self, path: str, line: int) -> str:
-        if path not in self._files:
-            try:
-                self._files[path] = Path(path).read_text(
-                    encoding="utf-8"
-                ).splitlines()
-            except OSError:
-                self._files[path] = []
-        lines = self._files[path]
-        return lines[line - 1] if 1 <= line <= len(lines) else ""
+def lint_paths(
+    paths: Sequence[str], select: Optional[Set[str]] = None
+) -> Tuple[List[Finding], int]:
+    """File-local rules only; returns (findings, files_checked)."""
+    return lint_all(paths, select, project=False)
 
 
 def _parse_rule_list(raw: str) -> Set[str]:
@@ -144,9 +113,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="repro lint",
         description=(
             "determinism linter for the simulator codebase: file-local "
-            "rules (REP001-REP008) plus whole-program taint, hot-path, "
-            "async-safety, policy-conformance, and overload wall-clock "
-            "passes (REP101-REP108)"
+            "rules (REP001-REP008, REP108) plus whole-program taint, "
+            "hot-path, async-safety, and policy-conformance passes "
+            "(REP101-REP107)"
         ),
     )
     parser.add_argument(
@@ -211,25 +180,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{rule}  {desc}")
         return 0
 
-    active: Optional[Set[str]] = None
-    if args.select:
-        active = _parse_rule_list(args.select)
-        unknown = active - set(RULES)
-        if unknown:
-            print(
-                f"unknown rules: {', '.join(sorted(unknown))}",
-                file=sys.stderr,
-            )
-            return 2
-    if args.ignore:
-        ignored = _parse_rule_list(args.ignore)
-        unknown = ignored - set(RULES)
-        if unknown:
-            print(
-                f"unknown rules: {', '.join(sorted(unknown))}",
-                file=sys.stderr,
-            )
-            return 2
+    active = _parse_rule_list(args.select) if args.select else None
+    ignored = _parse_rule_list(args.ignore) if args.ignore else set()
+    unknown = ((active or set()) | ignored) - set(RULES)
+    if unknown:
+        print(f"unknown rules: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    if ignored:
         active = (active if active is not None else set(RULES)) - ignored
 
     paths = args.paths or (["src"] if Path("src").is_dir() else ["."])
@@ -237,7 +194,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         paths, active, project=not args.no_project
     )
 
-    get_line = _LineCache()
+    get_line = linecache.getline
 
     if args.write_baseline:
         data = baseline_mod.generate(findings, get_line)
@@ -262,10 +219,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.sarif:
         Path(args.sarif).write_text(to_sarif(report) + "\n", encoding="utf-8")
 
+    counts = Counter(f.rule for f in report)
     if args.fmt == "json":
-        counts: Dict[str, int] = {}
-        for f in report:
-            counts[f.rule] = counts.get(f.rule, 0) + 1
         payload: Dict[str, object] = {
             "files_checked": files_checked,
             "findings": [f.as_dict() for f in report],
@@ -279,26 +234,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for f in report:
             print(f.render())
         if args.statistics:
-            counts = {}
-            for f in report:
-                counts[f.rule] = counts.get(f.rule, 0) + 1
             for rule in sorted(counts):
                 print(f"{rule}: {counts[rule]}")
+        summary = (
+            f"{len(report)} {'new ' if args.baseline else ''}"
+            f"finding{'s' if len(report) != 1 else ''} in {files_checked} files"
+        )
         if args.baseline:
-            suppressed = len(findings) - len(report)
-            note = f" ({suppressed} baselined"
+            summary += f" ({len(findings) - len(report)} baselined"
             if stale:
-                note += f", {stale} stale baseline entries"
-            note += ")"
-            summary = (
-                f"{len(report)} new finding{'s' if len(report) != 1 else ''} "
-                f"in {files_checked} files{note}"
-            )
-        else:
-            summary = (
-                f"{len(report)} finding{'s' if len(report) != 1 else ''} "
-                f"in {files_checked} files"
-            )
+                summary += f", {stale} stale baseline entries"
+            summary += ")"
         print(("FAIL: " if report else "ok: ") + summary)
     return 1 if report else 0
 

@@ -26,8 +26,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Set, Tuple
 
-from .callgraph import CallGraph
-from .modules import FunctionInfo, ProjectModel
+from .callgraph import CallGraph, chain_trace
+from .modules import FunctionInfo, ProjectModel, short_qualname
 from .simlint import Finding
 
 __all__ = ["run"]
@@ -37,25 +37,6 @@ _ALLOC_FACTORIES = {
     "dict", "list", "set", "frozenset", "bytearray", "deque",
     "defaultdict", "OrderedDict", "Counter",
 }
-
-
-def _chain_trace(
-    model: ProjectModel, path: Tuple[str, ...]
-) -> Tuple[str, ...]:
-    out: List[str] = []
-    for i, qual in enumerate(path):
-        fn = model.functions[qual]
-        note = (
-            "marked '# simlint: hotpath'" if i == 0
-            else f"called by {_shorten(path[i - 1])}"
-        )
-        out.append(f"{fn.module.path}:{fn.lineno}: {qual} ({note})")
-    return tuple(out)
-
-
-def _shorten(qualname: str) -> str:
-    parts = qualname.split(".")
-    return ".".join(parts[-2:]) if len(parts) > 1 else qualname
 
 
 class _AllocScanner:
@@ -139,7 +120,7 @@ def run(model: ProjectModel, graph: CallGraph) -> List[Finding]:
             root = path[0]
             via = (
                 "" if len(path) == 1
-                else f" (reachable from hotpath {_shorten(root)}, "
+                else f" (reachable from hotpath {short_qualname(root)}, "
                 f"{len(path) - 1} call{'s' if len(path) > 2 else ''} deep)"
             )
             findings.append(
@@ -150,9 +131,11 @@ def run(model: ProjectModel, graph: CallGraph) -> List[Finding]:
                     rule="REP104",
                     message=(
                         f"{what} in hot-path function "
-                        f"{_shorten(qual)}{via}"
+                        f"{short_qualname(qual)}{via}"
                     ),
-                    trace=_chain_trace(model, path)
+                    trace=chain_trace(
+                        model, path, "marked '# simlint: hotpath'"
+                    )
                     + (f"{mod.path}:{line}: allocation: {what}",),
                 )
             )

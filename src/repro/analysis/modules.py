@@ -15,8 +15,13 @@ interprocedural passes (:mod:`callgraph`, :mod:`taint`, :mod:`hotpath`,
   with linearized method lookup;
 * ``# simlint: hotpath`` / ``# simlint: coldpath`` function markers;
 * per-module external-import maps (which local names denote the
-  ``time``/``random``/``numpy.random``/... modules) shared by the taint
-  and async passes.
+  ``time``/``random``/``numpy.random``/... modules) and the one
+  classifier, :func:`source_kind`, that says which resolved external
+  calls are wall-clock reads, RNG draws, or OS entropy.
+
+Every consumer reads the same :class:`ModuleInfo`: the file-local rules
+(:mod:`simlint`) and the whole-program passes alike, so ``repro lint``
+parses each file once.
 
 The model is deliberately *not* a type checker: it resolves what this
 codebase actually writes (direct imports, ``self`` methods, annotated
@@ -30,7 +35,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 __all__ = [
     "ExternalImports",
@@ -39,6 +44,10 @@ __all__ = [
     "ModuleInfo",
     "ProjectModel",
     "dotted_name",
+    "package_roots",
+    "python_files",
+    "short_qualname",
+    "source_kind",
 ]
 
 _EXCLUDED_DIRS = {"__pycache__", ".git", "build", "dist", ".venv"}
@@ -47,6 +56,52 @@ _MARKER_RE = re.compile(r"#\s*simlint:\s*(hotpath|coldpath)\b")
 _DISABLE_RE = re.compile(
     r"#\s*simlint:\s*disable(?:\s*=\s*(?P<rules>[A-Z0-9,\s]+))?"
 )
+
+
+def python_files(paths: Iterable[str]) -> List[str]:
+    """Every ``.py`` file among ``paths`` (files as given, dirs walked)."""
+    files: List[str] = []
+    for raw in paths:
+        p = Path(raw)
+        if p.is_file():
+            files.append(str(p))
+        elif p.is_dir():
+            for sub in sorted(p.rglob("*.py")):
+                if set(sub.parts) & _EXCLUDED_DIRS or any(
+                    part.endswith(".egg-info") for part in sub.parts
+                ):
+                    continue
+                files.append(str(sub))
+    return files
+
+
+def package_roots(paths: Sequence[str]) -> List[Path]:
+    """Package directories among ``paths`` (or their immediate children).
+
+    ``src`` itself is no package, but ``src/repro`` is; passing either
+    must run the whole-program passes over the package.
+    """
+    roots: List[Path] = []
+    seen: Set[str] = set()
+    for raw in paths:
+        p = Path(raw)
+        if not p.is_dir():
+            continue
+        candidates = (
+            [p] if (p / "__init__.py").is_file() else sorted(p.iterdir())
+        )
+        for child in candidates:
+            key = str(child.resolve())
+            if (child / "__init__.py").is_file() and key not in seen:
+                seen.add(key)
+                roots.append(child)
+    return roots
+
+
+def short_qualname(qualname: str) -> str:
+    """``repro.des.core.Environment.step`` -> ``Environment.step``."""
+    parts = qualname.split(".")
+    return ".".join(parts[-2:]) if len(parts) > 1 else qualname
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -61,75 +116,106 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-class ExternalImports(ast.NodeVisitor):
-    """Which local names denote interesting *external* modules/functions.
+class ExternalImports:
+    """Which local names denote tracked *external* modules and members.
 
-    One instance per module; the taint and async passes read these maps
-    to recognize wall-clock reads, RNG constructors, entropy draws, and
-    blocking calls regardless of import style or aliasing.
+    One instance per module.  Every rule that recognizes an external
+    call (wall-clock reads, RNG draws and constructors, entropy, blocking
+    calls) resolves it through :meth:`call_target`, so import style and
+    aliasing never matter.
     """
 
-    def __init__(self) -> None:
-        #: local name -> external module it denotes ("time", "numpy.random",
-        #: "subprocess", "socket", "os", "uuid", "random", "urllib.request").
-        self.modules: Dict[str, str] = {}
-        #: local name -> "module.attr" for from-imports of functions
-        #: (``from time import monotonic as mono`` -> {"mono":
-        #: "time.monotonic"}).
-        self.functions: Dict[str, str] = {}
-
+    #: Top-level packages whose imports are tracked.
     _TRACKED = {
-        "time", "datetime", "random", "numpy", "numpy.random", "os",
-        "uuid", "subprocess", "socket", "urllib", "urllib.request",
-        "requests",
+        "time", "datetime", "random", "numpy", "os", "uuid", "secrets",
+        "subprocess", "socket", "urllib", "requests",
     }
 
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            if alias.name in self._TRACKED:
-                bound = alias.asname or alias.name.split(".")[0]
-                target = alias.name if alias.asname else alias.name.split(".")[0]
-                self.modules[bound] = target
+    def __init__(self) -> None:
+        #: local name -> the external module, function or class it is
+        #: bound to (``import numpy as np`` -> {"np": "numpy"},
+        #: ``from time import monotonic as mono`` -> {"mono":
+        #: "time.monotonic"}).
+        self.names: Dict[str, str] = {}
 
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.level or node.module is None:
-            return  # relative import: project-internal, handled elsewhere
-        mod = node.module
-        for alias in node.names:
-            bound = alias.asname or alias.name
-            full = f"{mod}.{alias.name}"
-            if full in self._TRACKED:  # ``from numpy import random``
-                self.modules[bound] = full
-            elif mod in self._TRACKED or mod.split(".")[0] in self._TRACKED:
-                self.functions[bound] = full
-
-    def module_of(self, expr: ast.AST) -> Optional[str]:
-        """External module a dotted expression denotes, if any.
-
-        ``np.random`` -> "numpy.random", ``time`` -> "time".
-        """
-        name = dotted_name(expr)
-        if name is None:
-            return None
-        head, _, rest = name.partition(".")
-        base = self.modules.get(head)
-        if base is None:
-            return None
-        return f"{base}.{rest}" if rest else base
+    def bind(self, name: str, target: str) -> None:
+        """Record an absolute import binding ``name`` to ``target``."""
+        if target.partition(".")[0] in self._TRACKED:
+            self.names[name] = target
 
     def call_target(self, func: ast.AST) -> Optional[str]:
         """Fully qualified external target of a call's func, if known.
 
-        ``time.monotonic`` -> "time.monotonic"; a bare name bound by a
-        from-import resolves through :attr:`functions`.
+        ``np.random.rand`` -> "numpy.random.rand"; after ``from datetime
+        import datetime``, ``datetime.now`` -> "datetime.datetime.now".
         """
-        if isinstance(func, ast.Name):
-            return self.functions.get(func.id)
-        if isinstance(func, ast.Attribute):
-            mod = self.module_of(func.value)
-            if mod is not None:
-                return f"{mod}.{func.attr}"
+        name = dotted_name(func)
+        head, _, rest = (name or "").partition(".")
+        base = self.names.get(head)
+        if base is None:
+            return None
+        return f"{base}.{rest}" if rest else base
+
+
+#: Source kinds :func:`source_kind` assigns.  Each names one way an
+#: external call breaks seeded replay.
+WALL_CLOCK = "wall-clock"      # reads the host clock
+RNG_DRAW = "rng-draw"          # uses the global random/numpy.random state
+RNG_UNSEEDED = "rng-unseeded"  # a seedable RNG constructed with no seed
+ENTROPY = "entropy"            # os.urandom, uuid1/uuid4, secrets.*
+CLOCK = "clock"                # any other use of the time/datetime modules
+
+_CLOCK_MODULES = ("time", "datetime")
+_TIME_READS = frozenset(
+    f"time.{name}"
+    for name in ("time", "time_ns", "monotonic", "monotonic_ns",
+                 "perf_counter", "perf_counter_ns", "process_time",
+                 "process_time_ns", "localtime", "gmtime")
+)
+#: "What time is it" constructors on the datetime module's classes.
+_DATETIME_READS = frozenset({"now", "utcnow", "today"})
+#: RNG module -> attributes that are not draws from its global state
+#: (seeded-generator constructors and state plumbing).
+_RNG_SAFE = {
+    "random": frozenset({"Random", "SystemRandom", "getstate", "setstate"}),
+    "numpy.random": frozenset(
+        {"default_rng", "Generator", "RandomState", "SeedSequence",
+         "BitGenerator", "PCG64", "Philox", "MT19937", "SFC64"}
+    ),
+}
+#: Constructors that take a seed; with no arguments they seed from the OS.
+SEEDABLE_CTORS = frozenset(
+    {"random.Random", "numpy.random.default_rng", "numpy.random.RandomState"}
+)
+_ENTROPY_CALLS = frozenset({"os.urandom", "uuid.uuid1", "uuid.uuid4"})
+
+
+def source_kind(target: str, call: Optional[ast.Call] = None) -> Optional[str]:
+    """The nondeterminism source ``target`` is, if any.
+
+    ``target`` is a call's resolved external target
+    (:meth:`ExternalImports.call_target`, e.g. ``"time.monotonic"``) and
+    ``call`` the call itself.  Without a call, ``target`` is an imported
+    module name: importing ``time``/``datetime`` is a :data:`CLOCK` use.
+    """
+    root = target.partition(".")[0]
+    if call is None:
+        return CLOCK if root in _CLOCK_MODULES else None
+    if root in _CLOCK_MODULES:
+        wall = target in _TIME_READS or (
+            root == "datetime" and target.rpartition(".")[2] in _DATETIME_READS
+        )
+        return WALL_CLOCK if wall else CLOCK
+    rng = next((m for m in _RNG_SAFE if target.startswith(f"{m}.")), None)
+    if rng is not None:
+        if target[len(rng) + 1:] not in _RNG_SAFE[rng]:
+            return RNG_DRAW
+        if target in SEEDABLE_CTORS and not (call.args or call.keywords):
+            return RNG_UNSEEDED
         return None
+    if target in _ENTROPY_CALLS or root == "secrets":
+        return ENTROPY
+    return None
 
 
 @dataclass
@@ -186,7 +272,6 @@ class ModuleInfo:
 
     name: str
     path: str
-    source: str
     tree: ast.Module
     imports: Dict[str, str] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
@@ -196,11 +281,60 @@ class ModuleInfo:
     suppressions: Dict[int, Optional[Set[str]]] = field(default_factory=dict)
     lines: List[str] = field(default_factory=list)
 
+    @classmethod
+    def parse(
+        cls, source: str, path: str, name: Optional[str] = None
+    ) -> "ModuleInfo":
+        """Parse one module; raises :class:`SyntaxError`.
+
+        ``name`` defaults to the dotted form of ``path``.
+        """
+        tree = ast.parse(source, filename=path)
+        if name is None:
+            name = Path(path).with_suffix("").as_posix().replace("/", ".")
+        mod = cls(name=name, path=path, tree=tree, lines=source.splitlines())
+        mod._collect_imports()
+        for lineno, line in enumerate(mod.lines, start=1):
+            m = _DISABLE_RE.search(line)
+            if m:
+                rules = m.group("rules")
+                mod.suppressions[lineno] = (
+                    None if rules is None
+                    else {r.strip() for r in rules.split(",") if r.strip()}
+                )
+        return mod
+
+    def _collect_imports(self) -> None:
+        """Fill :attr:`imports` and the external-import map :attr:`ext`."""
+        pkg_parts = self.name.split(".")
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    target = alias.name if alias.asname else bound
+                    self.imports[bound] = target
+                    self.ext.bind(bound, target)
+            elif isinstance(node, ast.ImportFrom):
+                if node.level:
+                    # Relative import: resolve against this module's
+                    # package (``__init__`` modules count as packages).
+                    is_pkg = self.path.endswith("__init__.py")
+                    drop = node.level - (1 if is_pkg else 0)
+                    base = ".".join(pkg_parts[: len(pkg_parts) - drop])
+                    target = f"{base}.{node.module}" if node.module else base
+                else:
+                    target = node.module or ""
+                for alias in node.names:
+                    bound = alias.asname or alias.name
+                    full = f"{target}.{alias.name}" if target else alias.name
+                    self.imports[bound] = full
+                    if not node.level:
+                        self.ext.bind(bound, full)
+
     @property
     def scope_dirs(self) -> Set[str]:
-        parts = set(Path(self.path).parts)
-        parts.update(self.name.split("."))
-        return parts
+        """Names of the directories the module sits in (rule scoping)."""
+        return set(Path(self.path).parent.parts)
 
     def line_text(self, lineno: int) -> str:
         if 1 <= lineno <= len(self.lines):
@@ -241,15 +375,7 @@ class ProjectModel:
         """Parse every ``.py`` under ``root`` (a package directory)."""
         root = Path(root)
         model = cls(package=root.name)
-        files = []
-        for sub in sorted(root.rglob("*.py")):
-            parts = set(sub.parts)
-            if parts & _EXCLUDED_DIRS or any(
-                part.endswith(".egg-info") for part in sub.parts
-            ):
-                continue
-            files.append(sub)
-        for path in files:
+        for path in map(Path, python_files([str(root)])):
             rel = path.relative_to(root)
             dotted = [root.name, *rel.parts[:-1]]
             stem = rel.stem
@@ -284,53 +410,13 @@ class ProjectModel:
 
     def _add_source(self, name: str, path: str, source: str) -> None:
         try:
-            tree = ast.parse(source, filename=path)
+            mod = ModuleInfo.parse(source, path, name)
         except SyntaxError:
             # Syntax errors are the file-local pass's REP000 problem; the
             # project model simply skips the module.
             return
-        mod = ModuleInfo(
-            name=name, path=path, source=source, tree=tree,
-            lines=source.splitlines(),
-        )
-        mod.ext.visit(tree)
-        for lineno, line in enumerate(mod.lines, start=1):
-            m = _DISABLE_RE.search(line)
-            if m:
-                rules = m.group("rules")
-                mod.suppressions[lineno] = (
-                    None if rules is None
-                    else {r.strip() for r in rules.split(",") if r.strip()}
-                )
-        self._collect_imports(mod)
         self._collect_defs(mod)
         self.modules[name] = mod
-
-    def _collect_imports(self, mod: ModuleInfo) -> None:
-        pkg_parts = mod.name.split(".")
-        for node in ast.walk(mod.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    bound = alias.asname or alias.name.split(".")[0]
-                    mod.imports[bound] = (
-                        alias.name if alias.asname else alias.name.split(".")[0]
-                    )
-            elif isinstance(node, ast.ImportFrom):
-                if node.level:
-                    # Relative import: resolve against this module's
-                    # package (``__init__`` modules count as packages).
-                    is_pkg = mod.path.endswith("__init__.py")
-                    drop = node.level - (1 if is_pkg else 0)
-                    base_parts = pkg_parts[: len(pkg_parts) - drop]
-                    base = ".".join(base_parts)
-                    target = f"{base}.{node.module}" if node.module else base
-                else:
-                    target = node.module or ""
-                for alias in node.names:
-                    bound = alias.asname or alias.name
-                    mod.imports[bound] = (
-                        f"{target}.{alias.name}" if target else alias.name
-                    )
 
     def _collect_defs(self, mod: ModuleInfo) -> None:
         for node in mod.tree.body:
@@ -456,9 +542,6 @@ class ProjectModel:
                 return self.resolve(pm, leaf)
         return full
 
-    def function_at(self, qualname: str) -> Optional[FunctionInfo]:
-        return self.functions.get(qualname)
-
     # -- class hierarchy ---------------------------------------------------
 
     def mro(self, cls: ClassInfo) -> List[ClassInfo]:
@@ -521,28 +604,3 @@ def annotation_class_name(node: Optional[ast.AST]) -> Optional[str]:
         if base in ("Optional",) or (base or "").endswith(".Optional"):
             return annotation_class_name(node.slice)
     return None
-
-
-def iter_project_files(paths: Sequence[str]) -> List[Tuple[Path, Path]]:
-    """(package_root, file) pairs for package dirs among ``paths``.
-
-    A directory that contains ``__init__.py`` is a package root; for a
-    plain directory (e.g. ``src``) its immediate package children are
-    the roots.  Used by the CLI to decide what the project passes see.
-    """
-    roots: List[Path] = []
-    for raw in paths:
-        p = Path(raw)
-        if not p.is_dir():
-            continue
-        if (p / "__init__.py").is_file():
-            roots.append(p)
-        else:
-            for child in sorted(p.iterdir()):
-                if child.is_dir() and (child / "__init__.py").is_file():
-                    roots.append(child)
-    out = []
-    for root in roots:
-        for sub in sorted(root.rglob("*.py")):
-            out.append((root, sub))
-    return out

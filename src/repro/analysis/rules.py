@@ -1,16 +1,13 @@
 """The simlint rule registry — one table, every consumer.
 
-Rule metadata used to live in three places that drifted independently:
-the ``RULES`` dict in :mod:`simlint`, the hardcoded prefix check behind
-``--select``, and the catalog table in ``docs/ANALYSIS.md``.  This module
-is now the single source of truth: every rule — the file-local v1 rules
-(REP001–REP008) and the whole-program v2 passes (REP101–REP107) — is a
-:class:`Rule` entry here, and ``--select``/``--ignore`` validation,
-``--list-rules``, ``--explain``, SARIF rule descriptors, and the docs
-catalog all read this table.
+Every rule — the file-local rules (REP001–REP008, REP108) and the
+whole-program passes (REP101–REP107) — is a :class:`Rule` entry here.
+``--select``/``--ignore`` validation, ``--list-rules``, ``--explain``
+and the SARIF rule descriptors read this table; a tier-1 test checks
+that the catalog in ``docs/ANALYSIS.md`` has a row for every entry.
 
-Adding a rule is: implement the check, add the entry.  Nothing else to
-keep in sync.
+Adding a rule is: implement the check, add the entry, add the catalog
+row.
 """
 
 from __future__ import annotations
@@ -21,12 +18,11 @@ from typing import Dict, Tuple
 __all__ = ["Rule", "REGISTRY", "RULES", "rule_ids", "explain"]
 
 #: Analysis pass names (who emits the rule).
-LOCAL = "local"              # per-file AST pass (simlint v1)
+LOCAL = "local"              # per-file AST pass (simlint)
 TAINT = "taint"              # interprocedural nondeterminism taint
 HOTPATH = "hotpath"          # hot-path allocation lint
 ASYNC = "async"              # async-safety pass (repro.live)
 CONFORMANCE = "conformance"  # DistributionPolicy contract pass
-WALLCLOCK = "wallclock"      # overload substrate-neutrality pass
 
 
 @dataclass(frozen=True)
@@ -261,7 +257,7 @@ policy to the DES and silently breaks it on the live substrate.
             "REP108", "overload-wallclock",
             "overload-wallclock: overload component imports or calls a "
             "wall clock",
-            WALLCLOCK,
+            LOCAL,
             """
 Modules in the ``overload`` package (admission controller, circuit
 breakers, adaptive concurrency limit) run the same object on both

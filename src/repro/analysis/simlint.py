@@ -5,48 +5,14 @@ deterministic for a fixed seed: byte-identical ``repro reproduce`` reports,
 exact ``throughput_rps`` equality in the bench regression gate, and the
 scheduler/fast-path equivalence suites all depend on it.  simlint is an
 AST-based static-analysis pass that catches the code patterns which break
-that guarantee *before* they reach a run:
+that guarantee *before* they reach a run.  The rule catalog (ids,
+summaries, ``--explain`` text) lives in :mod:`repro.analysis.rules`:
+REP001–REP008 and REP108 run here, one module at a time.
 
-``REP001`` unseeded-global-rng
-    Calls to the module-level ``random`` / ``numpy.random`` API (global,
-    implicitly seeded state) in simulation code.  Use a seeded
-    ``random.Random(seed)`` / ``numpy.random.default_rng(seed)`` instance.
-``REP002`` unordered-iteration
-    Iteration over a ``set``/``frozenset`` (or ``dict.keys()`` views used
-    as an ordering source) feeding scheduling, dispatch, or server-set
-    decisions.  Set iteration order depends on insertion history and — for
-    str keys — the per-process hash seed.  Sort, or use an ordered
-    structure.
-``REP003`` wall-clock
-    Wall-clock reads (``time.time``, ``datetime.now``, ...) inside the
-    kernel/simulation packages.  Simulated code must read ``env.now``.
-    The live substrate (``repro.live``) is explicitly exempt: there,
-    wall-clock seconds *are* the policies' injected Clock.
-``REP004`` id-ordering
-    ``id()``-based ordering or hashing.  CPython ids are allocation
-    addresses: they vary run to run and recycle, so any order derived from
-    them is nondeterministic.
-``REP005`` mutable-default
-    Mutable default arguments — shared across calls, a classic source of
-    state bleeding between otherwise independent runs.
-``REP006`` swallowed-exception
-    Bare ``except:`` or blanket ``except Exception: pass`` handlers.  In
-    event callbacks these silently eat generator/callback failures the
-    kernel relies on to surface broken runs.
-``REP007`` unseeded-instance-rng
-    Zero-argument RNG constructors (``random.Random()``,
-    ``numpy.random.default_rng()``, ``numpy.random.RandomState()``) inside
-    the fault-injection packages (``repro.faults``, ``repro.netfaults``,
-    ``repro.chaos``).  An instance seeded from OS entropy makes every
-    fault/loss schedule differ run to run; pass an explicit seed so
-    injected failures are replayable.
-``REP008`` fragile-oracle-check
-    In chaos/oracle code (``repro.chaos``): comparing against a float
-    literal with ``==``/``!=``, or an ``assert`` whose condition derives
-    from a wall-clock read.  Float-equality oracles pass or fail on
-    representation noise, and wall-clock asserts make a replayed
-    scenario's verdict depend on machine speed — both break the
-    "same scenario, same verdict" contract replay and shrinking rely on.
+REP001, REP003, REP007, REP008 and REP108 are *source rules*: rows of
+:data:`SCOPED_RULES` naming which kinds of external call — classified
+once, by :func:`repro.analysis.modules.source_kind` — they flag in which
+package directories.  REP002 and REP004–REP006 apply everywhere.
 
 Suppression
 -----------
@@ -67,13 +33,23 @@ Exit status is 0 when no findings survive suppression, 1 otherwise.
 from __future__ import annotations
 
 import ast
-import re
-import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-__all__ = ["Finding", "RULES", "lint_source", "lint_file", "lint_paths", "main"]
+from .modules import (
+    CLOCK,
+    RNG_DRAW,
+    RNG_UNSEEDED,
+    WALL_CLOCK,
+    ModuleInfo,
+    source_kind,
+)
+
+__all__ = [
+    "Finding", "RULES", "SCOPED_RULES", "ScopedRule", "lint_source",
+    "lint_module", "lint_file",
+]
 
 #: Rule id -> one-line description.  Derived from the table-driven
 #: registry in :mod:`repro.analysis.rules` (the single source of truth
@@ -81,60 +57,74 @@ __all__ = ["Finding", "RULES", "lint_source", "lint_file", "lint_paths", "main"]
 #: backwards compatibility.
 from .rules import RULES  # noqa: E402  (re-export)
 
-#: Package directories whose files count as "simulation code" (REP001).
-#: ``live`` is included: the loadtest's arrival process must be seeded
-#: for replayable runs even though its clock is real.
-SIM_SCOPE = frozenset(
-    {"des", "sim", "servers", "cluster", "faults", "netfaults", "workload",
-     "chaos", "live"}
-)
-#: Package directories where wall-clock reads are forbidden (REP003).
-#: ``chaos`` is deliberately absent: its soak mode budgets *real*
-#: minutes; REP008 polices the dangerous wall-clock use there instead.
-KERNEL_SCOPE = frozenset({"des", "sim", "servers", "cluster", "faults",
-                          "netfaults"})
-#: Fault-injection packages where unseeded RNG instances are forbidden
-#: (REP007): injected failures must replay exactly for a fixed seed.
-FAULT_SCOPE = frozenset({"faults", "netfaults", "chaos"})
-#: Chaos/oracle packages where fragile verdict checks are forbidden
-#: (REP008).
-CHAOS_SCOPE = frozenset({"chaos"})
-#: The live substrate (``repro.live``): wall-clock reads are the *point*
-#: there (real TCP seconds drive the policies' Clock), so REP003 and
-#: REP008 are force-disabled — the override wins even when a live
-#: package is nested under a kernel-scoped directory name.
-LIVE_SCOPE = frozenset({"live"})
 
-#: random-module attributes that are safe to call (seeded constructors and
-#: state plumbing, not draws from the global generator).
-_SAFE_RANDOM_ATTRS = frozenset({"Random", "SystemRandom", "getstate", "setstate"})
-#: numpy.random attributes that are safe (seeded-generator constructors).
-_SAFE_NP_RANDOM_ATTRS = frozenset(
-    {"default_rng", "Generator", "RandomState", "SeedSequence", "BitGenerator",
-     "PCG64", "Philox", "MT19937", "SFC64"}
+@dataclass(frozen=True)
+class ScopedRule:
+    """A source rule: which source kinds it flags, and in which packages."""
+
+    rule: str
+    kinds: Tuple[str, ...]
+    #: Package directory names; the rule applies under any of them ...
+    scope: Tuple[str, ...]
+    #: ... unless the module also sits under one of these.
+    exempt: Tuple[str, ...]
+    #: ``{site}`` is the flagged call or import.
+    message: str
+    #: Flag ``assert`` statements whose condition makes such a call,
+    #: rather than the calls themselves.
+    in_assert: bool = False
+
+    def applies(self, dirs: Set[str]) -> bool:
+        return not dirs.isdisjoint(self.scope) and dirs.isdisjoint(self.exempt)
+
+
+#: The source rules.  ``live`` counts as simulation code for REP001 (the
+#: loadtest's arrival process must be seeded for replayable runs) but is
+#: exempt from the wall-clock rules: there, wall-clock seconds *are* the
+#: policies' injected Clock.  ``chaos`` is outside REP003's scope because
+#: soak mode budgets real minutes; REP008 polices wall-clock asserts there,
+#: and its float-literal half shares the row's scope.
+SCOPED_RULES: Tuple[ScopedRule, ...] = (
+    ScopedRule(
+        "REP001", (RNG_DRAW,),
+        ("des", "sim", "servers", "cluster", "faults", "netfaults",
+         "workload", "chaos", "live"), (),
+        "{site} uses the global RNG; use a seeded random.Random(seed) or "
+        "numpy.random.default_rng(seed) instance",
+    ),
+    ScopedRule(
+        "REP003", (WALL_CLOCK,),
+        ("des", "sim", "servers", "cluster", "faults", "netfaults"),
+        ("live",),
+        "{site} reads the wall clock; simulation code must use env.now",
+    ),
+    ScopedRule(
+        "REP007", (RNG_UNSEEDED,), ("faults", "netfaults", "chaos"), (),
+        "{site} has no seed and draws entropy from the OS; fault-injection "
+        "schedules must replay for a fixed seed — pass an explicit seed",
+    ),
+    ScopedRule(
+        "REP008", (WALL_CLOCK,), ("chaos",), ("live",),
+        "assert derives from a {site}: a wall-clock condition makes the "
+        "verdict depend on machine speed; assert on simulated state "
+        "instead",
+        in_assert=True,
+    ),
+    ScopedRule(
+        "REP108", (WALL_CLOCK, CLOCK), ("overload",), (),
+        "{site}: overload components take `now` as an argument and never "
+        "read a clock — wall time here breaks byte-identical sim replay "
+        "and sim-vs-live scoring",
+    ),
 )
-#: Wall-clock functions on the time module.
-_TIME_ATTRS = frozenset(
-    {"time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
-     "perf_counter_ns", "process_time", "process_time_ns", "localtime",
-     "gmtime"}
-)
-#: Zero/implicit-argument "what time is it" constructors on datetime/date.
-_DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
+
 #: Set-producing methods whose result is itself unordered.
 _SET_OP_METHODS = frozenset(
     {"intersection", "union", "difference", "symmetric_difference"}
 )
-#: numpy.random constructors that take a seed as their first argument —
-#: called with zero arguments they seed from OS entropy (REP007).
-_SEEDABLE_NP_CTORS = frozenset({"default_rng", "RandomState"})
 #: Callables for which a mutable result as a default argument is shared.
 _MUTABLE_FACTORIES = frozenset(
     {"list", "dict", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
-)
-
-_DISABLE_RE = re.compile(
-    r"#\s*simlint:\s*disable(?:\s*=\s*(?P<rules>[A-Z0-9,\s]+))?"
 )
 
 
@@ -172,26 +162,6 @@ class Finding:
         if self.trace:
             out["trace"] = list(self.trace)
         return out
-
-
-def _scope_dirs(path: str) -> Set[str]:
-    """Path components used for rule scoping (package directory names)."""
-    return set(Path(path).parts)
-
-
-def _suppressions(source: str) -> Dict[int, Optional[Set[str]]]:
-    """Map line number -> suppressed rules (``None`` = all rules)."""
-    out: Dict[int, Optional[Set[str]]] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        m = _DISABLE_RE.search(line)
-        if not m:
-            continue
-        rules = m.group("rules")
-        if rules is None:
-            out[lineno] = None
-        else:
-            out[lineno] = {r.strip() for r in rules.split(",") if r.strip()}
-    return out
 
 
 class _SetInference(ast.NodeVisitor):
@@ -248,42 +218,20 @@ class _Checker(ast.NodeVisitor):
     """Second pass: emit findings."""
 
     def __init__(
-        self,
-        path: str,
-        sets: _SetInference,
-        active: Set[str],
+        self, mod: ModuleInfo, sets: _SetInference, active: Set[str]
     ) -> None:
-        self.path = path
+        self.mod = mod
         self.sets = sets
         self.active = active
+        self.rows = [r for r in SCOPED_RULES if r.rule in active]
         self.findings: List[Finding] = []
-        #: Local names bound to the random module (``import random [as r]``).
-        self._random_mods: Set[str] = set()
-        #: Local names bound to the numpy module (``import numpy as np``).
-        self._numpy_mods: Set[str] = set()
-        #: Local names bound to numpy.random itself.
-        self._np_random_mods: Set[str] = set()
-        #: Function names imported from random (``from random import choice``).
-        self._random_funcs: Set[str] = set()
-        #: Names bound to the time module.
-        self._time_mods: Set[str] = set()
-        #: Functions imported from time (``from time import time``).
-        self._time_funcs: Set[str] = set()
-        #: Names bound to datetime classes/module (datetime, date).
-        self._datetime_names: Set[str] = set()
-        #: Names bound to seedable RNG constructors (``from random import
-        #: Random``, ``from numpy.random import default_rng``) — REP007
-        #: flags zero-argument calls to these in fault-injection code.
-        self._rng_ctors: Set[str] = set()
-
-    # -- bookkeeping -------------------------------------------------------
 
     def _emit(self, node: ast.AST, rule: str, message: str) -> None:
         if rule not in self.active:
             return
         self.findings.append(
             Finding(
-                path=self.path,
+                path=self.mod.path,
                 line=getattr(node, "lineno", 1),
                 col=getattr(node, "col_offset", 0) + 1,
                 rule=rule,
@@ -291,92 +239,51 @@ class _Checker(ast.NodeVisitor):
             )
         )
 
+    # -- source rules (SCOPED_RULES) ---------------------------------------
+
+    def _source(
+        self, node: ast.AST, kind: Optional[str], site: str,
+        in_assert: bool = False,
+    ) -> bool:
+        """Emit each row flagging ``kind`` at ``node``; True if any did."""
+        rows = [
+            r for r in self.rows if kind in r.kinds and r.in_assert == in_assert
+        ]
+        for row in rows:
+            self._emit(node, row.rule, row.message.format(site=site))
+        return bool(rows)
+
+    def _call_source(
+        self, node: ast.AST, call: ast.Call, in_assert: bool = False
+    ) -> bool:
+        target = self.mod.ext.call_target(call.func)
+        return target is not None and self._source(
+            node, source_kind(target, call), f"call to {target}()", in_assert
+        )
+
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
-            bound = alias.asname or alias.name.split(".")[0]
-            if alias.name == "random":
-                self._random_mods.add(bound)
-            elif alias.name in ("numpy", "numpy.random"):
-                if alias.name == "numpy.random" and alias.asname:
-                    self._np_random_mods.add(alias.asname)
-                else:
-                    self._numpy_mods.add(bound)
-            elif alias.name == "time":
-                self._time_mods.add(bound)
-            elif alias.name == "datetime":
-                self._datetime_names.add(bound)
-        self.generic_visit(node)
+            self._source(node, source_kind(alias.name), f"import of {alias.name!r}")
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module == "random":
-            for alias in node.names:
-                if alias.name == "Random":
-                    self._rng_ctors.add(alias.asname or alias.name)
-                elif alias.name not in _SAFE_RANDOM_ATTRS:
-                    self._random_funcs.add(alias.asname or alias.name)
-        elif node.module == "numpy":
-            for alias in node.names:
-                if alias.name == "random":
-                    self._np_random_mods.add(alias.asname or alias.name)
-        elif node.module == "numpy.random":
-            for alias in node.names:
-                if alias.name in _SEEDABLE_NP_CTORS:
-                    self._rng_ctors.add(alias.asname or alias.name)
-        elif node.module == "time":
-            for alias in node.names:
-                if alias.name in _TIME_ATTRS:
-                    self._time_funcs.add(alias.asname or alias.name)
-        elif node.module == "datetime":
-            for alias in node.names:
-                if alias.name in ("datetime", "date"):
-                    self._datetime_names.add(alias.asname or alias.name)
-        self.generic_visit(node)
-
-    # -- REP001 / REP003: call-pattern rules -------------------------------
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        # REP001 — module-level random API.
-        if isinstance(func, ast.Attribute):
-            value = func.value
-            if (
-                isinstance(value, ast.Name)
-                and value.id in self._random_mods
-                and func.attr not in _SAFE_RANDOM_ATTRS
-            ):
-                self._emit(
-                    node,
-                    "REP001",
-                    f"call to random.{func.attr}() uses the global RNG; "
-                    "use a seeded random.Random(seed) instance",
-                )
-            elif self._is_np_random(value) and (
-                func.attr not in _SAFE_NP_RANDOM_ATTRS
-            ):
-                self._emit(
-                    node,
-                    "REP001",
-                    f"call to numpy.random.{func.attr}() uses the global "
-                    "RNG; use numpy.random.default_rng(seed)",
-                )
-        elif isinstance(func, ast.Name) and func.id in self._random_funcs:
-            self._emit(
-                node,
-                "REP001",
-                f"call to {func.id}() drawn from the global random module; "
-                "use a seeded random.Random(seed) instance",
+        if node.module is not None and not node.level:
+            self._source(
+                node, source_kind(node.module), f"import from {node.module!r}"
             )
 
-        # REP007 — zero-argument seedable RNG constructors.
-        self._check_unseeded_ctor(node)
+    def visit_Assert(self, node: ast.Assert) -> None:
+        for sub in ast.walk(node.test):
+            if isinstance(sub, ast.Call) and self._call_source(
+                node, sub, in_assert=True
+            ):
+                break
+        self.generic_visit(node)
 
-        # REP003 — wall-clock reads.
-        self._check_wall_clock(node)
-
-        # REP004 — id()-keyed ordering/hashing.
+    def visit_Call(self, node: ast.Call) -> None:
+        self._call_source(node, node)
         self._check_id_ordering(node)
-
         # REP002 — eager conversions of set-typed expressions.
+        func = node.func
         if isinstance(func, ast.Name):
             if func.id in ("list", "tuple", "enumerate", "iter") and node.args:
                 self._check_unordered(node.args[0], f"{func.id}() over")
@@ -387,80 +294,6 @@ class _Checker(ast.NodeVisitor):
                         node.args[0], f"{func.id}(key=...) over"
                     )
         self.generic_visit(node)
-
-    def _is_np_random(self, value: ast.AST) -> bool:
-        """True for an expression denoting the numpy.random module."""
-        if isinstance(value, ast.Name):
-            return value.id in self._np_random_mods
-        return (
-            isinstance(value, ast.Attribute)
-            and value.attr == "random"
-            and isinstance(value.value, ast.Name)
-            and value.value.id in self._numpy_mods
-        )
-
-    def _check_unseeded_ctor(self, node: ast.Call) -> None:
-        """REP007: a seedable RNG constructor called with no seed."""
-        if node.args or node.keywords:
-            return
-        func = node.func
-        name = None
-        if isinstance(func, ast.Attribute):
-            value = func.value
-            if (
-                isinstance(value, ast.Name)
-                and value.id in self._random_mods
-                and func.attr == "Random"
-            ):
-                name = "random.Random"
-            elif self._is_np_random(value) and (
-                func.attr in _SEEDABLE_NP_CTORS
-            ):
-                name = f"numpy.random.{func.attr}"
-        elif isinstance(func, ast.Name) and func.id in self._rng_ctors:
-            name = func.id
-        if name is not None:
-            self._emit(
-                node,
-                "REP007",
-                f"{name}() with no seed draws entropy from the OS; "
-                "fault-injection schedules must replay for a fixed seed — "
-                "pass an explicit seed",
-            )
-
-    def _wall_clock_name(self, node: ast.Call) -> Optional[str]:
-        """A printable name when ``node`` is a wall-clock read."""
-        func = node.func
-        if isinstance(func, ast.Attribute):
-            value = func.value
-            if (
-                isinstance(value, ast.Name)
-                and value.id in self._time_mods
-                and func.attr in _TIME_ATTRS
-            ):
-                return f"time.{func.attr}"
-            if func.attr in _DATETIME_ATTRS and not node.args:
-                root = value
-                while isinstance(root, ast.Attribute):
-                    root = root.value
-                if (
-                    isinstance(root, ast.Name)
-                    and root.id in self._datetime_names
-                ):
-                    return ast.unparse(func)
-        elif isinstance(func, ast.Name) and func.id in self._time_funcs:
-            return func.id
-        return None
-
-    def _check_wall_clock(self, node: ast.Call) -> None:
-        name = self._wall_clock_name(node)
-        if name is not None:
-            self._emit(
-                node,
-                "REP003",
-                f"{name}() reads the wall clock; simulation code must "
-                "use env.now",
-            )
 
     # -- REP004 ------------------------------------------------------------
 
@@ -545,23 +378,6 @@ class _Checker(ast.NodeVisitor):
                     break
         self.generic_visit(node)
 
-    # -- REP008 (wall-clock asserts) ----------------------------------------
-
-    def visit_Assert(self, node: ast.Assert) -> None:
-        for sub in ast.walk(node.test):
-            if isinstance(sub, ast.Call):
-                name = self._wall_clock_name(sub)
-                if name is not None:
-                    self._emit(
-                        node,
-                        "REP008",
-                        f"assert derives from {name}(): a wall-clock "
-                        "condition makes the verdict depend on machine "
-                        "speed; assert on simulated state instead",
-                    )
-                    break
-        self.generic_visit(node)
-
     # -- REP002 ------------------------------------------------------------
 
     def _is_set_typed(self, node: ast.AST) -> Optional[str]:
@@ -596,13 +412,11 @@ class _Checker(ast.NodeVisitor):
                 "across runs; sort or use an ordered structure",
             )
 
-    def visit_For(self, node: ast.For) -> None:
+    def visit_For(self, node: ast.For | ast.AsyncFor) -> None:
         self._check_unordered(node.iter, "for-loop over")
         self.generic_visit(node)
 
-    def visit_AsyncFor(self, node: ast.AsyncFor) -> None:
-        self._check_unordered(node.iter, "for-loop over")
-        self.generic_visit(node)
+    visit_AsyncFor = visit_For
 
     def _visit_comprehension(self, node) -> None:
         for gen in node.generators:
@@ -635,7 +449,9 @@ class _Checker(ast.NodeVisitor):
             return name in _MUTABLE_FACTORIES
         return False
 
-    def _check_defaults(self, node) -> None:
+    def visit_FunctionDef(
+        self, node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda
+    ) -> None:
         args = node.args
         for default in [*args.defaults, *args.kw_defaults]:
             if default is not None and self._is_mutable_default(default):
@@ -645,18 +461,10 @@ class _Checker(ast.NodeVisitor):
                     "mutable default argument is shared across calls; "
                     "default to None and allocate inside the function",
                 )
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._check_defaults(node)
         self.generic_visit(node)
 
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        self._check_defaults(node)
-        self.generic_visit(node)
+    visit_AsyncFunctionDef = visit_FunctionDef
+    visit_Lambda = visit_FunctionDef
 
     # -- REP006 ------------------------------------------------------------
 
@@ -698,25 +506,26 @@ class _Checker(ast.NodeVisitor):
         )
 
 
-def _active_rules(path: str, select: Optional[Set[str]]) -> Set[str]:
+def _active(mod: ModuleInfo, select: Optional[Set[str]]) -> Set[str]:
+    """Selected rules minus the source rules scoped away from ``mod``."""
     active = set(RULES) if select is None else set(select)
-    dirs = _scope_dirs(path)
-    if not dirs & SIM_SCOPE:
-        active.discard("REP001")
-    if not dirs & KERNEL_SCOPE:
-        active.discard("REP003")
-    if not dirs & FAULT_SCOPE:
-        active.discard("REP007")
-    if not dirs & CHAOS_SCOPE:
-        active.discard("REP008")
-    if dirs & LIVE_SCOPE:
-        # The live substrate legitimately reads wall clocks (REP003) and
-        # times real requests (REP008's wall-clock-assert half); the
-        # override beats the kernel/chaos scopes so a ``live`` package
-        # stays lintable for everything else wherever it sits.
-        active.discard("REP003")
-        active.discard("REP008")
-    return active
+    dirs = mod.scope_dirs
+    return active - {r.rule for r in SCOPED_RULES if not r.applies(dirs)}
+
+
+def lint_module(
+    mod: ModuleInfo, select: Optional[Set[str]] = None
+) -> List[Finding]:
+    """Run the file-local rules over one parsed module."""
+    sets = _SetInference()
+    sets.visit(mod.tree)
+    checker = _Checker(mod, sets, _active(mod, select))
+    checker.visit(mod.tree)
+    out = [
+        f for f in checker.findings if not mod.is_suppressed(f.line, f.rule)
+    ]
+    out.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
+    return out
 
 
 def lint_source(
@@ -726,7 +535,7 @@ def lint_source(
 ) -> List[Finding]:
     """Lint one source string; ``path`` drives rule scoping."""
     try:
-        tree = ast.parse(source, filename=path)
+        mod = ModuleInfo.parse(source, path)
     except SyntaxError as exc:
         return [
             Finding(
@@ -737,69 +546,10 @@ def lint_source(
                 message=f"syntax error: {exc.msg}",
             )
         ]
-    sets = _SetInference()
-    sets.visit(tree)
-    checker = _Checker(path, sets, _active_rules(path, select))
-    checker.visit(tree)
-    suppressed = _suppressions(source)
-    out = []
-    for finding in checker.findings:
-        rules = suppressed.get(finding.line, ())
-        if rules is None or finding.rule in rules:
-            continue
-        out.append(finding)
-    out.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return out
+    return lint_module(mod, select)
 
 
 def lint_file(path: str, select: Optional[Set[str]] = None) -> List[Finding]:
     """Lint one file."""
     source = Path(path).read_text(encoding="utf-8")
     return lint_source(source, path=str(path), select=select)
-
-
-_EXCLUDED_DIRS = {"__pycache__", ".git", "build", "dist", ".venv"}
-
-
-def _python_files(paths: Iterable[str]) -> List[str]:
-    files: List[str] = []
-    for raw in paths:
-        p = Path(raw)
-        if p.is_file():
-            files.append(str(p))
-        elif p.is_dir():
-            for sub in sorted(p.rglob("*.py")):
-                parts = set(sub.parts)
-                if parts & _EXCLUDED_DIRS or any(
-                    part.endswith(".egg-info") for part in sub.parts
-                ):
-                    continue
-                files.append(str(sub))
-    return files
-
-
-def lint_paths(
-    paths: Sequence[str], select: Optional[Set[str]] = None
-) -> Tuple[List[Finding], int]:
-    """Lint files/directories; returns (findings, files_checked)."""
-    files = _python_files(paths)
-    findings: List[Finding] = []
-    for f in files:
-        findings.extend(lint_file(f, select=select))
-    return findings, len(files)
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """``repro lint`` entry point.
-
-    The full CLI (whole-program passes, --baseline, --sarif, --explain)
-    lives in :mod:`repro.analysis.engine`; this delegate keeps the
-    historical ``repro.analysis.simlint.main`` import path working.
-    """
-    from .engine import main as engine_main
-
-    return engine_main(argv)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

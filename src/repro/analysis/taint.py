@@ -2,6 +2,9 @@
 
 Sources
 -------
+External calls are classified by :func:`~.modules.source_kind`, the same
+classifier the file-local source rules (REP001/003/007/008/108) use:
+
 * **wall-clock** — ``time.time``/``monotonic``/``perf_counter`` (and the
   ``_ns`` variants), ``datetime.now``/``utcnow``/``today``.  Not a
   source inside ``repro.live`` modules, mirroring the REP003 exemption:
@@ -41,25 +44,28 @@ from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .callgraph import CallGraph, ResolvedCall
-from .modules import FunctionInfo, ProjectModel, dotted_name
+from .modules import (
+    ENTROPY,
+    RNG_DRAW,
+    RNG_UNSEEDED,
+    SEEDABLE_CTORS,
+    WALL_CLOCK,
+    FunctionInfo,
+    ProjectModel,
+    dotted_name,
+    short_qualname,
+    source_kind,
+)
 from .simlint import Finding
 
 __all__ = ["TaintPass", "run"]
 
-_WALL_CLOCK = {
-    "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
-    "time.perf_counter", "time.perf_counter_ns", "time.process_time",
-    "time.process_time_ns", "time.localtime", "time.gmtime",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today", "datetime.now",
-    "datetime.utcnow", "datetime.date.today",
-}
-_ENTROPY = {"os.urandom", "uuid.uuid1", "uuid.uuid4"}
-#: Attributes on the random module that are *not* draws.
-_SAFE_RANDOM = {"Random", "SystemRandom", "getstate", "setstate", "seed"}
-_SAFE_NP_RANDOM = {
-    "default_rng", "Generator", "RandomState", "SeedSequence",
-    "BitGenerator", "PCG64", "Philox", "MT19937", "SFC64",
+#: Source kind -> (taint kind, description template for the target).
+_SOURCES = {
+    WALL_CLOCK: ("wall-clock", "{}()"),
+    RNG_DRAW: ("rng", "global RNG draw {}()"),
+    RNG_UNSEEDED: ("rng", "{}() with no seed"),
+    ENTROPY: ("entropy", "{}()"),
 }
 #: Builtins whose result no longer depends on the input's *order*.
 _ORDER_LAUNDER = {"sorted", "len", "min", "max", "sum", "frozenset", "set"}
@@ -309,15 +315,10 @@ class _FunctionAnalysis:
         """Track ``rng = random.Random(seed)`` so ``rng.random()`` is clean."""
         if not (isinstance(value, ast.Call) and (value.args or value.keywords)):
             return
-        ext = self.mod.ext.call_target(value.func)
-        name = dotted_name(value.func) or ""
-        seeded = (
-            ext in ("random.Random", "numpy.random.default_rng",
-                    "numpy.random.RandomState")
-            or name.endswith((".Random", ".default_rng", ".RandomState"))
-            or name in ("Random", "default_rng", "RandomState")
-        )
-        if not seeded:
+        ext = self.mod.ext.call_target(value.func) or ""
+        # Unresolved spellings (``rng_mod.Random(seed)``) count by name.
+        name = (dotted_name(value.func) or "").rpartition(".")[2]
+        if not any(c == ext or c.endswith(f".{name}") for c in SEEDABLE_CTORS):
             return
         for tgt in targets:
             if isinstance(tgt, ast.Name):
@@ -406,11 +407,11 @@ class _FunctionAnalysis:
             # Push argument taints into the callee's parameters.
             self._push_args(site, callee, node, arg_taints, kw_taints)
             # Pull the callee's return taint back to this call site.
-            short = _short(self.fn.qualname)
+            short = short_qualname(self.fn.qualname)
             for t in sorted(callee_summary.returns):
                 stepped = t.step(
                     f"{self.mod.path}:{node.lineno}: returned by "
-                    f"{_short(site.target)} into {short}"
+                    f"{short_qualname(site.target)} into {short}"
                 )
                 if stepped is not None:
                     result.add(stepped)
@@ -421,7 +422,7 @@ class _FunctionAnalysis:
                 ):
                     stepped = t.step(
                         f"{self.mod.path}:{node.lineno}: flows through "
-                        f"{_short(site.target)} back into {short}"
+                        f"{short_qualname(site.target)} back into {short}"
                     )
                     if stepped is not None:
                         result.add(stepped)
@@ -452,7 +453,7 @@ class _FunctionAnalysis:
         is_method = callee.cls is not None and params[:1] == ["self"]
         offset = 1 if is_method else 0
         summary = self.owner.summaries[callee.qualname]
-        short_callee = _short(callee.qualname)
+        short_callee = short_qualname(callee.qualname)
         changed = False
 
         def push(index: int, taints: Set[Taint]) -> None:
@@ -463,7 +464,7 @@ class _FunctionAnalysis:
                     continue
                 stepped = t.step(
                     f"{self.mod.path}:{node.lineno}: passed to "
-                    f"{short_callee} by {_short(self.fn.qualname)}"
+                    f"{short_callee} by {short_qualname(self.fn.qualname)}"
                 )
                 if stepped is not None:
                     real.add(stepped)
@@ -513,32 +514,11 @@ class _FunctionAnalysis:
                          line=node.lineno)
 
         if ext is not None:
-            if ext in _WALL_CLOCK:
-                return None if live else mk("wall-clock", f"{ext}()")
-            if ext in _ENTROPY:
-                return mk("entropy", f"{ext}()")
-            if ext.startswith("random."):
-                attr = ext[len("random."):]
-                if attr in _SAFE_RANDOM:
-                    # Zero-arg Random() seeds from OS entropy.
-                    if attr == "Random" and not (node.args or node.keywords):
-                        return mk("rng", "random.Random() with no seed")
-                    return None
-                return mk("rng", f"global RNG draw {ext}()")
-            if ext.startswith("numpy.random."):
-                attr = ext[len("numpy.random."):]
-                if attr in _SAFE_NP_RANDOM:
-                    if attr in ("default_rng", "RandomState") and not (
-                        node.args or node.keywords
-                    ):
-                        return mk("rng", f"{ext}() with no seed")
-                    return None
-                return mk("rng", f"global RNG draw {ext}()")
-            if ext.startswith("secrets."):
-                return mk("entropy", f"{ext}()")
-            if ext.startswith("datetime.") and ext in _WALL_CLOCK:
-                return None if live else mk("wall-clock", f"{ext}()")
-            return None
+            kind = source_kind(ext, node)
+            source = _SOURCES.get(kind) if kind is not None else None
+            if source is None or (live and kind == WALL_CLOCK):
+                return None
+            return mk(source[0], source[1].format(ext))
 
         # Draws on a *known seeded* instance are clean; ``.pop()`` on a
         # known set is order-tainted.
@@ -552,11 +532,6 @@ class _FunctionAnalysis:
             ) and not node.args:
                 return mk("set-order", f"{recv}.pop() on a set")
         return None
-
-
-def _short(qualname: str) -> str:
-    parts = qualname.split(".")
-    return ".".join(parts[-2:]) if len(parts) > 1 else qualname
 
 
 class TaintPass:
@@ -655,7 +630,7 @@ class TaintPass:
             self._seen.add(key)
             sink_note = (
                 f"{mod.path}:{node.lineno}: sink: {sink_desc} in "
-                f"{_short(fa.fn.qualname)}"
+                f"{short_qualname(fa.fn.qualname)}"
             )
             self.findings.append(
                 Finding(

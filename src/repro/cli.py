@@ -875,7 +875,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return bench_main(argv[1:])
     if argv and argv[0] == "lint":
         # Likewise for simlint.
-        from .analysis.simlint import main as lint_main
+        from .analysis.engine import main as lint_main
 
         return lint_main(argv[1:])
     if argv and argv[0] == "chaos":

@@ -22,7 +22,7 @@ asyncio front-end:
 Substrate neutrality is enforced structurally: no component stores a
 clock or reads wall time — every method that needs "now" takes it as an
 argument (simulated seconds from the DES, ``clock.now`` wall seconds in
-:mod:`repro.live`).  simlint's REP108 conformance pass guards this: any
+:mod:`repro.live`).  simlint's REP108 rule guards this: any
 wall-clock read inside this package is a lint error.
 """
 

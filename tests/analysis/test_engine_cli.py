@@ -2,6 +2,7 @@
 validation, --sarif output shape, and registry/doc sync."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +44,12 @@ def test_registry_and_rules_dict_in_sync():
         assert rule.id == rid
         assert rule.summary == RULES[rid]
         assert rule.explain.strip(), f"{rid} has no explanation"
+
+
+@pytest.mark.parametrize("rid", rule_ids())
+def test_docs_catalog_has_a_row_per_rule(rid):
+    docs = Path(__file__).resolve().parents[2] / "docs" / "ANALYSIS.md"
+    assert f"| {rid} | {REGISTRY[rid].name} |" in docs.read_text()
 
 
 def test_explain_every_rule():

@@ -3,15 +3,17 @@ suppression syntax, rule scoping by path, and the CLI surface.
 
 The linting entry point is :func:`repro.analysis.lint_source`; ``path``
 controls which rules are active (REP001 only fires in simulation
-packages, REP003 only in kernel packages).
+packages, REP003 only in kernel packages, REP108 only in ``overload``).
 """
 
+import ast
 import json
 
 import pytest
 
 from repro.analysis import RULES, lint_paths, lint_source
-from repro.analysis.simlint import main as lint_main
+from repro.analysis.engine import lint_all, main as lint_main
+from repro.analysis.rules import REGISTRY
 
 SIM_PATH = "src/repro/sim/fixture.py"
 KERNEL_PATH = "src/repro/des/fixture.py"
@@ -98,6 +100,18 @@ def test_rep003_flags_time_time_in_kernel():
 
 def test_rep003_flags_datetime_now_in_kernel():
     src = "from datetime import datetime\nt = datetime.now()\n"
+    assert rules_of(lint_source(src, KERNEL_PATH)) == ["REP003"]
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "import datetime\nt = datetime.datetime.now(datetime.timezone.utc)\n",
+        "from datetime import datetime, timezone\nt = datetime.now(timezone.utc)\n",
+    ],
+    ids=["module-import", "from-import"],
+)
+def test_rep003_flags_tz_aware_datetime_now(src):
     assert rules_of(lint_source(src, KERNEL_PATH)) == ["REP003"]
 
 
@@ -216,7 +230,7 @@ def test_rep007_only_fires_in_fault_packages():
 
 
 def test_rep007_netfaults_is_also_sim_and_kernel_scope():
-    # The netfaults package joined SIM_SCOPE/KERNEL_SCOPE too: global-RNG
+    # The netfaults package is in REP001's and REP003's scope too: global-RNG
     # draws and wall-clock reads are flagged there like everywhere else
     # in the simulator.
     draws = "import random\nx = random.random()\n"
@@ -260,9 +274,23 @@ def test_rep008_flags_wall_clock_assert():
     assert "REP008" in rules_of(lint_source(src, CHAOS_PATH))
 
 
+@pytest.mark.parametrize(
+    "src",
+    [
+        "import datetime\n"
+        "assert datetime.datetime.now(datetime.timezone.utc) < deadline\n",
+        "from datetime import datetime, timezone\n"
+        "assert datetime.now(timezone.utc) < deadline\n",
+    ],
+    ids=["module-import", "from-import"],
+)
+def test_rep008_flags_tz_aware_wall_clock_assert(src):
+    assert rules_of(lint_source(src, CHAOS_PATH)) == ["REP008"]
+
+
 def test_rep008_allows_wall_clock_outside_asserts():
     # chaos soak legitimately budgets real minutes; the chaos package is
-    # outside KERNEL_SCOPE so a plain read is fine — only *asserting* on
+    # outside REP003's scope so a plain read is fine — only *asserting* on
     # one is fragile.
     src = "import time\ndeadline = time.monotonic() + 60.0\n"
     assert lint_source(src, CHAOS_PATH) == []
@@ -279,7 +307,62 @@ def test_rep008_suppression():
     assert lint_source(src, CHAOS_PATH) == []
 
 
-# -- LIVE_SCOPE: the repro.live wall-clock exemption ------------------------
+# -- REP108: clocks in overload components ----------------------------------
+
+#: (path, source, lines flagged REP108).  Overload components take time
+#: only as a ``now`` argument, so the import itself is a finding.
+REP108_CASES = {
+    "import-and-call": (
+        "pkg/overload/limiter.py",
+        "import time\n\ndef observe(latency_s, now):\n"
+        "    return time.monotonic()\n",
+        [1, 4],
+    ),
+    "from-import-alias": (
+        "pkg/overload/breaker.py",
+        "from time import monotonic as mono\n\ndef trip():\n"
+        "    return mono()\n",
+        [1, 4],
+    ),
+    "from-import-class": (
+        "pkg/overload/admission.py",
+        "from datetime import datetime\n\ndef stamp():\n"
+        "    return datetime.now()\n",
+        [1, 4],
+    ),
+    "outside-overload": (
+        "pkg/live/frontend.py",
+        "import time\n\ndef now():\n    return time.monotonic()\n",
+        [],
+    ),
+    "clean": (
+        "pkg/overload/limiter.py",
+        "def observe(latency_s, now):\n    return now + latency_s\n",
+        [],
+    ),
+    "suppressed": (
+        "pkg/overload/debug.py",
+        "import time  # simlint: disable=REP108\n",
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REP108_CASES))
+def test_rep108_overload_clock_use(case):
+    path, src, lines = REP108_CASES[case]
+    findings = lint_source(src, path)
+    assert [(f.rule, f.line) for f in findings] == [
+        ("REP108", line) for line in lines
+    ]
+    assert all("now" in f.message for f in findings)
+
+
+def test_rep108_is_a_local_rule():
+    assert REGISTRY["REP108"].pass_name == "local"
+
+
+# -- live: the repro.live wall-clock exemption ------------------------------
 
 LIVE_PATH = "src/repro/live/fixture.py"
 
@@ -298,7 +381,7 @@ def test_live_scope_permits_wall_clock_asserts():
 
 def test_live_scope_override_beats_kernel_scope():
     # A live package nested under a kernel-scoped directory name stays
-    # exempt: the LIVE_SCOPE override wins.
+    # exempt: the ``live`` exemption wins.
     src = "import time\nt = time.time()\n"
     assert lint_source(src, "src/repro/sim/live/fixture.py") == []
     assert lint_source(src, "src/repro/chaos/live/fixture.py") == []
@@ -390,14 +473,6 @@ def test_cli_exit_codes_and_json(tmp_path, capsys):
     assert payload["findings"][0]["rule"] == "REP002"
 
 
-def test_cli_list_rules_and_unknown_select(capsys):
-    assert lint_main(["--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for rule in RULES:
-        assert rule in out
-    assert lint_main(["--select", "REP999"]) == 2
-
-
 def test_cli_statistics(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text("s = {1}\nfor x in s:\n    pass\nxs = list(s)\n")
@@ -409,3 +484,24 @@ def test_cli_statistics(tmp_path, capsys):
 @pytest.mark.parametrize("rule", sorted(RULES))
 def test_every_rule_has_a_catalog_entry(rule):
     assert RULES[rule]
+
+
+def test_lint_all_parses_each_file_once(tmp_path, monkeypatch):
+    pkg = tmp_path / "pkg"
+    (pkg / "sim").mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "sim" / "__init__.py").write_text("")
+    (pkg / "sim" / "core.py").write_text("def f(x):\n    return x\n")
+    (tmp_path / "loose.py").write_text("x = 1\n")
+    calls = []
+    real_parse = ast.parse
+
+    def counting_parse(source, *args, **kwargs):
+        calls.append(kwargs.get("filename"))
+        return real_parse(source, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    findings, files = lint_all([str(pkg), str(tmp_path / "loose.py")])
+    assert findings == []
+    assert files == 4
+    assert len(calls) == len(set(calls)) == files

@@ -103,6 +103,21 @@ def test_rep101_clean_when_rng_is_seeded():
     assert findings == []
 
 
+def test_rep101_wall_clock_through_from_imported_datetime_class():
+    # ``from datetime import datetime`` binds a class, not a module; the
+    # resolver must still see ``datetime.now()`` as a wall-clock read.
+    findings = run({
+        "pkg.sim": (
+            "from datetime import datetime\n"
+            "\n"
+            "def drive(env):\n"
+            "    env.timeout(datetime.now().second)\n"
+        ),
+    })
+    assert rules_of(findings) == ["REP101"]
+    assert "source (wall-clock): datetime.datetime.now()" in findings[0].trace[0]
+
+
 def test_rep101_wall_clock_exempt_in_live_scope():
     findings = run({
         "repro.live.loop": (

@@ -473,6 +473,14 @@ def test_cli_exit_codes_and_json(tmp_path, capsys):
     assert payload["findings"][0]["rule"] == "REP002"
 
 
+def test_cli_list_rules_and_unknown_select(capsys):
+    assert lint_main(["--list-rules"]) == 0
+    out = capsys.readouterr().out
+    for rule in RULES:
+        assert rule in out
+    assert lint_main(["--select", "REP999"]) == 2
+
+
 def test_cli_statistics(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text("s = {1}\nfor x in s:\n    pass\nxs = list(s)\n")

@@ -6,8 +6,8 @@ LARD, L2S on the calgary trace, two passes), built through
 benchmarks, and the CLI harness all share one scenario definition.
 
 These are timing benchmarks plus determinism canaries — the CI
-regression gate itself is ``repro bench --quick --check
-BENCH_kernel.json`` (see docs/KERNEL.md).
+regression gate itself is ``repro bench --repeats 2 --check
+BENCH_kernel.json``, at the baseline's full scale (see docs/KERNEL.md).
 """
 
 from __future__ import annotations
@@ -69,5 +69,6 @@ def test_committed_baseline_matches_canonical_shape():
     assert meta["passes"] == CANONICAL_PASSES
     for policy in CANONICAL_POLICIES:
         scenario = payload["scenarios"][policy]
+        assert scenario["requests_per_s"] > 0
         assert scenario["events_per_s"] > 0
         assert scenario["throughput_rps"] > 0

@@ -29,15 +29,17 @@ def run_resource_contention(n: int, workers: int = 8) -> int:
     res = Resource(env, capacity=2)
     done = [0]
 
-    def worker(env):
-        for _ in range(n // workers):
-            with res.request() as req:
-                yield req
-                yield env.timeout(0.5)
+    def worker(left):
+        # Each worker's visits run back to back as one hold chain.
+        def visited():
             done[0] += 1
+            if left > 1:
+                worker(left - 1)
+
+        res.hold(0.5, visited)
 
     for _ in range(workers):
-        env.process(worker(env))
+        worker(n // workers)
     env.run()
     return done[0]
 

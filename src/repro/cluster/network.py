@@ -45,8 +45,8 @@ class _MessageChain:
     """Callback-chain delivery of one intra-cluster message.
 
     Charges, in order: sender CPU overhead, sender NI-out, switch,
-    receiver NI-in, receiver CPU overhead — each a pooled hold driven by
-    event callbacks, with no generator process.
+    receiver NI-in, receiver CPU overhead — each a station visit whose
+    one event is its completion, with no generator process.
     """
 
     __slots__ = (
@@ -59,7 +59,6 @@ class _MessageChain:
         "kind",
         "done",
         "on_drop",
-        "_req",
         "_rinc",
         "_extra_delay",
         "_dup",
@@ -87,32 +86,30 @@ class _MessageChain:
         self.kind = kind
         self.done = done
         self.on_drop = on_drop
-        self._req = None
         self._rinc = receiver.incarnation
         self._extra_delay = 0.0
         self._dup = False
         self._tok = tok
 
     def _start(self, _e) -> None:  # simlint: hotpath
-        req = self._req = self.sender.cpu.request(CPU_PROMPT)
-        req.callbacks.append(self._cpu_out_held)
+        self.sender.cpu.acquire(self._cpu_out_granted, CPU_PROMPT)
 
-    def _cpu_out_held(self, _e) -> None:  # simlint: hotpath
+    def _cpu_out_granted(self) -> None:  # simlint: hotpath
         self.env.call_later(
             self.net.config.cpu_msg_overhead_s / self.sender.speed,
             self._cpu_out_done,
         )
 
     def _cpu_out_done(self, _e) -> None:  # simlint: hotpath
-        self.sender.cpu.free(self._req)
-        req = self._req = self.sender.ni_out.request()
-        req.callbacks.append(self._ni_out_held)
+        sender = self.sender
+        sender.cpu.release()
+        sender.ni_out.acquire(self._ni_out_granted)
 
-    def _ni_out_held(self, _e) -> None:  # simlint: hotpath
+    def _ni_out_granted(self) -> None:  # simlint: hotpath
         self.env.call_later(self.ni_time, self._ni_out_done)
 
     def _ni_out_done(self, _e) -> None:  # simlint: hotpath
-        self.sender.ni_out.free(self._req)
+        self.sender.ni_out.release()
         net = self.net
         cfg = net.config
         nf = net.netfaults
@@ -126,12 +123,11 @@ class _MessageChain:
         if net.switch_ports is not None:
             # Output-queued fabric: the destination port serializes
             # transfers headed to the same node.
-            req = self._req = net.switch_ports[self.receiver.id].request()
-            req.callbacks.append(self._port_held)
+            net.switch_ports[self.receiver.id].acquire(self._port_granted)
         else:
             self.env.call_later(cfg.switch_latency_s + self._extra_delay, self._switched)
 
-    def _port_held(self, _e) -> None:  # simlint: hotpath
+    def _port_granted(self) -> None:  # simlint: hotpath
         cfg = self.net.config
         self.env.call_later(
             cfg.switch_latency_s
@@ -141,7 +137,7 @@ class _MessageChain:
         )
 
     def _port_done(self, _e) -> None:  # simlint: hotpath
-        self.net.switch_ports[self.receiver.id].free(self._req)
+        self.net.switch_ports[self.receiver.id].release()
         self._switched(_e)
 
     def _switched(self, _e) -> None:  # simlint: hotpath
@@ -149,22 +145,20 @@ class _MessageChain:
         if receiver.failed or receiver.incarnation != self._rinc:
             self._drop("crash")
             return
-        req = self._req = receiver.ni_in.request()
-        req.callbacks.append(self._ni_in_held)
+        receiver.ni_in.acquire(self._ni_in_granted)
 
-    def _ni_in_held(self, _e) -> None:  # simlint: hotpath
+    def _ni_in_granted(self) -> None:  # simlint: hotpath
         self.env.call_later(self.ni_time, self._ni_in_done)
 
     def _ni_in_done(self, _e) -> None:  # simlint: hotpath
         receiver = self.receiver
-        receiver.ni_in.free(self._req)
+        receiver.ni_in.release()
         if receiver.failed or receiver.incarnation != self._rinc:
             self._drop("crash")
             return
-        req = self._req = receiver.cpu.request(CPU_PROMPT)
-        req.callbacks.append(self._cpu_in_held)
+        receiver.cpu.acquire(self._cpu_in_granted, CPU_PROMPT)
 
-    def _cpu_in_held(self, _e) -> None:  # simlint: hotpath
+    def _cpu_in_granted(self) -> None:  # simlint: hotpath
         self.env.call_later(
             self.net.config.cpu_msg_overhead_s / self.receiver.speed,
             self._cpu_in_done,
@@ -172,8 +166,7 @@ class _MessageChain:
 
     def _cpu_in_done(self, _e) -> None:  # simlint: hotpath
         receiver = self.receiver
-        receiver.cpu.free(self._req)
-        self._req = None
+        receiver.cpu.release()
         if receiver.failed or receiver.incarnation != self._rinc:
             self._drop("crash")
             return
@@ -190,7 +183,6 @@ class _MessageChain:
             self.done()
 
     def _drop(self, cause: str) -> None:
-        self._req = None
         self.net._record_dropped(self.kind, cause, self._tok)
         self._tok = None
         if self.on_drop is not None:
@@ -205,35 +197,32 @@ class _DupDelivery:
     recorded when it was spawned).
     """
 
-    __slots__ = ("net", "env", "receiver", "ni_time", "_req")
+    __slots__ = ("net", "env", "receiver", "ni_time")
 
     def __init__(self, net: "Interconnect", receiver: Node, ni_time: float):
         self.net = net
         self.env = net.env
         self.receiver = receiver
         self.ni_time = ni_time
-        self._req = None
         if not receiver.failed:
-            req = self._req = receiver.ni_in.request()
-            req.callbacks.append(self._ni_held)
+            receiver.ni_in.acquire(self._ni_granted)
 
-    def _ni_held(self, _e) -> None:
+    def _ni_granted(self) -> None:
         self.env.call_later(self.ni_time, self._ni_done)
 
     def _ni_done(self, _e) -> None:
-        self.receiver.ni_in.free(self._req)
-        req = self._req = self.receiver.cpu.request(CPU_PROMPT)
-        req.callbacks.append(self._cpu_held)
+        receiver = self.receiver
+        receiver.ni_in.release()
+        receiver.cpu.acquire(self._cpu_granted, CPU_PROMPT)
 
-    def _cpu_held(self, _e) -> None:
+    def _cpu_granted(self) -> None:
         self.env.call_later(
             self.net.config.cpu_msg_overhead_s / self.receiver.speed,
             self._cpu_done,
         )
 
     def _cpu_done(self, _e) -> None:
-        self.receiver.cpu.free(self._req)
-        self._req = None
+        self.receiver.cpu.release()
 
 
 class Interconnect:

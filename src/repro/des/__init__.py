@@ -34,14 +34,7 @@ from .core import (
 from .events import AllOf, AnyOf, Condition, ConditionValue
 from .monitor import RateMeter, Tally, TimeWeightedValue
 from .sanitize import DESSanitizer, LeakReport, SanitizerError, Violation
-from .resources import (
-    Container,
-    PriorityRequest,
-    PriorityResource,
-    Release,
-    Request,
-    Resource,
-)
+from .resources import Container, PriorityResource, Resource
 from .stores import FilterStore, Store
 
 __all__ = [
@@ -58,9 +51,6 @@ __all__ = [
     "ConditionValue",
     "Resource",
     "PriorityResource",
-    "Request",
-    "PriorityRequest",
-    "Release",
     "Container",
     "Store",
     "FilterStore",

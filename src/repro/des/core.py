@@ -26,15 +26,15 @@ events per run, so this module is written for speed as much as clarity
   so resources and callback chains can schedule completions without
   allocating intermediate events or generator frames;
 * zero-delay *now queues* (kernel v3): events scheduled at exactly the
-  current simulated time — resource grants, ``succeed()``, process
+  current simulated time — zero-delay kicks, ``succeed()``, process
   resumption, interrupts — bypass the heap entirely and land in
   two per-priority FIFO deques drained before the clock advances.  The
   drain respects the exact global (time, priority, eid) order (heap
   items at the current time were scheduled earlier and therefore carry
   smaller ids than any now-queue entry), so results are bit-identical
   to routing everything through the heap; it just skips the
-  O(log n) push/pop and the entry-tuple allocation for the roughly
-  half of all events that fire "now".
+  O(log n) push/pop and the entry-tuple allocation for every event
+  that fires "now".
 
 All of those fast paths are risky enough that the kernel carries an
 optional runtime sanitizer (``Environment(sanitize=True)`` or
@@ -494,8 +494,6 @@ class Environment:
         "_active_proc",
         "_timeout_pool",
         "_cb_pool",
-        "_req_pool",
-        "_preq_pool",
         "_san",
     )
 
@@ -524,10 +522,6 @@ class Environment:
         # check is a single identity test.
         self._timeout_pool: Optional[list] = [] if pool_events else None
         self._cb_pool: Optional[list] = [] if pool_events else None
-        # Resource request free lists (v3): filled by Resource.free()
-        # under the same refcount rules, drained by Resource.request().
-        self._req_pool: Optional[list] = [] if pool_events else None
-        self._preq_pool: Optional[list] = [] if pool_events else None
         # Zero-delay now queues (kernel v3), one per priority level.
         # Sanitized environments leave them empty: every event then flows
         # through the fully-checked heap path, and the sanitizer's
@@ -836,8 +830,8 @@ class Environment:
                 self._now = now = t
             callbacks = event.callbacks
             event.callbacks = None
-            # Almost every event carries exactly one callback (the
-            # grant/chain continuation); skip the iterator for it.
+            # Almost every event carries exactly one callback (a chain
+            # continuation); skip the iterator for it.
             if len(callbacks) == 1:
                 callbacks[0](event)
             else:

@@ -1,96 +1,45 @@
-"""Shared resources with queueing: counted resources and level containers.
+"""Shared resources with queueing: counted stations and level containers.
 
-:class:`Resource` models a server (or pool of ``capacity`` identical
-servers) with a FIFO request queue — the building block for CPUs, NICs,
-disks and router ports in :mod:`repro.cluster`.  :class:`PriorityResource`
-adds a priority to each request.  :class:`Container` models a continuous
-level (e.g. buffer space) with put/get semantics.
+:class:`Resource` models a station (or a pool of ``capacity`` identical
+servers) with a FIFO queue of waiting visits — the building block for
+CPUs, NICs, disks and router ports in :mod:`repro.cluster`.
+:class:`PriorityResource` orders its queue by priority, FIFO within a
+priority.  :class:`Container` models a continuous level (e.g. buffer
+space) with put/get semantics.
 
-Usage::
+A station visit is a callback chain and costs one kernel event, its
+completion::
 
-    cpu = Resource(env, capacity=1)
-    with cpu.request() as req:
-        yield req              # wait until granted
-        yield env.timeout(work)
-    # released on exiting the with-block
+    def granted():                  # runs the instant a slot is granted
+        env.call_later(work, done)  # the visit's one event
+    def done(_e):
+        cpu.release()               # the next queued visit starts now
+    cpu.acquire(granted)
+
+:meth:`Resource.hold` packages exactly that: ``cpu.hold(work, then)``.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
-from heapq import heappush
-from typing import Callable, Deque, List, Optional
+from typing import Any, Callable, Deque, Optional
 
-from .core import Environment, Event, PENDING, _POOL_MAX
+from .core import Environment, Event
 
-try:
-    from sys import getrefcount as _refcount
-except ImportError:  # pragma: no cover - non-CPython: pooling disabled
-    _refcount = None
-
-__all__ = [
-    "Request",
-    "Release",
-    "Resource",
-    "PriorityRequest",
-    "PriorityResource",
-    "Container",
-]
-
-
-class Request(Event):
-    """Request to use a :class:`Resource`; triggers once granted.
-
-    Usable as a context manager: exiting the ``with`` block releases the
-    resource (or cancels the request if it was never granted).
-    """
-
-    __slots__ = ("resource", "usage_since")
-
-    def __init__(self, resource: "Resource"):
-        # Inlined Event.__init__ — requests are the hottest allocation in
-        # a simulation run (see docs/KERNEL.md).
-        self.env = resource.env
-        self.callbacks = []  # simlint: disable=REP104 (fresh-request contract)
-        self._value = PENDING
-        self._ok = True
-        self._defused = False
-        self.resource = resource
-        #: Simulated time the request was granted (None while queued).
-        self.usage_since: Optional[float] = None
-        resource._do_request(self)
-
-    def __enter__(self) -> "Request":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.cancel() if self.usage_since is None else self.release()
-
-    def release(self) -> "Release":
-        """Release the resource (only valid once granted)."""
-        return Release(self.resource, self)
-
-    def cancel(self) -> None:
-        """Withdraw a request that has not been granted yet."""
-        self.resource._do_cancel(self)
-
-
-class Release(Event):
-    """Event that releases a granted :class:`Request` (fires immediately)."""
-
-    __slots__ = ("resource", "request")
-
-    def __init__(self, resource: "Resource", request: Request):
-        super().__init__(resource.env)
-        self.resource = resource
-        self.request = request
-        resource._do_release(request)
-        self.succeed()
+__all__ = ["Resource", "PriorityResource", "Container"]
 
 
 class Resource:
-    """``capacity`` identical servers with a FIFO queue of requests."""
+    """``capacity`` identical servers with a FIFO queue of visits.
+
+    A visit is its ``on_grant`` continuation.  The station calls it
+    synchronously the moment a slot is granted — inside :meth:`acquire`
+    on a free station, or inside the :meth:`release` that hands the
+    slot over — and the continuation schedules the visit's completion
+    (``env.call_later(service, done)``, ``done`` calling
+    :meth:`release`).  Service times are therefore read at grant time,
+    and no grant event is ever scheduled.
+    """
 
     def __init__(self, env: Environment, capacity: int = 1, name: str = ""):
         if capacity <= 0:
@@ -98,8 +47,10 @@ class Resource:
         self.env = env
         self.name = name
         self._capacity = capacity
-        self.queue: Deque[Request] = deque()
-        self.users: List[Request] = []
+        #: Waiting visits in grant order (``(priority, on_grant)`` pairs
+        #: on a :class:`PriorityResource`).
+        self.queue: Deque[Any] = deque()
+        self._busy = 0
         # Cumulative busy time accounting (for utilization metrics).
         self._busy_since: Optional[float] = None
         self._busy_time = 0.0
@@ -107,7 +58,7 @@ class Resource:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"<Resource {self.name or id(self):}, {len(self.users)}/"
+            f"<Resource {self.name or id(self):}, {self._busy}/"
             f"{self._capacity} busy, {len(self.queue)} queued>"
         )
 
@@ -117,8 +68,8 @@ class Resource:
 
     @property
     def count(self) -> int:
-        """Number of requests currently being served."""
-        return len(self.users)
+        """Number of slots currently held."""
+        return self._busy
 
     @property
     def queue_length(self) -> int:
@@ -126,35 +77,93 @@ class Resource:
 
     @property
     def total_served(self) -> int:
-        """Number of requests granted so far."""
+        """Number of visits granted so far."""
         return self._total_served
 
     # simlint: hotpath
-    def request(self) -> Request:
-        """Create (and enqueue) a new request for this resource.
+    def acquire(self, on_grant: Callable[[], None]) -> None:
+        """Grant a slot to ``on_grant`` now if one is free, else queue it."""
+        busy = self._busy
+        if busy < self._capacity:
+            if not busy:
+                self._busy_since = self.env._now
+            self._busy = busy + 1
+            self._total_served += 1
+            on_grant()
+        else:
+            self.queue.append(on_grant)
 
-        Draws from the environment's request free list when pooling is
-        enabled; requests enter the pool via :meth:`free` (fast path
-        only — the generator-path ``release()`` never recycles).
+    # simlint: hotpath
+    def release(self) -> None:
+        """Free one held slot; the next queued visit is granted it now."""
+        queue = self.queue
+        if queue:
+            self._hand_over()
+            queue.popleft()()
+            return
+        busy = self._busy
+        if not busy:
+            raise RuntimeError(f"release of {self!r}, which holds no slot")
+        self._busy = busy - 1
+        if busy == 1:
+            self._busy_time += self.env._now - self._busy_since
+            self._busy_since = None
+
+    def _hand_over(self) -> None:
+        """Account a slot passed straight to the next queued visit.
+
+        The station stays busy, but a lone slot still closes its busy
+        period and opens a new one, so busy time sums the same
+        floating-point terms as a free followed by a grant.
         """
-        pool = self.env._req_pool
-        if pool:
-            req = pool.pop()
-            # Pool-reset contract: recycled request, fresh callbacks.
-            req.callbacks = []  # simlint: disable=REP104
-            req._value = PENDING
-            req._ok = True
-            req._defused = False
-            req.resource = self
-            req.usage_since = None
-            # Inlined _do_request (Resource.request is never inherited by
-            # subclasses with a different queue discipline).
-            if len(self.users) < self._capacity:
-                self._grant(req)
-            else:
-                self.queue.append(req)
-            return req
-        return Request(self)
+        if self._busy == 1:
+            now = self.env._now
+            self._busy_time += now - self._busy_since
+            self._busy_since = now
+        self._total_served += 1
+
+    def withdraw(self, visit: Any) -> None:
+        """Take a visit off this station early (a cancelled chain).
+
+        ``visit`` is what the chain holds at the time: the ``on_grant``
+        of a visit still queued, which leaves the queue and is never
+        granted; or, once granted, the completion event its continuation
+        scheduled, which loses its callbacks — the visit's ``done``
+        never runs — while the slot frees at once.
+        """
+        if isinstance(visit, Event):
+            visit.callbacks.clear()
+            self.release()
+        else:
+            self._dequeue(visit)
+
+    def _dequeue(self, on_grant: Callable[[], None]) -> None:
+        try:
+            self.queue.remove(on_grant)
+        except ValueError:
+            raise RuntimeError(f"{on_grant!r} is not queued at {self!r}") from None
+
+    def hold(
+        self,
+        seconds: float,
+        then: Callable[[], None],
+        priority: Optional[int] = None,
+    ) -> None:
+        """Occupy one slot for ``seconds`` once granted, free it, then
+        call ``then()``.  ``priority`` is for :class:`PriorityResource`."""
+        env = self.env
+
+        def granted() -> None:
+            env.call_later(seconds, done)
+
+        def done(_e) -> None:
+            self.release()
+            then()
+
+        if priority is None:
+            self.acquire(granted)
+        else:
+            self.acquire(granted, priority)  # type: ignore[call-arg]
 
     # -- utilization accounting ------------------------------------------
 
@@ -177,219 +186,50 @@ class Resource:
         """Zero the busy-time counters (e.g. after a warmup phase)."""
         self._busy_time = 0.0
         self._total_served = 0
-        if self.users:
+        if self._busy:
             self._busy_since = self.env.now
         else:
             self._busy_since = None
 
-    # -- internals ---------------------------------------------------------
-
-    # simlint: hotpath
-    def _grant(self, req: Request) -> None:
-        env = self.env
-        now = env._now
-        users = self.users
-        if not users:
-            self._busy_since = now
-        users.append(req)
-        req.usage_since = now
-        self._total_served += 1
-        # Inlined req.succeed() + env._schedule(req, NORMAL): a grant
-        # happens exactly once per request and always fires at the
-        # current time, so it goes straight to the NORMAL now queue
-        # (kernel v3) unless the sanitizer wants the checked path.
-        req._ok = True
-        req._value = None
-        san = env._san
-        if san is None:
-            env._eid += 1
-            env._now_n.append(req)
-            return
-        san.on_schedule(req, now)
-        eid = env._eid = env._eid + 1
-        heappush(env._queue, (now, 1, eid, req))  # NORMAL
-
-    def _do_request(self, req: Request) -> None:
-        if len(self.users) < self._capacity:
-            self._grant(req)
-        else:
-            self.queue.append(req)
-
-    def _do_cancel(self, req: Request) -> None:
-        try:
-            self.queue.remove(req)
-        except ValueError:
-            pass
-
-    # simlint: hotpath
-    def _do_release(self, req: Request) -> None:
-        users = self.users
-        try:
-            users.remove(req)
-        except ValueError:
-            raise RuntimeError(
-                f"release of a request that does not hold {self!r}"
-            ) from None
-        if not users and self._busy_since is not None:
-            self._busy_time += self.env._now - self._busy_since
-            self._busy_since = None
-        # Hand the slot to the next queued request (skipping cancelled).
-        queue = self.queue
-        while queue:
-            nxt = queue.popleft()
-            if nxt._value is PENDING:
-                self._grant(nxt)
-                break
-        # Free-list recycling (kernel v3).  A released request goes back
-        # to the environment pool only when exactly one reference remains
-        # outside this frame (refcount 3 = that reference + the ``req``
-        # parameter + getrefcount's argument) — i.e. the fast-path caller
-        # whose contract is "free, then overwrite the handle".  The
-        # generator path's Release event holds an extra ``.request``
-        # reference, so requests released through ``release()`` are never
-        # recycled; sanitized environments skip recycling so every event
-        # keeps its sanitizer identity.
-        env = self.env
-        if env._san is None:
-            cls = req.__class__
-            if cls is Request:
-                pool = env._req_pool
-            elif cls is PriorityRequest:
-                pool = env._preq_pool
-            else:
-                return
-            if (
-                pool is not None
-                and len(pool) < _POOL_MAX
-                and _refcount(req) == 3
-            ):
-                req._value = PENDING  # poison stale reads
-                pool.append(req)
-
-    #: Release a granted request without allocating a Release event — the
-    #: callback-chain fast path (see ``docs/KERNEL.md``).  Semantics are
-    #: identical to ``request.release()``: the slot is handed to the next
-    #: queued request synchronously, minus the bookkeeping event the
-    #: generator API needs to have something to yield.  The handle may be
-    #: recycled by the call: drop (or overwrite) it immediately after.
-    free = _do_release
-
-    def hold(
-        self,
-        seconds: float,
-        then: Callable[[], None],
-        priority: Optional[int] = None,
-    ) -> None:
-        """Occupy one slot for ``seconds`` once granted, free it, then
-        call ``then()`` — the callback-chain form of ``with request():
-        yield req; yield timeout(seconds)``.  ``priority`` is for
-        :class:`PriorityResource`."""
-        req = (
-            self.request()
-            if priority is None
-            else self.request(priority)  # type: ignore[call-arg]
-        )
-        env = self.env
-
-        def held(_e) -> None:
-            env.call_later(seconds, done)
-
-        def done(_e) -> None:
-            self.free(req)
-            then()
-
-        req.callbacks.append(held)
-
-    def withdraw(self, req: Request) -> None:
-        """Take a callback chain's request off this resource early.
-
-        The chain twin of an exception leaving a ``with request()``
-        block: a queued request leaves the queue, a granted one frees its
-        slot at once.  A grant not yet processed loses its callbacks, so
-        the chain's continuation never runs.  Drop the handle afterwards,
-        as with :meth:`free`.
-        """
-        if req.usage_since is None:
-            self._do_cancel(req)
-            return
-        if req.callbacks:
-            req.callbacks.clear()
-        self._do_release(req)
-
-
-class PriorityRequest(Request):
-    """Request with a priority; lower values are served first.
-
-    Ties are broken FIFO via a monotonically increasing sequence number.
-    """
-
-    __slots__ = ("priority", "seq", "key")
-
-    _seq = itertools.count()
-
-    def __init__(self, resource: "PriorityResource", priority: int = 0):
-        self.priority = priority
-        seq = self.seq = next(PriorityRequest._seq)
-        #: Sort key; stored (not computed) — the queue scan reads it a lot.
-        self.key = (priority, seq)
-        # Inlined Request/Event.__init__ (hot allocation; see docs/KERNEL.md).
-        self.env = resource.env
-        self.callbacks = []  # simlint: disable=REP104 (fresh-request contract)
-        self._value = PENDING
-        self._ok = True
-        self._defused = False
-        self.resource = resource
-        self.usage_since = None
-        resource._do_request(self)
-
 
 class PriorityResource(Resource):
-    """Resource whose queue is ordered by request priority."""
+    """Resource whose queue is ordered by priority; lower values are
+    served first, FIFO within a priority."""
 
     # simlint: hotpath
-    def request(self, priority: int = 0) -> PriorityRequest:  # type: ignore[override]
-        pool = self.env._preq_pool
-        if pool:
-            req = pool.pop()
-            req.priority = priority
-            seq = req.seq = next(PriorityRequest._seq)
-            req.key = (priority, seq)
-            # Pool-reset contract: recycled request, fresh callbacks.
-            req.callbacks = []  # simlint: disable=REP104
-            req._value = PENDING
-            req._ok = True
-            req._defused = False
-            req.resource = self
-            req.usage_since = None
-            if len(self.users) < self._capacity:
-                self._grant(req)
-            else:
-                self._enqueue(req)
-            return req
-        return PriorityRequest(self, priority)
-
-    def _do_request(self, req: Request) -> None:
-        if len(self.users) < self._capacity:
-            self._grant(req)
-        else:
-            self._enqueue(req)
-
-    # simlint: hotpath
-    def _enqueue(self, req: Request) -> None:
-        # Insert keeping the queue sorted by (priority, seq).  Seq is
-        # monotonic, so a request at the tail's priority (or lower)
-        # always appends — the common case is O(1) and the scan only
-        # runs when a higher-priority request overtakes a queue.
-        q = self.queue
-        key = req.key  # type: ignore[attr-defined]
-        if not q or q[-1].key <= key:  # type: ignore[attr-defined]
-            q.append(req)
+    def acquire(  # type: ignore[override]
+        self, on_grant: Callable[[], None], priority: int = 0
+    ) -> None:
+        if self._busy < self._capacity:
+            Resource.acquire(self, on_grant)
             return
-        for i, other in enumerate(q):
-            if other.key > key:  # type: ignore[attr-defined]
-                q.insert(i, req)
+        # Insert behind every visit of the same or a better priority.
+        # The common case appends; the scan only runs when a visit
+        # overtakes waiting visits of a worse priority.
+        q = self.queue
+        if not q or q[-1][0] <= priority:
+            q.append((priority, on_grant))
+            return
+        for i, (p, _) in enumerate(q):
+            if p > priority:
+                q.insert(i, (priority, on_grant))
                 return
-        q.append(req)
+
+    # simlint: hotpath
+    def release(self) -> None:
+        queue = self.queue
+        if queue:
+            self._hand_over()
+            queue.popleft()[1]()
+        else:
+            Resource.release(self)
+
+    def _dequeue(self, on_grant: Callable[[], None]) -> None:
+        for entry in self.queue:
+            if entry[1] == on_grant:
+                self.queue.remove(entry)
+                return
+        raise RuntimeError(f"{on_grant!r} is not queued at {self!r}")
 
 
 class ContainerPut(Event):

@@ -222,9 +222,9 @@ class DESSanitizer:
     def _record_for(self, event: Any) -> _EventRecord:
         """The record for ``event``, creating one if it is unknown.
 
-        Events that inline ``Event.__init__`` (Request and friends) first
-        become visible at their first scheduling; they get a record on
-        demand so provenance is as close to the creation site as possible.
+        Every kernel event is recorded by ``on_create``; an event the
+        sanitizer never saw created (one that skipped ``Event.__init__``)
+        gets its record on demand here, at its first scheduling.
         """
         rec = self._records.get(id(event))
         if rec is None:

@@ -75,16 +75,20 @@ class _FastRequest:
     Walks the stage sequence — router, NI-in, parse, decide, (forward +
     hand-off), connection open, fetch, reply, NI-out, router — with the
     incarnation-aware abort checks at the stage boundaries, driven by
-    event callbacks and pooled holds: no generator process, and no
-    ``Timeout`` or ``Release`` event per stage.
+    event callbacks: no generator process, and one kernel event — the
+    completion — per station visit.
 
-    A stage holds at most one station, in ``_req``; while the chain
-    waits on anything else (the hand-off, a dispatcher round-trip, a
-    remote DFS read) ``_req`` is None.  :meth:`cancel` relies on that to
-    leave the queue or free the station at once; every later callback of
-    the chain then sees ``ended`` and does nothing.  Messages the request
-    already sent, and work it handed to other nodes (a dispatcher's
-    decision, a DFS home's disk read), run to their end regardless.
+    A stage visits at most one station, ``_at``; ``_visit`` is the
+    visit's ``on_grant`` continuation while it queues there and the
+    completion event once it holds the station.  While the chain waits
+    on anything else (the hand-off, a dispatcher round-trip, a remote
+    DFS read) ``_at`` is None.  :meth:`cancel` hands ``_visit`` to
+    ``Resource.withdraw``, which leaves the queue or frees the station
+    at once and drops the completion, so no station stage runs after a
+    cancel; every other later callback of the chain sees ``ended`` and
+    does nothing.  Messages the request already sent, and work it handed
+    to other nodes (a dispatcher's decision, a DFS home's disk read), run
+    to their end regardless.
     """
 
     __slots__ = (
@@ -109,7 +113,8 @@ class _FastRequest:
         "ended",
         "redispatched",
         "misses_before",
-        "_req",
+        "_at",
+        "_visit",
         "_san_tok",
     )
 
@@ -137,7 +142,8 @@ class _FastRequest:
         self.opened = False
         self.ended = False
         self.redispatched = 0
-        self._req = None
+        self._at = None
+        self._visit = None
         # Sanitized runs track each chain as one in-flight operation so
         # a stalled request (no pending event to leak) is still reported.
         san = self.env._san
@@ -162,10 +168,11 @@ class _FastRequest:
     def _cancelled(self, _e) -> None:  # simlint: hotpath
         if self.ended:
             return
-        req = self._req
-        if req is not None:
-            self._req = None
-            req.resource.withdraw(req)
+        station = self._at
+        if station is not None:
+            visit = self._visit
+            self._at = self._visit = None
+            station.withdraw(visit)
         if self.opened:
             self._close_connection()
         self._abort()
@@ -218,48 +225,46 @@ class _FastRequest:
             return
         self.initial_node = node = self.cluster.node(self.initial)
         self.initial_inc = node.incarnation
-        req = self._req = self.cluster.net.router.request()
-        req.callbacks.append(self._route_in_held)
+        station = self._at = self.cluster.net.router
+        grant = self._visit = self._route_in_granted
+        station.acquire(grant)
 
-    def _route_in_held(self, _e) -> None:  # simlint: hotpath
-        self.env.call_later(
+    def _route_in_granted(self) -> None:  # simlint: hotpath
+        self._visit = self.env.call_later(
             self.hw.route_time(self.hw.request_kb), self._route_in_done
         )
 
     def _route_in_done(self, _e) -> None:  # simlint: hotpath
-        if self.ended:
-            return
-        self.cluster.net.router.free(self._req)
+        self.cluster.net.router.release()
         if self._initial_dead():
             _breaker_failure(self.cluster, self.initial)
             self._abort()
             return
-        req = self._req = self.initial_node.ni_in.request()
-        req.callbacks.append(self._ni_in_held)
+        station = self._at = self.initial_node.ni_in
+        grant = self._visit = self._ni_in_granted
+        station.acquire(grant)
 
-    def _ni_in_held(self, _e) -> None:  # simlint: hotpath
-        self.env.call_later(
+    def _ni_in_granted(self) -> None:  # simlint: hotpath
+        self._visit = self.env.call_later(
             self.hw.ni_message_time(self.hw.request_kb), self._ni_in_done
         )
 
     def _ni_in_done(self, _e) -> None:  # simlint: hotpath
-        if self.ended:
-            return
-        self.initial_node.ni_in.free(self._req)
-        req = self._req = self.initial_node.cpu.request(CPU_PROMPT)
-        req.callbacks.append(self._parse_held)
+        self.initial_node.ni_in.release()
+        station = self._at = self.initial_node.cpu
+        grant = self._visit = self._parse_granted
+        station.acquire(grant, CPU_PROMPT)
 
-    def _parse_held(self, _e) -> None:  # simlint: hotpath
-        self.env.call_later(
+    def _parse_granted(self) -> None:  # simlint: hotpath
+        self._visit = self.env.call_later(
             self.hw.parse_time() / self.initial_node.speed, self._parse_done
         )
 
     # -- decide + hand-off -------------------------------------------------
 
     def _parse_done(self, _e) -> None:  # simlint: hotpath
-        if self.ended:
-            return
-        self.initial_node.cpu.free(self._req)
+        self.initial_node.cpu.release()
+        self._at = self._visit = None
         if self._initial_dead():
             _breaker_failure(self.cluster, self.initial)
             self._abort()
@@ -272,7 +277,6 @@ class _FastRequest:
             if policy.async_decide:
                 # Dispatcher-style policies decide through the messaging
                 # layer (lard-ng's query round-trip).
-                self._req = None
                 policy.decide_cb(
                     self.initial, self.file_id, self._decided, self._undecided
                 )
@@ -290,8 +294,9 @@ class _FastRequest:
         if decision.forwarded:
             node = self.initial_node
             node.forwarded += 1
-            req = self._req = node.cpu.request(CPU_PROMPT)
-            req.callbacks.append(self._forward_held)
+            station = self._at = node.cpu
+            grant = self._visit = self._forward_granted
+            station.acquire(grant, CPU_PROMPT)
         else:
             self._at_service()
 
@@ -303,16 +308,14 @@ class _FastRequest:
         _breaker_failure(self.cluster, self.initial)
         self._abort()
 
-    def _forward_held(self, _e) -> None:  # simlint: hotpath
-        self.env.call_later(
+    def _forward_granted(self) -> None:  # simlint: hotpath
+        self._visit = self.env.call_later(
             self.hw.forward_time() / self.initial_node.speed, self._forward_done
         )
 
     def _forward_done(self, _e) -> None:  # simlint: hotpath
-        if self.ended:
-            return
-        self.initial_node.cpu.free(self._req)
-        self._req = None
+        self.initial_node.cpu.release()
+        self._at = self._visit = None
         self.cluster.net.transmit_cb(
             self.initial,
             self.decision.target,
@@ -389,7 +392,6 @@ class _FastRequest:
         if node.cache.lookup(self.file_id):
             self._after_fetch()
             return
-        self._req = None
         self.cluster.dfs.read_cb(
             target,
             self.file_id,
@@ -413,16 +415,18 @@ class _FastRequest:
         if self.ended:
             # A remote read gave up after the request was cancelled.
             return
-        req = self._req = self.service_node.disk.request()
-        req.callbacks.append(self._disk_held)
+        station = self._at = self.service_node.disk
+        grant = self._visit = self._disk_granted
+        station.acquire(grant)
 
-    def _disk_held(self, _e) -> None:  # simlint: hotpath
-        self.env.call_later(self.hw.disk_time(self.size_kb), self._disk_done)
+    def _disk_granted(self) -> None:  # simlint: hotpath
+        self._visit = self.env.call_later(
+            self.hw.disk_time(self.size_kb), self._disk_done
+        )
 
     def _disk_done(self, _e) -> None:  # simlint: hotpath
-        if self.ended:
-            return
-        self.service_node.disk.free(self._req)
+        self.service_node.disk.release()
+        self._at = self._visit = None
         self._fetched()
 
     def _fetched(self) -> None:
@@ -435,46 +439,46 @@ class _FastRequest:
             self._close_connection()
             self._abort()
             return
-        req = self._req = self.service_node.cpu.request(CPU_BULK)
-        req.callbacks.append(self._reply_held)
+        station = self._at = self.service_node.cpu
+        grant = self._visit = self._reply_granted
+        station.acquire(grant, CPU_BULK)
 
-    def _reply_held(self, _e) -> None:  # simlint: hotpath
-        self.env.call_later(
+    def _reply_granted(self) -> None:  # simlint: hotpath
+        self._visit = self.env.call_later(
             self.hw.reply_time(self.size_kb) / self.service_node.speed,
             self._reply_done,
         )
 
     def _reply_done(self, _e) -> None:  # simlint: hotpath
-        if self.ended:
-            return
-        self.service_node.cpu.free(self._req)
+        self.service_node.cpu.release()
         if self._service_dead():
             _breaker_failure(self.cluster, self.decision.target)
             self._close_connection()
             self._abort()
             return
-        req = self._req = self.service_node.ni_out.request()
-        req.callbacks.append(self._ni_out_held)
+        station = self._at = self.service_node.ni_out
+        grant = self._visit = self._ni_out_granted
+        station.acquire(grant)
 
-    def _ni_out_held(self, _e) -> None:  # simlint: hotpath
-        self.env.call_later(
+    def _ni_out_granted(self) -> None:  # simlint: hotpath
+        self._visit = self.env.call_later(
             self.hw.ni_reply_time(self.size_kb), self._ni_out_done
         )
 
     def _ni_out_done(self, _e) -> None:  # simlint: hotpath
-        if self.ended:
-            return
-        self.service_node.ni_out.free(self._req)
-        req = self._req = self.cluster.net.router.request()
-        req.callbacks.append(self._route_out_held)
+        self.service_node.ni_out.release()
+        station = self._at = self.cluster.net.router
+        grant = self._visit = self._route_out_granted
+        station.acquire(grant)
 
-    def _route_out_held(self, _e) -> None:  # simlint: hotpath
-        self.env.call_later(self.hw.route_time(self.size_kb), self._route_out_done)
+    def _route_out_granted(self) -> None:  # simlint: hotpath
+        self._visit = self.env.call_later(
+            self.hw.route_time(self.size_kb), self._route_out_done
+        )
 
     def _route_out_done(self, _e) -> None:  # simlint: hotpath
-        if self.ended:
-            return
-        self.cluster.net.router.free(self._req)
+        self.cluster.net.router.release()
+        self._at = self._visit = None
         self._close_connection()
         _breaker_success(self.cluster, self.decision.target)
         self._end()

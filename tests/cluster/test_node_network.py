@@ -80,14 +80,8 @@ def test_node_cpu_occupancy_is_serialized():
     node = cluster.node(0)
     done = []
 
-    def work(name):
-        with node.cpu.request() as req:
-            yield req
-            yield env.timeout(1.0)
-        done.append((name, env.now))
-
-    env.process(work("a"))
-    env.process(work("b"))
+    node.cpu.hold(1.0, lambda: done.append(("a", env.now)))
+    node.cpu.hold(1.0, lambda: done.append(("b", env.now)))
     env.run()
     assert done == [("a", 1.0), ("b", 2.0)]
 
@@ -141,14 +135,11 @@ def test_router_serializes_transfers():
     router = cluster.net.router
     times = []
 
-    def xfer():
-        with router.request() as req:
-            yield req
-            yield env.timeout(cluster.config.hardware.route_time(500.0))
-        times.append(env.now)
-
-    env.process(xfer())  # 1 ms each at 500000 KB/s
-    env.process(xfer())
+    for _ in range(2):  # 1 ms each at 500000 KB/s
+        router.hold(
+            cluster.config.hardware.route_time(500.0),
+            lambda: times.append(env.now),
+        )
     env.run()
     assert times == [pytest.approx(0.001), pytest.approx(0.002)]
 

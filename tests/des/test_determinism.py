@@ -25,10 +25,12 @@ def build_and_run(seed: int):
         for step in range(rng_local.randint(1, 4)):
             choice = rng_local.random()
             if choice < 0.4:
-                with res.request() as req:
-                    yield req
-                    log.append(("res", name, env.now))
-                    yield env.timeout(rng_local.uniform(0, 2))
+                granted = env.event()
+                res.acquire(granted.succeed)
+                yield granted
+                log.append(("res", name, env.now))
+                yield env.timeout(rng_local.uniform(0, 2))
+                res.release()
             elif choice < 0.7:
                 yield store.put((name, step))
                 log.append(("put", name, env.now))

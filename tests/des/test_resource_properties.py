@@ -1,8 +1,8 @@
 """Property tests: Resource semantics against a reference model.
 
-Random workloads of request/hold/release cycles are checked against an
+Random workloads of acquire/hold/release visits are checked against an
 oracle: at no instant do more than ``capacity`` holders exist, grants
-are FIFO among waiting requests, and total busy time matches the union
+are FIFO among waiting visits, and total busy time matches the union
 of holding intervals.
 """
 
@@ -31,18 +31,21 @@ def test_property_capacity_never_exceeded(capacity, jobs):
     max_holding = [0]
     grants = []
 
-    def job(env, jid, arrival, hold):
-        yield env.timeout(arrival)
-        with res.request() as req:
-            yield req
+    def job(jid, hold):
+        def granted():
             grants.append((env.now, jid))
             holding[0] += 1
             max_holding[0] = max(max_holding[0], holding[0])
-            yield env.timeout(hold)
+            env.call_later(hold, done)
+
+        def done(_e):
             holding[0] -= 1
+            res.release()
+
+        res.acquire(granted)
 
     for jid, (arrival, hold) in enumerate(jobs):
-        env.process(job(env, jid, arrival, hold))
+        env.schedule_callback(arrival, lambda jid=jid, hold=hold: job(jid, hold))
     env.run()
 
     assert max_holding[0] <= capacity
@@ -61,19 +64,13 @@ def test_property_capacity_never_exceeded(capacity, jobs):
 )
 @settings(max_examples=40, deadline=None)
 def test_property_fifo_grant_order_same_arrival(holds):
-    """Requests created in order at the same instant are granted in order."""
+    """Visits queued in order at the same instant are granted in order."""
     env = Environment()
     res = Resource(env, capacity=1)
     order = []
 
-    def job(env, jid, hold):
-        with res.request() as req:
-            yield req
-            order.append(jid)
-            yield env.timeout(hold)
-
     for jid, hold in enumerate(holds):
-        env.process(job(env, jid, hold))
+        res.hold(hold, lambda jid=jid: order.append(jid))
     env.run()
     assert order == list(range(len(holds)))
 
@@ -95,15 +92,18 @@ def test_property_busy_time_matches_interval_union(jobs):
     res = Resource(env, capacity=1)
     total_hold = [0.0]
 
-    def job(env, arrival, hold):
-        yield env.timeout(arrival)
-        with res.request() as req:
-            yield req
+    def job(hold):
+        def granted():
             start = env.now
-            yield env.timeout(hold)
+            env.call_later(hold, lambda _e: done(start))
+
+        def done(start):
             total_hold[0] += env.now - start
+            res.release()
+
+        res.acquire(granted)
 
     for arrival, hold in jobs:
-        env.process(job(env, arrival, hold))
+        env.schedule_callback(arrival, lambda hold=hold: job(hold))
     env.run()
     assert abs(res.busy_time() - total_hold[0]) < 1e-9

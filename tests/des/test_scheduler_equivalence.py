@@ -87,14 +87,22 @@ def _storm(driver: str, pooling: bool, sanitize: bool, seed: int):
                 continue
             log.append((env.now, "tick", wid, step))
             if rng.random() < 0.4:
+                granted = env.event()
+                res.acquire(granted.succeed)
                 try:
-                    with res.request() as req:
-                        yield req
-                        log.append((env.now, "hold", wid, step))
-                        yield env.timeout(rng.choice([0, 1, 3]))
-                    log.append((env.now, "release", wid, step))
+                    yield granted
+                    log.append((env.now, "hold", wid, step))
+                    yield env.timeout(rng.choice([0, 1, 3]))
                 except Interrupt as i:
+                    # Granted: free the slot; still queued: leave the queue.
+                    if granted.triggered:
+                        res.release()
+                    else:
+                        res.withdraw(granted.succeed)
                     log.append((env.now, "interrupted-res", wid, step, str(i.cause)))
+                else:
+                    res.release()
+                    log.append((env.now, "release", wid, step))
 
     def chaos(procs):
         for _ in range(10):

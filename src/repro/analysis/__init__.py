@@ -32,7 +32,6 @@ from ..des.sanitize import (
     LeakReport,
     SanitizerError,
     Violation,
-    force_recycle,
 )
 from .rules import REGISTRY, RULES, Rule, explain, rule_ids
 from .engine import lint_paths
@@ -52,5 +51,4 @@ __all__ = [
     "SanitizerError",
     "LeakReport",
     "Violation",
-    "force_recycle",
 ]

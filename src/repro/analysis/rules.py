@@ -153,8 +153,8 @@ A nondeterministic value — a wall-clock read, a draw from an unseeded
 RNG, OS entropy (``os.urandom``/``uuid.uuid4``), or a value whose order
 came from set/dict iteration — flows (possibly through several function
 calls and modules) into an ``Environment`` scheduling sink:
-``timeout()``, ``call_later()``, ``schedule_callback()``,
-``succeed_at()``, ``_schedule()``, or a ``Timeout`` constructor.  Event
+``timeout()``, ``call_later()``, ``_schedule()``, or a ``Timeout``
+constructor.  Event
 timing then differs run to run, which breaks byte-identical replay.
 The finding reports the full source → sink path.  Derive delays from
 simulated state and seeded RNG instances only.

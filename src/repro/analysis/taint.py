@@ -30,8 +30,7 @@ source → sink path.
 Sinks
 -----
 * REP101 — kernel scheduling calls: ``timeout``, ``call_later``,
-  ``schedule_callback``, ``succeed_at``, ``_schedule``, ``schedule``,
-  and ``Timeout(...)`` construction.
+  ``_schedule``, ``schedule``, and ``Timeout(...)`` construction.
 * REP102 — ``SimResult(...)`` construction (any argument).
 * REP103 — ``Scenario(...)`` / ``PlanItem(...)`` construction and
   methods of ``ScenarioGenerator`` subclasses.
@@ -71,8 +70,7 @@ _SOURCES = {
 _ORDER_LAUNDER = {"sorted", "len", "min", "max", "sum", "frozenset", "set"}
 
 _SCHEDULING_SINKS = {
-    "timeout", "call_later", "schedule_callback", "succeed_at",
-    "_schedule", "schedule",
+    "timeout", "call_later", "_schedule", "schedule",
 }
 
 #: Max provenance steps kept per taint (also bounds fixpoint growth).

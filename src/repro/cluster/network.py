@@ -91,7 +91,7 @@ class _MessageChain:
         self._dup = False
         self._tok = tok
 
-    def _start(self, _e) -> None:  # simlint: hotpath
+    def _start(self) -> None:  # simlint: hotpath
         self.sender.cpu.acquire(self._cpu_out_granted, CPU_PROMPT)
 
     def _cpu_out_granted(self) -> None:  # simlint: hotpath
@@ -100,7 +100,7 @@ class _MessageChain:
             self._cpu_out_done,
         )
 
-    def _cpu_out_done(self, _e) -> None:  # simlint: hotpath
+    def _cpu_out_done(self) -> None:  # simlint: hotpath
         sender = self.sender
         sender.cpu.release()
         sender.ni_out.acquire(self._ni_out_granted)
@@ -108,7 +108,7 @@ class _MessageChain:
     def _ni_out_granted(self) -> None:  # simlint: hotpath
         self.env.call_later(self.ni_time, self._ni_out_done)
 
-    def _ni_out_done(self, _e) -> None:  # simlint: hotpath
+    def _ni_out_done(self) -> None:  # simlint: hotpath
         self.sender.ni_out.release()
         net = self.net
         cfg = net.config
@@ -136,11 +136,11 @@ class _MessageChain:
             self._port_done,
         )
 
-    def _port_done(self, _e) -> None:  # simlint: hotpath
+    def _port_done(self) -> None:  # simlint: hotpath
         self.net.switch_ports[self.receiver.id].release()
-        self._switched(_e)
+        self._switched()
 
-    def _switched(self, _e) -> None:  # simlint: hotpath
+    def _switched(self) -> None:  # simlint: hotpath
         receiver = self.receiver
         if receiver.failed or receiver.incarnation != self._rinc:
             self._drop("crash")
@@ -150,7 +150,7 @@ class _MessageChain:
     def _ni_in_granted(self) -> None:  # simlint: hotpath
         self.env.call_later(self.ni_time, self._ni_in_done)
 
-    def _ni_in_done(self, _e) -> None:  # simlint: hotpath
+    def _ni_in_done(self) -> None:  # simlint: hotpath
         receiver = self.receiver
         receiver.ni_in.release()
         if receiver.failed or receiver.incarnation != self._rinc:
@@ -164,7 +164,7 @@ class _MessageChain:
             self._cpu_in_done,
         )
 
-    def _cpu_in_done(self, _e) -> None:  # simlint: hotpath
+    def _cpu_in_done(self) -> None:  # simlint: hotpath
         receiver = self.receiver
         receiver.cpu.release()
         if receiver.failed or receiver.incarnation != self._rinc:
@@ -210,7 +210,7 @@ class _DupDelivery:
     def _ni_granted(self) -> None:
         self.env.call_later(self.ni_time, self._ni_done)
 
-    def _ni_done(self, _e) -> None:
+    def _ni_done(self) -> None:
         receiver = self.receiver
         receiver.ni_in.release()
         receiver.cpu.acquire(self._cpu_granted, CPU_PROMPT)
@@ -221,7 +221,7 @@ class _DupDelivery:
             self._cpu_done,
         )
 
-    def _cpu_done(self, _e) -> None:
+    def _cpu_done(self) -> None:
         self.receiver.cpu.release()
 
 
@@ -371,7 +371,7 @@ class Interconnect:
         if chain is not None:
             self.env.call_later(0.0, chain._start, priority=URGENT)
         elif done is not None:
-            self.env.call_later(0.0, lambda _e: done(), priority=URGENT)
+            self.env.call_later(0.0, done, priority=URGENT)
 
     def send_message_inline(
         self,
@@ -393,7 +393,7 @@ class Interconnect:
         if chain is None:
             done()
         else:
-            chain._start(None)
+            chain._start()
 
     def send_control_cb(
         self,

@@ -1,10 +1,12 @@
 """``repro.des`` — a small, deterministic discrete-event simulation kernel.
 
-A from-scratch, simpy-style kernel: processes are Python generators that
-yield events; :class:`Environment` advances a global clock over a binary
-heap of scheduled events.  See :mod:`repro.des.core` for the execution
-model and :mod:`repro.des.resources` / :mod:`repro.des.stores` for the
-queueing primitives the cluster simulator is built on.
+A from-scratch kernel: :class:`Environment` advances a global clock over
+a binary heap of scheduled zero-argument continuations
+(:meth:`Environment.call_later`), and simpy-style processes — Python
+generators that yield events — run on top.  See :mod:`repro.des.core`
+for the execution model and :mod:`repro.des.resources` /
+:mod:`repro.des.stores` for the queueing primitives the cluster
+simulator is built on.
 
 Example
 -------

@@ -15,17 +15,18 @@ The simulator in :mod:`repro.sim` schedules on the order of millions of
 events per run, so this module is written for speed as much as clarity
 (see ``docs/KERNEL.md`` for the full story):
 
-* ``__slots__`` everywhere on the hot classes;
-* one C-accelerated binary heap of ``(time, priority, eid, event)``
-  entries, drained by one event loop (:meth:`Environment._dispatch`)
-  that :meth:`Environment.run`, :meth:`Environment.step` and sanitized
-  runs all share;
-* a free-list pool recycling :class:`Timeout` and internal callback
-  events once processed (``REPRO_DES_POOL=0`` disables it);
-* :meth:`Environment.call_later` / :meth:`Event.succeed_at` fast paths
-  so resources and callback chains can schedule completions without
-  allocating intermediate events or generator frames;
-* zero-delay *now queues* (kernel v3): events scheduled at exactly the
+* the heap schedules *continuations*, not events:
+  :meth:`Environment.call_later` pushes one small ``[time, priority,
+  eid, fn]`` list and returns it as the handle, and the event loop
+  (:meth:`Environment._dispatch`, shared by :meth:`Environment.run`,
+  :meth:`Environment.step` and sanitized runs) pops an entry and calls
+  ``fn()``.  An :class:`Event` is scheduled as the entry of its
+  ``_fire`` method, which runs its callbacks;
+* a scheduled continuation is cancelled by blanking its entry's ``fn``
+  (the entry still pops, so event counts and order never change), and a
+  retained handle is harmless: blanking an entry that has already fired
+  does nothing;
+* zero-delay *now queues* (kernel v3): entries scheduled at exactly the
   current simulated time — zero-delay kicks, ``succeed()``, process
   resumption, interrupts — bypass the heap entirely and land in
   two per-priority FIFO deques drained before the clock advances.  The
@@ -33,17 +34,15 @@ events per run, so this module is written for speed as much as clarity
   items at the current time were scheduled earlier and therefore carry
   smaller ids than any now-queue entry), so results are bit-identical
   to routing everything through the heap; it just skips the
-  O(log n) push/pop and the entry-tuple allocation for every event
-  that fires "now".
+  O(log n) push/pop for every entry that fires "now".
 
-All of those fast paths are risky enough that the kernel carries an
-optional runtime sanitizer (``Environment(sanitize=True)`` or
-``REPRO_DES_SANITIZE=1``): every scheduling entry point and every pop is
-then routed through :mod:`repro.des.sanitize`'s invariant checks
-(use-after-recycle poisoning, time monotonicity, tie-break order, double
-triggers, end-of-run leak accounting).  When the sanitizer is off the
-hooks reduce to a single predictable-branch ``None`` check per entry
-point, which the bench regression gate shows is free.
+The kernel carries an optional runtime sanitizer
+(``Environment(sanitize=True)`` or ``REPRO_DES_SANITIZE=1``): every
+scheduling entry point and every pop is then routed through
+:mod:`repro.des.sanitize`'s invariant checks (time monotonicity,
+tie-break order, double triggers, end-of-run leak accounting).  When the
+sanitizer is off the hooks reduce to a single predictable-branch
+``None`` check per entry point.
 """
 
 from __future__ import annotations
@@ -56,11 +55,6 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from .events import Condition
-
-try:
-    from sys import getrefcount as _refcount
-except ImportError:  # pragma: no cover - non-CPython: pooling disabled
-    _refcount = None
 
 __all__ = [
     "Environment",
@@ -83,9 +77,6 @@ PENDING: Any = object()
 URGENT = 0
 #: Default scheduling priority.
 NORMAL = 1
-
-#: Upper bound on each per-environment free list (events, not bytes).
-_POOL_MAX = 4096
 
 # Bound by repro.des.events at import time (see _lazy_conditions); keeps
 # Event.__and__/__or__ and Environment.all_of/any_of free of per-call
@@ -159,8 +150,7 @@ class Event:
         self.env = env
         #: List of callables invoked (with the event) when processed.
         #: ``None`` once the event has been processed.
-        # Fresh-event contract: one list per activation; recycled
-        # events get theirs back in the pool reset paths below.
+        # Fresh-event contract: one list per event.
         self.callbacks: Optional[list] = []  # simlint: disable=REP104
         self._value: Any = PENDING
         self._ok: bool = True
@@ -215,25 +205,6 @@ class Event:
         self.env._schedule(self, NORMAL)
         return self
 
-    # simlint: hotpath
-    def succeed_at(self, delay: float, value: Any = None) -> "Event":
-        """Trigger successfully, processed ``delay`` time units from now.
-
-        The completion fast path: where ``succeed()`` fires callbacks at
-        the current time, ``succeed_at(d)`` fires them at ``now + d``
-        without allocating an intermediate :class:`Timeout`.  The event
-        reads as *triggered* immediately (its value is set), exactly like
-        a :class:`Timeout` between construction and expiry.
-        """
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        if self._value is not PENDING:
-            raise RuntimeError(f"{self!r} has already been triggered")
-        self._ok = True
-        self._value = value
-        self.env._schedule(self, NORMAL, delay)
-        return self
-
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event as failed with ``exception``.
 
@@ -266,6 +237,18 @@ class Event:
         """Mark a failed event as handled so ``run()`` won't re-raise it."""
         self._defused = True
 
+    def _fire(self) -> None:
+        """Process the event: the continuation its heap entry runs.
+
+        Runs the callbacks, then re-raises a failure nobody handled.
+        """
+        callbacks = self.callbacks
+        self.callbacks = None
+        for callback in callbacks:
+            callback(self)
+        if not self._ok and not self._defused:
+            raise self._value
+
     # -- composition ------------------------------------------------------
 
     def __and__(self, other: "Event") -> "Condition":
@@ -282,14 +265,7 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed ``delay`` of simulated time.
-
-    Instances created through :meth:`Environment.timeout` are recycled via
-    a free list once processed, *if* nothing outside the kernel still
-    references them (checked by refcount — see ``docs/KERNEL.md`` for the
-    pooling rules).  Retaining a reference to a fired Timeout is therefore
-    always safe: the retained object simply is not recycled.
-    """
+    """An event that fires after a fixed ``delay`` of simulated time."""
 
     __slots__ = ("delay",)
 
@@ -301,17 +277,6 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         env._schedule(self, NORMAL, delay)
-
-
-class _Callback(Event):
-    """Internal pooled event driving callback chains (never user-visible).
-
-    Created only by :meth:`Environment.call_later`; recycled
-    unconditionally after processing, so references must never outlive
-    the callback invocation.
-    """
-
-    __slots__ = ()
 
 
 class Initialize(Event):
@@ -473,16 +438,13 @@ class Environment:
     ----------
     initial_time:
         Starting value of the simulated clock.
-    pool_events:
-        Enable the Timeout/callback-event free lists.  ``None`` consults
-        ``REPRO_DES_POOL`` (default on; set ``0`` to disable).
     sanitize:
         Route every scheduling entry point and pop through the runtime
-        sanitizer (:mod:`repro.des.sanitize`): use-after-recycle
-        poisoning, monotonicity/tie-break invariants, double-trigger
-        detection, leak accounting.  ``None`` consults
-        ``REPRO_DES_SANITIZE`` (default off).  Behaviour (results, event
-        order) is identical either way; sanitized runs are slower.
+        sanitizer (:mod:`repro.des.sanitize`): monotonicity/tie-break
+        invariants, double-trigger detection, leak accounting.  ``None``
+        consults ``REPRO_DES_SANITIZE`` (default off).  Behaviour
+        (results, event order) is identical either way; sanitized runs
+        are slower.
     """
 
     __slots__ = (
@@ -492,15 +454,12 @@ class Environment:
         "_now_n",
         "_eid",
         "_active_proc",
-        "_timeout_pool",
-        "_cb_pool",
         "_san",
     )
 
     def __init__(
         self,
         initial_time: float = 0.0,
-        pool_events: Optional[bool] = None,
         sanitize: Optional[bool] = None,
     ):
         self._now = float(initial_time)
@@ -512,18 +471,10 @@ class Environment:
             self._san = DESSanitizer(self)
         else:
             self._san = None
-        # Heap of (time, priority, eid, event).
+        # Heap of [time, priority, eid, fn] entries.
         self._queue: list = []
-        if pool_events is None:
-            pool_events = os.environ.get("REPRO_DES_POOL", "1") != "0"
-        if _refcount is None:  # pragma: no cover - non-CPython
-            pool_events = False
-        # The free lists are None when pooling is off, so the hot-path
-        # check is a single identity test.
-        self._timeout_pool: Optional[list] = [] if pool_events else None
-        self._cb_pool: Optional[list] = [] if pool_events else None
         # Zero-delay now queues (kernel v3), one per priority level.
-        # Sanitized environments leave them empty: every event then flows
+        # Sanitized environments leave them empty: every entry then flows
         # through the fully-checked heap path, and the sanitizer's
         # pop-order checks certify exactly the order the now queues
         # reproduce.
@@ -540,11 +491,6 @@ class Environment:
         return self._now
 
     @property
-    def pooling(self) -> bool:
-        """True when the event free lists are enabled."""
-        return self._timeout_pool is not None
-
-    @property
     def sanitizer(self):
         """The :class:`~repro.des.sanitize.DESSanitizer` (None when off)."""
         return self._san
@@ -556,7 +502,7 @@ class Environment:
 
     @property
     def event_count(self) -> int:
-        """Total events scheduled so far (the benchmark work metric)."""
+        """Total entries scheduled so far (the benchmark work metric)."""
         return self._eid
 
     @property
@@ -568,76 +514,46 @@ class Environment:
         """Create a new pending :class:`Event`."""
         return Event(self)
 
-    # simlint: hotpath
     def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create a :class:`Timeout` firing ``delay`` time units from now.
-
-        Draws from the free list when pooling is enabled; see the class
-        docstring for the (narrow) aliasing caveat.
-        """
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise ValueError(f"negative delay {delay}")
-            t = pool.pop()
-            if self._san is not None:
-                self._san.on_reuse(t)
-            # Pool-reset contract: a recycled Timeout needs its own
-            # callbacks list (callers append to it).
-            t.callbacks = []  # simlint: disable=REP104
-            t._value = value
-            t._ok = True
-            t._defused = False
-            t.delay = delay
-            self._schedule(t, NORMAL, delay)
-            return t
+        """Create a :class:`Timeout` firing ``delay`` time units from now."""
         return Timeout(self, delay, value)
 
     # simlint: hotpath
     def call_later(
         self,
         delay: float,
-        fn: Callable[[Event], None],
-        value: Any = None,
+        fn: Callable[[], None],
         priority: int = NORMAL,
-    ) -> Event:
-        """Run ``fn(event)`` after ``delay`` — the callback-chain fast path.
+    ) -> list:
+        """Run ``fn()`` after ``delay``; returns the entry as its handle.
 
-        Uses a pooled internal event: no Timeout, no generator, no
-        process.  The returned handle is recycled as soon as ``fn`` has
-        run and must not be retained afterwards.  ``event.value`` is
-        ``value`` (handy for chains that thread a payload through).
+        The entry is the ``[time, priority, eid, fn]`` list the queue
+        holds.  Setting its ``fn`` to a no-op cancels the call (the entry
+        still pops, so event counts and order are unchanged); doing so
+        after it has fired does nothing, so a handle may be kept freely.
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        pool = self._cb_pool
-        san = self._san
-        if pool:
-            ev = pool.pop()
-            if san is not None:
-                san.on_reuse(ev)
-            ev._value = value
-            ev._ok = True
-            ev._defused = False
-        else:
-            ev = _Callback(self)
-            ev._value = value
-        # The single-callback list IS call_later's payload.
-        ev.callbacks = [fn]  # simlint: disable=REP104
-        # Inlined _schedule (this is the hottest scheduling entry point).
         now = self._now
         t = now + delay
+        eid = self._eid = self._eid + 1
+        # The entry is the handle and the heap item at once.
+        entry = [t, priority, eid, fn]  # simlint: disable=REP104
+        san = self._san
         if san is None:
             if t == now:
-                # Zero-delay fast path: FIFO order is eid order.
-                self._eid += 1
-                (self._now_u if priority == 0 else self._now_n).append(ev)
-                return ev
+                # Zero-delay fast path (kernel v3): the entry fires at the
+                # current time, so it skips the heap and joins the
+                # per-priority now queue.  FIFO order there is eid order,
+                # and every heap entry at the current time was pushed
+                # earlier (smaller eid), so the drain in _dispatch() keeps
+                # the exact (time, priority, eid) total order.
+                (self._now_u if priority == 0 else self._now_n).append(entry)
+                return entry
         else:
-            san.on_schedule(ev, t)
-        eid = self._eid = self._eid + 1
-        heappush(self._queue, (t, priority, eid, ev))
-        return ev
+            san.on_schedule(entry)
+        heappush(self._queue, entry)
+        return entry
 
     def process(
         self,
@@ -659,38 +575,15 @@ class Environment:
             _, anyof = _lazy_conditions()
         return anyof(self, events)
 
-    def schedule_callback(
-        self, delay: float, callback: Callable[[], None]
-    ) -> Event:
-        """Run ``callback()`` after ``delay`` without creating a process.
-
-        The returned event handle is pooled: it is recycled once the
-        callback has run, so do not retain it past that point.
-        """
-        return self.call_later(delay, lambda _e: callback())
-
     # -- scheduling ---------------------------------------------------------
 
     # simlint: hotpath
     def _schedule(self, event: Event, priority: int, delay: float = 0.0) -> None:
-        now = self._now
-        t = now + delay
+        """Queue ``event`` to be processed ``delay`` from now."""
         san = self._san
-        if san is None:
-            if t == now:
-                # Zero-delay fast path (kernel v3): the event fires at the
-                # current time, so it skips the heap and joins the
-                # per-priority now queue.  FIFO order there is eid order,
-                # and every heap entry at the current time was pushed
-                # earlier (smaller eid), so the drain in _dispatch() keeps
-                # the exact (time, priority, eid) total order.
-                self._eid += 1
-                (self._now_u if priority == 0 else self._now_n).append(event)
-                return
-        else:
-            san.on_schedule(event, t)
-        eid = self._eid = self._eid + 1
-        heappush(self._queue, (t, priority, eid, event))
+        if san is not None:
+            san.on_trigger(event, self._now + delay)
+        self.call_later(delay, event._fire, priority)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
@@ -762,110 +655,60 @@ class Environment:
 
     # simlint: hotpath
     def _dispatch(self, stop_at: float, single: bool) -> bool:
-        """The event loop: the kernel's one pop/dispatch/recycle body.
+        """The event loop: the kernel's one pop-and-call body.
 
-        Processes events in exact (time, priority, eid) order until the
-        schedule drains or the next event lies at or beyond ``stop_at``
-        (the clock never advances to it); with ``single`` it returns
-        True after the first event.  Returns False when it stopped
-        because nothing was left to process before ``stop_at``.
+        Pops entries in exact (time, priority, eid) order and calls each
+        one's ``fn()`` until the schedule drains or the next entry lies
+        at or beyond ``stop_at`` (the clock never advances to it); with
+        ``single`` it returns True after the first entry.  Returns False
+        when it stopped because nothing was left to process before
+        ``stop_at``.
 
         The pop merges the heap with the zero-delay now queues: heap
         entries at the current time were scheduled earlier (smaller eid)
         than any now-queue entry, and urgent now-queue entries overtake
         NORMAL heap entries at the current time (priority compares
         first).  Sanitized environments keep the now queues empty and
-        take every event off the heap with its full key, so the
-        sanitizer can check the order it comes out in.
+        take every entry off the heap, so the sanitizer can check the
+        order it comes out in.
         """
         q = self._queue
         san = self._san
-        timeout_pool = self._timeout_pool
-        cb_pool = self._cb_pool
         now_u = self._now_u
         now_n = self._now_n
         pop = heappop
         pop_u = now_u.popleft
         pop_n = now_n.popleft
-        # Free-list recycling takes an event only when nothing outside
-        # this frame still references it: refcount 2 = the `event` local
-        # plus getrefcount's argument (3 when the sanitizer's record
-        # holds its extra reference).  A generator that kept the Timeout
-        # it yielded, a condition holding its constituents, or a caller
-        # retaining a call_later handle all raise the count and (safely)
-        # exempt that object from recycling.
-        recyclable = 2 if san is None else 3
         now = self._now
         while True:
             if san is None:
-                # NB: the heap head is deliberately never bound to a
-                # local — a lingering reference to the popped entry tuple
-                # would keep the event's refcount above the recycle
-                # threshold and silently disable the free lists.
                 if now_u:
                     if q and q[0][0] == now and q[0][1] == 0:
-                        event = pop(q)[3]
+                        entry = pop(q)
                     else:
-                        event = pop_u()
+                        entry = pop_u()
                 elif q:
-                    t = q[0][0]
+                    entry = q[0]
+                    t = entry[0]
                     if t == now:
-                        event = pop(q)[3]
+                        pop(q)
                     elif now_n:
-                        event = pop_n()
+                        entry = pop_n()
                     elif t >= stop_at:
                         return False
                     else:
                         self._now = now = t
-                        event = pop(q)[3]
+                        pop(q)
                 elif now_n:
-                    event = pop_n()
+                    entry = pop_n()
                 else:
                     return False
             else:
                 if not q or q[0][0] >= stop_at:
                     return False
-                t, priority, eid, event = pop(q)
-                san.on_pop(t, priority, eid, event, now)
-                self._now = now = t
-            callbacks = event.callbacks
-            event.callbacks = None
-            # Almost every event carries exactly one callback (a chain
-            # continuation); skip the iterator for it.
-            if len(callbacks) == 1:
-                callbacks[0](event)
-            else:
-                for callback in callbacks:
-                    callback(event)
-            if not event._ok and not event._defused:
-                # Nobody handled this failure.
-                raise event._value
-            cls = event.__class__
-            if cls is _Callback:
-                if (
-                    cb_pool is not None
-                    and len(cb_pool) < _POOL_MAX
-                    and _refcount(event) == recyclable
-                ):
-                    event._value = PENDING  # poison stale reads
-                    cb_pool.append(event)
-                    if san is not None:
-                        san.on_recycle(event)
-                elif san is not None:
-                    san.on_processed(event)
-            elif cls is Timeout:
-                if (
-                    timeout_pool is not None
-                    and len(timeout_pool) < _POOL_MAX
-                    and _refcount(event) == recyclable
-                ):
-                    event._value = PENDING
-                    timeout_pool.append(event)
-                    if san is not None:
-                        san.on_recycle(event)
-                elif san is not None:
-                    san.on_processed(event)
-            elif san is not None:
-                san.on_processed(event)
+                entry = pop(q)
+                san.on_pop(entry, now)
+                self._now = now = entry[0]
+            entry[3]()
             if single:
                 return True

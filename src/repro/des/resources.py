@@ -12,7 +12,7 @@ completion::
 
     def granted():                  # runs the instant a slot is granted
         env.call_later(work, done)  # the visit's one event
-    def done(_e):
+    def done():
         cpu.release()               # the next queued visit starts now
     cpu.acquire(granted)
 
@@ -27,6 +27,10 @@ from typing import Any, Callable, Deque, Optional
 from .core import Environment, Event
 
 __all__ = ["Resource", "PriorityResource", "Container"]
+
+
+def _noop() -> None:
+    """The continuation of a withdrawn visit's completion entry."""
 
 
 class Resource:
@@ -127,12 +131,13 @@ class Resource:
 
         ``visit`` is what the chain holds at the time: the ``on_grant``
         of a visit still queued, which leaves the queue and is never
-        granted; or, once granted, the completion event its continuation
-        scheduled, which loses its callbacks — the visit's ``done``
-        never runs — while the slot frees at once.
+        granted; or, once granted, the completion entry its continuation
+        scheduled (the handle ``call_later`` returned), whose ``fn`` is
+        blanked — the visit's ``done`` never runs, though the entry still
+        pops — while the slot frees at once.
         """
-        if isinstance(visit, Event):
-            visit.callbacks.clear()
+        if isinstance(visit, list):
+            visit[3] = _noop
             self.release()
         else:
             self._dequeue(visit)
@@ -156,7 +161,7 @@ class Resource:
         def granted() -> None:
             env.call_later(seconds, done)
 
-        def done(_e) -> None:
+        def done() -> None:
             self.release()
             then()
 

@@ -1,30 +1,27 @@
 """Runtime DES sanitizer: kernel invariant checking for sanitized runs.
 
-The kernel's fast paths (free-list event pooling, zero-delay now-queues
-merged with the heap under a delicate ``(time, priority,
-insertion-order)`` tie-break, callback chains) buy speed with exactly
-the kind of aliasing and ordering hazards that are invisible to spot
-tests.  The sanitizer wraps every scheduling entry point
-and every event pop with invariant checks, at a cost that is acceptable
-for smoke runs and CI but not for production sweeps — enable it with
-``Environment(sanitize=True)`` or ``REPRO_DES_SANITIZE=1``.
+The kernel's fast paths (zero-delay now-queues merged with the heap
+under a delicate ``(time, priority, insertion-order)`` tie-break,
+cancellation by blanking a queued entry, callback chains) buy speed with
+exactly the kind of ordering hazards that are invisible to spot tests.
+The sanitizer wraps every scheduling entry point and every pop with
+invariant checks, at a cost that is acceptable for smoke runs and CI but
+not for production sweeps — enable it with ``Environment(sanitize=True)``
+or ``REPRO_DES_SANITIZE=1``.
 
 Checks
 ------
-* **Use-after-recycle** — every event recycled into a free list is marked
-  with a bumped generation counter and poisoned pool membership; touching
-  it again (scheduling it, or popping it while it sits in the pool) is
-  reported with the event's provenance.
 * **Time monotonicity / tie-break order** — pops must come out in strictly
   increasing ``(time, priority, eid)`` order (eids are unique, so equality
-  is also a violation); scheduling behind ``env.now`` is caught at the
-  source.
-* **Double trigger** — re-scheduling an event that is already queued, or
-  one whose callbacks have already run, is reported even when the
-  ``Event.succeed``/``fail`` guards were bypassed by direct state writes
-  (the failure mode of a buggy pool reset).
+  is also a violation) among entries that coexisted in the queue;
+  scheduling behind ``env.now`` is caught at the source.
+* **Double trigger** — re-scheduling an :class:`~repro.des.core.Event`
+  that is already queued, or one whose callbacks have already run, and
+  popping an event whose callbacks already ran, are reported even when
+  the ``Event.succeed``/``fail`` guards were bypassed by direct state
+  writes.
 * **Leak report** — :meth:`DESSanitizer.finish` reports events created but
-  never triggered, events triggered but stranded in the queue, processes
+  never triggered, entries scheduled but stranded in the queue, processes
   that never terminated, in-flight operations (callback-chain requests
   registered through :meth:`DESSanitizer.op_begin`) that never completed,
   and interconnect messages sent but never delivered or dropped (the
@@ -41,16 +38,20 @@ from __future__ import annotations
 import sys
 from typing import Any, Dict, List, Optional, Set, Tuple
 
+from .core import Event
+
 __all__ = [
     "DESSanitizer",
     "SanitizerError",
     "Violation",
     "LeakReport",
-    "force_recycle",
 ]
 
 #: Kernel files whose frames are skipped when attributing creation sites.
 _KERNEL_FILE_MARKERS = ("repro/des/", "repro\\des\\")
+
+#: What the queue entry of every event runs (``event._fire``).
+_FIRE = Event._fire
 
 
 def _creation_site() -> str:
@@ -64,11 +65,18 @@ def _creation_site() -> str:
     return "<unknown>"
 
 
+def _event_of(fn: Any) -> Optional[Event]:
+    """The event whose ``_fire`` a queue entry runs, else None."""
+    if getattr(fn, "__func__", None) is _FIRE:
+        return fn.__self__
+    return None
+
+
 class _EventRecord:
     """Provenance and lifecycle state for one tracked event."""
 
     __slots__ = ("event", "type_name", "site", "created_at", "state",
-                 "generation", "last_eid", "sched_pop")
+                 "last_eid")
 
     def __init__(self, event: Any, created_at: float, site: str):
         #: Strong reference: keeps ids stable for every tracked event.
@@ -76,24 +84,40 @@ class _EventRecord:
         self.type_name = type(event).__name__
         self.site = site
         self.created_at = created_at
-        #: "pending" -> "queued" -> ("pooled" -> "pending" -> ...) | done.
+        #: "pending" -> "queued"; the record is dropped when it pops.
         self.state = "pending"
-        #: Bumped every time the event is recycled into a free list.
-        self.generation = 0
         #: eid the event was last scheduled under (None before scheduling).
         self.last_eid: Optional[int] = None
-        #: Pop count at the moment the event was last scheduled.  Events
-        #: scheduled *after* a pop are exempt from the tie-break
-        #: comparison against that pop (they never coexisted in the
-        #: queue); -1 = unknown/queue-injected, always compared.
-        self.sched_pop = -1
 
     def provenance(self) -> str:
-        gen = f", generation {self.generation}" if self.generation else ""
         eid = f", eid {self.last_eid}" if self.last_eid is not None else ""
         return (
             f"{self.type_name} created at {self.site} "
-            f"(t={self.created_at:g}{eid}{gen}, state {self.state})"
+            f"(t={self.created_at:g}{eid}, state {self.state})"
+        )
+
+
+class _EntryRecord:
+    """A queue entry scheduled and not yet popped."""
+
+    __slots__ = ("entry", "site", "scheduled_at", "sched_pop")
+
+    def __init__(self, entry: list, site: str, scheduled_at: float, pops: int):
+        self.entry = entry
+        self.site = site
+        self.scheduled_at = scheduled_at
+        #: Pop count at the moment the entry was scheduled.  Entries
+        #: scheduled *after* a pop are exempt from the tie-break
+        #: comparison against that pop (they never coexisted in the
+        #: queue).
+        self.sched_pop = pops
+
+    def provenance(self) -> str:
+        t, priority, eid, fn = self.entry
+        name = getattr(fn, "__qualname__", type(fn).__name__)
+        return (
+            f"call of {name} scheduled at {self.site} "
+            f"(t={self.scheduled_at:g}, due {t:g}, eid {eid})"
         )
 
 
@@ -140,8 +164,8 @@ class LeakReport:
     ):
         #: Provenance of events created but never succeeded/failed.
         self.never_triggered = never_triggered
-        #: Provenance of events triggered but still queued (run stopped
-        #: before they were processed).
+        #: Provenance of entries (triggered events and call_later calls)
+        #: still queued: the run stopped before they were processed.
         self.stranded = stranded
         #: Provenance of processes whose generator never terminated.
         self.orphaned_processes = orphaned_processes
@@ -175,7 +199,7 @@ class LeakReport:
         ]
         for title, entries in (
             ("never-triggered events", self.never_triggered),
-            ("triggered but unprocessed events", self.stranded),
+            ("scheduled but unprocessed entries", self.stranded),
             ("orphaned processes", self.orphaned_processes),
             ("stalled in-flight operations", self.stalled_ops),
             ("undelivered interconnect messages", self.undelivered_messages),
@@ -190,21 +214,21 @@ class DESSanitizer:
     """Observes one :class:`~repro.des.core.Environment`'s event traffic.
 
     Installed by ``Environment(sanitize=True)``; the kernel calls the
-    ``on_*`` hooks from its scheduling and processing paths.  All state is
+    ``on_*`` hooks from its scheduling and processing paths.  Events are
     keyed by ``id(event)`` — safe because the sanitizer keeps a strong
     reference to every live tracked event, so ids cannot be recycled
-    underneath it.
+    underneath it — and queue entries by their eid.
     """
 
     def __init__(self, env: Any):
         self.env = env
-        #: id(event) -> record, for events whose life is not over (pending,
-        #: queued, or sitting in a free pool).
+        #: id(event) -> record, for events whose life is not over
+        #: (pending or queued).
         self._records: Dict[int, _EventRecord] = {}
-        #: ids currently sitting in the scheduler queue.
+        #: ids of the events currently sitting in the scheduler queue.
         self._scheduled: Set[int] = set()
-        #: ids currently sitting in a free pool (recycled).
-        self._pooled: Set[int] = set()
+        #: eid -> record, for every entry currently in the queue.
+        self._queued: Dict[int, _EntryRecord] = {}
         #: Last popped (time, priority, eid) key — pops must increase.
         self._last_key: Optional[Tuple[float, int, int]] = None
         #: Every violation detected (each also raised as SanitizerError).
@@ -213,8 +237,6 @@ class DESSanitizer:
         self._ops: Dict[int, Tuple[str, str, float]] = {}
         self._op_seq = 0
         self.events_tracked = 0
-        self.recycles = 0
-        self.reuses = 0
         self.pops = 0
 
     # -- internals ---------------------------------------------------------
@@ -223,8 +245,8 @@ class DESSanitizer:
         """The record for ``event``, creating one if it is unknown.
 
         Every kernel event is recorded by ``on_create``; an event the
-        sanitizer never saw created (one that skipped ``Event.__init__``)
-        gets its record on demand here, at its first scheduling.
+        sanitizer never saw created (one that skipped ``Event.__init__``,
+        or one already processed) gets its record on demand here.
         """
         rec = self._records.get(id(event))
         if rec is None:
@@ -233,11 +255,19 @@ class DESSanitizer:
             self.events_tracked += 1
         return rec
 
-    def _violate(self, kind: str, event: Any, message: str) -> None:
-        rec = self._record_for(event)
-        violation = Violation(kind, message, rec.provenance(), self.env._now)
+    def _violate(self, kind: str, message: str, provenance: str) -> None:
+        violation = Violation(kind, message, provenance, self.env._now)
         self.violations.append(violation)
         raise SanitizerError(violation)
+
+    def _provenance(self, entry: list, rec: Optional[_EntryRecord]) -> str:
+        """Provenance of a queue entry: its event's, else its own."""
+        event = _event_of(entry[3])
+        if event is not None:
+            return self._record_for(event).provenance()
+        if rec is None:
+            rec = _EntryRecord(entry, "<unknown>", self.env._now, -1)
+        return rec.provenance()
 
     # -- kernel hooks ------------------------------------------------------
 
@@ -251,96 +281,74 @@ class DESSanitizer:
     # The sanitizer is opt-in diagnostics (~4x overhead by design); its
     # bookkeeping is exempt from the hot-path allocation lint.
     # simlint: coldpath
-    def on_reuse(self, event: Any) -> None:
-        """An event was drawn from a free pool for reuse."""
-        self.reuses += 1
-        key = id(event)
-        if key not in self._pooled:
-            self._violate(
-                "pool-corruption",
-                event,
-                "event drawn from a free pool it was never recycled into",
-            )
-        self._pooled.discard(key)
-        rec = self._record_for(event)
-        rec.state = "pending"
-        rec.created_at = self.env._now
-        rec.site = _creation_site()
-
-    def on_schedule(self, event: Any, at: float) -> None:
-        """``event`` is about to be pushed onto the scheduler queue."""
+    def on_trigger(self, event: Any, at: float) -> None:
+        """``event`` is about to be queued to fire at ``at``."""
         now = self.env._now
-        key = id(event)
-        if key in self._pooled:
-            self._violate(
-                "use-after-recycle",
-                event,
-                "scheduling an event that sits in a free pool (a stale "
-                "reference outlived the recycle)",
-            )
-        if key in self._scheduled:
+        if id(event) in self._scheduled:
             self._violate(
                 "double-trigger",
-                event,
                 "event scheduled while already in the queue (double "
-                "succeed/fail, or a pool reset of a live event)",
+                "succeed/fail, or a direct reset of a live event)",
+                self._record_for(event).provenance(),
             )
         if event.callbacks is None:
             self._violate(
                 "double-trigger",
-                event,
                 "event scheduled after its callbacks already ran",
+                self._record_for(event).provenance(),
             )
         if at < now:
             self._violate(
                 "time-travel",
-                event,
                 f"scheduled at t={at:g}, behind the current time {now:g}",
+                self._record_for(event).provenance(),
             )
-        rec = self._record_for(event)
-        rec.state = "queued"
-        rec.last_eid = self.env._eid + 1
-        rec.sched_pop = self.pops
-        self._scheduled.add(key)
+        self._record_for(event).state = "queued"
+        self._scheduled.add(id(event))
 
-    def on_pop(
-        self,
-        t: float,
-        priority: int,
-        eid: int,
-        event: Any,
-        prev_now: float,
-    ) -> None:
-        """The scheduler handed out ``event`` as the next minimum."""
-        key_id = id(event)
-        if key_id in self._pooled:
-            self._violate(
-                "use-after-recycle",
-                event,
-                "processing an event that sits in a free pool (it was "
-                "recycled while still scheduled)",
-            )
-        if event.callbacks is None:
+    # simlint: coldpath
+    def on_schedule(self, entry: list) -> None:
+        """``entry`` (``[t, priority, eid, fn]``) is about to be pushed.
+
+        ``call_later`` has already refused a negative delay, and an
+        event's time was checked by :meth:`on_trigger`.
+        """
+        eid = entry[2]
+        event = _event_of(entry[3])
+        if event is None:
+            self.events_tracked += 1
+        else:
+            self._record_for(event).last_eid = eid
+        self._queued[eid] = _EntryRecord(
+            entry, _creation_site(), self.env._now, self.pops
+        )
+
+    def on_pop(self, entry: list, prev_now: float) -> None:
+        """The scheduler handed out ``entry`` as the next minimum."""
+        t, priority, eid, fn = entry
+        rec = self._queued.pop(eid, None)
+        event = _event_of(fn)
+        if event is not None and event.callbacks is None:
             self._violate(
                 "double-trigger",
-                event,
                 "event popped twice: callbacks already ran",
+                self._provenance(entry, rec),
             )
         if t < prev_now:
             self._violate(
                 "time-travel",
-                event,
                 f"popped at t={t:g}, behind the clock {prev_now:g} (an "
-                "event was inserted into the past behind the scheduler's "
+                "entry was inserted into the past behind the scheduler's "
                 "back)",
+                self._provenance(entry, rec),
             )
         key = (t, priority, eid)
-        rec = self._records.get(key_id)
-        # Tie-break contract: among events that coexisted in the queue,
+        # Tie-break contract: among entries that coexisted in the queue,
         # pops come out in strictly increasing (time, priority, eid)
-        # order.  An event scheduled after the previous pop (e.g. an
-        # URGENT resume created while processing a same-time event) never
-        # coexisted with it and is exempt from the comparison.
+        # order.  An entry scheduled after the previous pop (e.g. an
+        # URGENT kick created while processing a same-time entry) never
+        # coexisted with it and is exempt from the comparison; an entry
+        # that never went through on_schedule is always compared.
         coexisted = rec is None or rec.sched_pop < self.pops
         if (
             self._last_key is not None
@@ -349,36 +357,20 @@ class DESSanitizer:
         ):
             self._violate(
                 "order-violation",
-                event,
                 f"pop order regressed: {key} after {self._last_key} — the "
                 "scheduler broke the (time, priority, insertion-order) "
                 "tie-break contract",
+                self._provenance(entry, rec),
             )
         self.pops += 1
         self._last_key = key
-        self._scheduled.discard(key_id)
-        if rec is not None:
-            rec.state = "processing"
-
-    def on_recycle(self, event: Any) -> None:
-        """``event`` was pushed onto a free pool after processing."""
-        self.recycles += 1
-        rec = self._record_for(event)
-        rec.state = "pooled"
-        rec.generation += 1
-        self._pooled.add(id(event))
-
-    def on_processed(self, event: Any) -> None:
-        """``event`` finished processing and was *not* recycled.
-
-        Its life is over, so the record is dropped (which also releases
-        the strong reference and lets the object be freed).  Processes
-        are only ever popped at generator termination, so a record left
-        behind for a process always means an orphan.
-        """
-        key = id(event)
-        self._scheduled.discard(key)
-        self._records.pop(key, None)
+        if event is not None:
+            # Its life is over once it fires: drop the record (and the
+            # strong reference).  Processes are only ever queued at
+            # generator termination, so a record left behind for a
+            # process always means an orphan.
+            self._scheduled.discard(id(event))
+            self._records.pop(id(event), None)
 
     # -- in-flight operation tracking --------------------------------------
 
@@ -407,22 +399,21 @@ class DESSanitizer:
         from .core import PENDING, Process
 
         never: List[str] = []
-        stranded: List[str] = []
         orphans: List[str] = []
         for key, rec in sorted(
             self._records.items(), key=lambda kv: (kv[1].created_at, kv[0])
         ):
-            if rec.state == "pooled":
-                continue  # at rest in a free list: a completed life
             event = rec.event
-            if isinstance(event, Process):
-                if event._value is PENDING:
-                    orphans.append(rec.provenance())
+            if event._value is not PENDING:
                 continue
-            if event._value is PENDING:
+            if isinstance(event, Process):
+                orphans.append(rec.provenance())
+            else:
                 never.append(rec.provenance())
-            elif key in self._scheduled:
-                stranded.append(rec.provenance())
+        stranded = [
+            self._provenance(rec.entry, rec)
+            for _, rec in sorted(self._queued.items())
+        ]
         stalled: List[str] = []
         undelivered: List[str] = []
         for label, detail, begun in self._ops.values():
@@ -440,27 +431,3 @@ class DESSanitizer:
         return LeakReport(never, stranded, orphans, stalled,
                           self.events_tracked,
                           undelivered_messages=undelivered)
-
-
-def force_recycle(env: Any, event: Any) -> None:
-    """Force ``event`` into its environment's free pool, skipping every
-    safety check the kernel applies (refcount guard, processed-state).
-
-    This exists for the sanitizer's own mutation tests: it reproduces the
-    exact buggy state a use-after-recycle defect would create, so the
-    tests can assert the sanitizer catches it.  Never call it from
-    simulation code.
-    """
-    from .core import Timeout, _Callback
-
-    if isinstance(event, Timeout):
-        pool = env._timeout_pool
-    elif isinstance(event, _Callback):
-        pool = env._cb_pool
-    else:
-        raise TypeError(f"{event!r} is not a poolable event")
-    if pool is None:
-        raise RuntimeError("event pooling is disabled in this environment")
-    pool.append(event)
-    if env._san is not None:
-        env._san.on_recycle(event)

@@ -110,7 +110,7 @@ class ReliableMessenger:
         started = 0.0
         delivered_once = False
 
-        def transmit(_e=None) -> None:
+        def transmit() -> None:
             nonlocal started
             started = env.now
             if attempt:
@@ -137,9 +137,9 @@ class ReliableMessenger:
             if remaining > 0:
                 env.call_later(remaining, timed_out)
             else:
-                timed_out(None)
+                timed_out()
 
-        def timed_out(_e) -> None:
+        def timed_out() -> None:
             nonlocal attempt
             if attempt >= spec.max_retries:
                 self._bump(self.failures, kind)
@@ -255,7 +255,7 @@ class _ReliableSend:
             self.ni_time_s,
             done=self._on_delivered,
         )
-        self.env.schedule_callback(self.spec.timeout_s, self._on_timeout)
+        self.env.call_later(self.spec.timeout_s, self._on_timeout)
 
     def _on_delivered(self) -> None:
         m = self.messenger
@@ -298,7 +298,7 @@ class _ReliableSend:
         m._bump(m.retries, self.kind)
         backoff = self.spec.backoff(self.attempt)
         if backoff > 0:
-            self.env.schedule_callback(backoff, self._retransmit)
+            self.env.call_later(backoff, self._retransmit)
         else:
             self._retransmit()
 

@@ -119,9 +119,7 @@ class DispatcherLARDPolicy(LARDPolicy):
                 del self._server_sets[file_id]
                 self._set_modified.pop(file_id, None)
         if node_id == self._dispatcher and self.failover_s is not None:
-            self._require_cluster().env.schedule_callback(
-                self.failover_s, self._elect
-            )
+            self._require_cluster().env.call_later(self.failover_s, self._elect)
 
     def _elect(self) -> None:
         """Promote the lowest-id alive serving node to dispatcher.

@@ -28,6 +28,7 @@ import numpy as np
 
 from ..cluster import Cluster, ClusterConfig
 from ..des import Environment, Tally
+from ..des.core import URGENT
 from ..faults import AvailabilityTimeline, FaultInjector, FaultSchedule, RetryPolicy
 from ..netfaults import NetFaultInjector
 from ..servers import DistributionPolicy
@@ -220,7 +221,7 @@ class Simulation:
                 # as a chain of events instead of recursing through
                 # _after_request to trace depth.
                 self._shed_front += 1
-                self.env.schedule_callback(0.0, self._front_shed)
+                self.env.call_later(0.0, self._front_shed)
                 return True
             self._admitted_idx.add(i)
         self._spawn_index(i)
@@ -249,7 +250,7 @@ class Simulation:
             # Client timeout: the client gives up on the request, which
             # aborts into the normal failure/retry path (a no-op once it
             # has completed or failed on its own).
-            self.env.schedule_callback(self.retry.timeout_s, request.cancel)
+            self.env.call_later(self.retry.timeout_s, request.cancel)
 
     @property
     def _finished(self) -> int:
@@ -287,7 +288,7 @@ class Simulation:
                 self._retried += 1
                 if self.timeline is not None:
                     self.timeline.record_retry()
-                self.env.schedule_callback(
+                self.env.call_later(
                     self.retry.backoff(attempt),
                     lambda i=index: self._spawn_index(i),
                 )
@@ -367,15 +368,20 @@ class Simulation:
         self._inflight_at_measure = dict(self.cluster.net.in_flight_counts)
         self._failed_at_measure = self._failed
         if self.arrival_rate is not None:
-            # Open loop: the measured pass is driven by Poisson arrivals.
-            self.env.process(self._poisson_arrivals(), name="arrivals")
+            # Open loop: the measured pass is driven by Poisson arrivals,
+            # the first injected at an urgent zero-delay kick.
+            self._arrival_rng = np.random.default_rng(self.seed)
+            self._mean_gap = 1.0 / float(self.arrival_rate)
+            self.env.call_later(0.0, self._poisson_arrival, priority=URGENT)
 
-    def _poisson_arrivals(self):
-        """Open-loop injector: exponential inter-arrival gaps."""
-        rng = np.random.default_rng(self.seed)
-        mean_gap = 1.0 / float(self.arrival_rate)
-        while self._spawn_next():
-            yield self.env.timeout(rng.exponential(mean_gap))
+    def _poisson_arrival(self) -> None:
+        """Open-loop injector: inject one request, then schedule the next
+        after an exponential inter-arrival gap."""
+        if self._spawn_next():
+            self.env.call_later(
+                self._arrival_rng.exponential(self._mean_gap),
+                self._poisson_arrival,
+            )
 
     def _prewarm(self) -> None:
         """Paper-style zero-time cache warm for strictly-local policies.

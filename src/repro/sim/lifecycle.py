@@ -80,7 +80,7 @@ class _FastRequest:
 
     A stage visits at most one station, ``_at``; ``_visit`` is the
     visit's ``on_grant`` continuation while it queues there and the
-    completion event once it holds the station.  While the chain waits
+    completion's queue entry once it holds the station.  While the chain waits
     on anything else (the hand-off, a dispatcher round-trip, a remote
     DFS read) ``_at`` is None.  :meth:`cancel` hands ``_visit`` to
     ``Resource.withdraw``, which leaves the queue or frees the station
@@ -165,7 +165,7 @@ class _FastRequest:
         if not self.ended:
             self.env.call_later(0.0, self._cancelled, priority=URGENT)
 
-    def _cancelled(self, _e) -> None:  # simlint: hotpath
+    def _cancelled(self) -> None:  # simlint: hotpath
         if self.ended:
             return
         station = self._at
@@ -214,7 +214,7 @@ class _FastRequest:
 
     # -- inbound -----------------------------------------------------------
 
-    def _start(self, _e) -> None:  # simlint: hotpath
+    def _start(self) -> None:  # simlint: hotpath
         if self.ended:
             return
         self.start = self.env.now
@@ -234,7 +234,7 @@ class _FastRequest:
             self.hw.route_time(self.hw.request_kb), self._route_in_done
         )
 
-    def _route_in_done(self, _e) -> None:  # simlint: hotpath
+    def _route_in_done(self) -> None:  # simlint: hotpath
         self.cluster.net.router.release()
         if self._initial_dead():
             _breaker_failure(self.cluster, self.initial)
@@ -249,7 +249,7 @@ class _FastRequest:
             self.hw.ni_message_time(self.hw.request_kb), self._ni_in_done
         )
 
-    def _ni_in_done(self, _e) -> None:  # simlint: hotpath
+    def _ni_in_done(self) -> None:  # simlint: hotpath
         self.initial_node.ni_in.release()
         station = self._at = self.initial_node.cpu
         grant = self._visit = self._parse_granted
@@ -262,7 +262,7 @@ class _FastRequest:
 
     # -- decide + hand-off -------------------------------------------------
 
-    def _parse_done(self, _e) -> None:  # simlint: hotpath
+    def _parse_done(self) -> None:  # simlint: hotpath
         self.initial_node.cpu.release()
         self._at = self._visit = None
         if self._initial_dead():
@@ -313,7 +313,7 @@ class _FastRequest:
             self.hw.forward_time() / self.initial_node.speed, self._forward_done
         )
 
-    def _forward_done(self, _e) -> None:  # simlint: hotpath
+    def _forward_done(self) -> None:  # simlint: hotpath
         self.initial_node.cpu.release()
         self._at = self._visit = None
         self.cluster.net.transmit_cb(
@@ -424,7 +424,7 @@ class _FastRequest:
             self.hw.disk_time(self.size_kb), self._disk_done
         )
 
-    def _disk_done(self, _e) -> None:  # simlint: hotpath
+    def _disk_done(self) -> None:  # simlint: hotpath
         self.service_node.disk.release()
         self._at = self._visit = None
         self._fetched()
@@ -449,7 +449,7 @@ class _FastRequest:
             self._reply_done,
         )
 
-    def _reply_done(self, _e) -> None:  # simlint: hotpath
+    def _reply_done(self) -> None:  # simlint: hotpath
         self.service_node.cpu.release()
         if self._service_dead():
             _breaker_failure(self.cluster, self.decision.target)
@@ -465,7 +465,7 @@ class _FastRequest:
             self.hw.ni_reply_time(self.size_kb), self._ni_out_done
         )
 
-    def _ni_out_done(self, _e) -> None:  # simlint: hotpath
+    def _ni_out_done(self) -> None:  # simlint: hotpath
         self.service_node.ni_out.release()
         station = self._at = self.cluster.net.router
         grant = self._visit = self._route_out_granted
@@ -476,7 +476,7 @@ class _FastRequest:
             self.hw.route_time(self.size_kb), self._route_out_done
         )
 
-    def _route_out_done(self, _e) -> None:  # simlint: hotpath
+    def _route_out_done(self) -> None:  # simlint: hotpath
         self.cluster.net.router.release()
         self._at = self._visit = None
         self._close_connection()

@@ -194,7 +194,7 @@ class _Connection:
         node = self.cluster.node(node_id)
         node.cpu.hold(seconds / node.speed, then, priority)
 
-    def _open(self, _e) -> None:
+    def _open(self) -> None:
         current = self.policy.initial_node(self.index, int(self.ids[self.r]))
         self.current = current
         self.entry = current  # where client packets enter (LARD: front-end)

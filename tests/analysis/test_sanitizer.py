@@ -1,10 +1,10 @@
 """DES sanitizer mutation tests.
 
 Each test seeds the exact buggy kernel state a real defect would create
-— recycling a live pooled event, scheduling into the past, double-
-succeeding an event, corrupting the queue directly — and asserts the
-sanitizer reports it with the offending event's provenance (this file's
-name, since the events are created here).
+— scheduling into the past, double-succeeding an event, corrupting the
+queue directly — and asserts the sanitizer reports it with the offending
+event's provenance (this file's name, since the events are created
+here).
 """
 
 from heapq import heappush
@@ -13,7 +13,6 @@ import pytest
 
 from repro.des import Environment, SanitizerError
 from repro.des.core import NORMAL, PENDING, URGENT, Event
-from repro.des.sanitize import force_recycle
 
 HERE = "test_sanitizer.py"
 
@@ -34,38 +33,6 @@ def test_env_var_enables_sanitizer(monkeypatch):
     assert Environment().sanitized
     monkeypatch.setenv("REPRO_DES_SANITIZE", "0")
     assert not Environment().sanitized
-
-
-# -- mutation: use-after-recycle ------------------------------------------
-
-
-def test_recycling_a_live_event_is_caught_at_pop():
-    env = make_env()
-    t = env.timeout(5)
-    force_recycle(env, t)  # the bug: recycled while still scheduled
-    with pytest.raises(SanitizerError) as exc:
-        env.run()
-    v = exc.value.violation
-    assert v.kind == "use-after-recycle"
-    assert HERE in v.provenance
-    assert env.sanitizer.violations == [v]
-
-
-def test_scheduling_a_pooled_event_is_caught_at_source():
-    env = make_env()
-    fired = []
-    ev = env.call_later(1.0, lambda e: fired.append(env.now))
-    env.run()
-    assert fired == [1.0]
-    # The refcount guard would normally refuse to recycle a handle we
-    # still hold; force the recycle to reproduce the guard failing, then
-    # re-trigger the stale reference.
-    force_recycle(env, ev)
-    with pytest.raises(SanitizerError) as exc:
-        ev.callbacks = []
-        ev._value = PENDING
-        ev.succeed()
-    assert exc.value.violation.kind == "use-after-recycle"
 
 
 # -- mutation: scheduling into the past -----------------------------------
@@ -94,7 +61,7 @@ def test_queue_injection_behind_the_clock_is_caught_at_pop():
     intruder._ok = True
     intruder._value = None
     # Bypass every scheduling entry point: raw heap surgery.
-    heappush(env._queue, (1.0, NORMAL, env._eid + 1, intruder))
+    heappush(env._queue, [1.0, NORMAL, env._eid + 1, intruder._fire])
     with pytest.raises(SanitizerError) as exc:
         env.step()
     assert exc.value.violation.kind == "time-travel"
@@ -133,7 +100,7 @@ def test_repop_of_a_processed_event_is_caught():
     ev.succeed()
     env.run()
     assert ev.callbacks is None  # processed
-    heappush(env._queue, (env.now, NORMAL, env._eid + 1, ev))
+    heappush(env._queue, [env.now, NORMAL, env._eid + 1, ev._fire])
     with pytest.raises(SanitizerError) as exc:
         env.step()
     assert exc.value.violation.kind == "double-trigger"
@@ -151,7 +118,7 @@ def test_out_of_order_pop_is_caught():
     intruder = Event(env)
     intruder._ok = True
     intruder._value = None
-    heappush(env._queue, (5.0, URGENT, 0, intruder))
+    heappush(env._queue, [5.0, URGENT, 0, intruder._fire])
     with pytest.raises(SanitizerError) as exc:
         env.step()
     assert exc.value.violation.kind == "order-violation"
@@ -165,15 +132,15 @@ def test_urgent_same_time_schedule_is_not_a_false_positive():
     env = make_env()
     order = []
 
-    def second(_e):
+    def second():
         order.append("urgent")
 
-    def first(_e):
+    def first():
         order.append("first")
         env.call_later(0.0, second, priority=URGENT)
 
     env.call_later(1.0, first)
-    env.call_later(1.0, lambda e: order.append("normal"))
+    env.call_later(1.0, lambda: order.append("normal"))
     env.run()
     # The urgent event overtakes the queued same-time normal event; its
     # pop key is lexically *smaller* than the pop that created it.
@@ -204,6 +171,19 @@ def test_leak_report_stranded_triggered_event():
     report = env.sanitizer.finish()
     assert len(report.stranded) == 1
     assert ev is not None
+
+
+def test_leak_report_stranded_call_later_entry():
+    env = make_env()
+
+    def late():
+        pass
+
+    env.call_later(5.0, late)
+    env.run(until=1.0)  # stops before the continuation runs
+    report = env.sanitizer.finish()
+    assert len(report.stranded) == 1
+    assert "late" in report.stranded[0] and HERE in report.stranded[0]
 
 
 def test_leak_report_orphaned_process():
@@ -289,40 +269,6 @@ def test_sanitized_interconnect_clean_after_delivery_and_after_drop():
     report = env.sanitizer.finish()
     assert report.clean
     assert report.undelivered_messages == []
-
-
-# -- pool bookkeeping -------------------------------------------------------
-
-
-def test_pool_draw_of_untracked_event_is_pool_corruption():
-    env = make_env()
-    ev = Event(env)
-    with pytest.raises(SanitizerError) as exc:
-        env.sanitizer.on_reuse(ev)
-    assert exc.value.violation.kind == "pool-corruption"
-
-
-def test_pool_roundtrip_is_tracked():
-    env = make_env()
-    fired = []
-
-    def second(_e):
-        fired.append(2)
-        # The first handle was recycled after its callbacks ran; this
-        # draws it from the pool, exercising on_reuse.
-        env.call_later(1.0, lambda e: fired.append(3))
-
-    def first(_e):
-        fired.append(1)
-        env.call_later(1.0, second)
-
-    env.call_later(1.0, first)
-    env.run()
-    san = env.sanitizer
-    assert fired == [1, 2, 3]
-    assert san.recycles >= 1
-    assert san.reuses >= 1
-    assert san.finish().clean
 
 
 # -- a clean sanitized run -------------------------------------------------

@@ -1,8 +1,8 @@
 """Delta-debugging shrinker: minimality, determinism, budget honesty.
 
 The expensive end-to-end property — the planted fixture shrinking to
-the same byte-identical <= 3-event reproducer with the kernel's event
-pooling on and off — is the contract that makes soak-produced
+the same byte-identical <= 3-event reproducer with the kernel's runtime
+sanitizer off and on — is the contract that makes soak-produced
 reproducers trustworthy.
 """
 
@@ -42,11 +42,11 @@ class TestPlantedFixture:
         assert a.scenario.to_json() == b.scenario.to_json()
         assert a.runs == b.runs
 
-    @pytest.mark.parametrize("pooling", ["0", "1"])
+    @pytest.mark.parametrize("sanitize", ["0", "1"])
     def test_minimal_reproducer_is_engine_independent(
-        self, monkeypatch, pooling, reference_minimal
+        self, monkeypatch, sanitize, reference_minimal
     ):
-        monkeypatch.setenv("REPRO_DES_POOL", pooling)
+        monkeypatch.setenv("REPRO_DES_SANITIZE", sanitize)
         result = shrink_scenario(_planted(), oracle_config=STRICT)
         expected = reference_minimal.scenario.to_json()
         assert result.scenario.to_json() == expected

@@ -401,12 +401,32 @@ def test_peek():
     assert env.peek() == 7
 
 
-def test_schedule_callback():
+def test_call_later():
+    """call_later runs a zero-argument continuation and returns its
+    queue entry, ``[time, priority, eid, fn]``, as the handle."""
     env = Environment()
     hits = []
-    env.schedule_callback(2.5, lambda: hits.append(env.now))
+    handle = env.call_later(2.5, lambda: hits.append(env.now))
+    assert handle[:3] == [2.5, 1, 1]
     env.run()
     assert hits == [2.5]
+    with pytest.raises(ValueError):
+        env.call_later(-1.0, lambda: None)
+
+
+def test_blanked_entry_still_pops_and_late_blanking_is_harmless():
+    """Cancelling by blanking an entry's fn keeps event counts and order;
+    blanking an entry that has already fired does nothing."""
+    env = Environment()
+    log = []
+    cancelled = env.call_later(1.0, lambda: log.append("cancelled"))
+    fired = env.call_later(1.0, lambda: log.append("fired"))
+    cancelled[3] = lambda: log.append("blank")
+    env.run()
+    fired[3] = lambda: log.append("late")
+    env.run()
+    assert log == ["blank", "fired"]
+    assert env.event_count == 2 and env.now == 1.0
 
 
 def test_nested_process_chains():

@@ -38,14 +38,14 @@ def test_property_capacity_never_exceeded(capacity, jobs):
             max_holding[0] = max(max_holding[0], holding[0])
             env.call_later(hold, done)
 
-        def done(_e):
+        def done():
             holding[0] -= 1
             res.release()
 
         res.acquire(granted)
 
     for jid, (arrival, hold) in enumerate(jobs):
-        env.schedule_callback(arrival, lambda jid=jid, hold=hold: job(jid, hold))
+        env.call_later(arrival, lambda jid=jid, hold=hold: job(jid, hold))
     env.run()
 
     assert max_holding[0] <= capacity
@@ -95,7 +95,7 @@ def test_property_busy_time_matches_interval_union(jobs):
     def job(hold):
         def granted():
             start = env.now
-            env.call_later(hold, lambda _e: done(start))
+            env.call_later(hold, lambda: done(start))
 
         def done(start):
             total_hold[0] += env.now - start
@@ -104,6 +104,6 @@ def test_property_busy_time_matches_interval_union(jobs):
         res.acquire(granted)
 
     for arrival, hold in jobs:
-        env.schedule_callback(arrival, lambda hold=hold: job(hold))
+        env.call_later(arrival, lambda hold=hold: job(hold))
     env.run()
     assert abs(res.busy_time() - total_hold[0]) < 1e-9

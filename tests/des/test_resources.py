@@ -13,7 +13,7 @@ def visit(env, res, seconds, then=None, priority=None):
 
     def granted():
         start = env.now
-        env.call_later(seconds, lambda _e: done(start))
+        env.call_later(seconds, lambda: done(start))
 
     def done(start):
         res.release()
@@ -82,7 +82,7 @@ def test_resource_counts_and_queue_length():
     snapshots = []
     for _ in range(3):
         visit(env, res, 5)
-    env.schedule_callback(1, lambda: snapshots.append((res.count, res.queue_length)))
+    env.call_later(1, lambda: snapshots.append((res.count, res.queue_length)))
     env.run()
     assert snapshots == [(1, 2)]
     assert res.count == 0
@@ -117,7 +117,7 @@ def test_cancel_queued_request():
         res.withdraw(impatient)
         order.append(("gave up", env.now))
 
-    env.schedule_callback(2, give_up)
+    env.call_later(2, give_up)
     visit(env, res, 1, lambda t: order.append(("patient", t)))
     env.run()
     assert order == [("gave up", 2), ("patient", 10)]
@@ -128,14 +128,14 @@ def test_cancel_queued_request():
 
 def test_withdraw_held_visit_frees_slot_and_drops_done():
     """A held visit that is withdrawn frees the slot at once, and its
-    done never runs: the completion event loses its callbacks."""
+    done never runs: the completion entry is blanked, yet still pops."""
     env = Environment()
     res = Resource(env, capacity=1)
     handle = []
     done = []
 
     def granted():
-        handle.append(env.call_later(10, lambda _e: done.append(env.now)))
+        handle.append(env.call_later(10, lambda: done.append(env.now)))
 
     res.acquire(granted)
     nxt = []
@@ -145,9 +145,9 @@ def test_withdraw_held_visit_frees_slot_and_drops_done():
         res.withdraw(handle[0])
         assert res.count == 1 and res.queue_length == 0
 
-    env.schedule_callback(3, cancel)
+    env.call_later(3, cancel)
     env.run()
-    assert done == []
+    assert done == [] and env.now == 10  # the blanked entry still popped
     # The queued visit got the slot at the withdraw instant.
     assert nxt == [3]
     assert res.count == 0 and res.busy_time() == pytest.approx(4.0)
@@ -157,7 +157,7 @@ def test_resource_busy_time_accounting():
     env = Environment()
     res = Resource(env, capacity=1)
     visit(env, res, 3)
-    env.schedule_callback(5, lambda: visit(env, res, 2))
+    env.call_later(5, lambda: visit(env, res, 2))
     env.run()
     assert res.busy_time() == pytest.approx(5.0)
     assert res.utilization(env.now) == pytest.approx(5.0 / 7.0)
@@ -180,7 +180,7 @@ def test_reset_accounting_while_busy():
     env = Environment()
     res = Resource(env, capacity=1)
     visit(env, res, 10)
-    env.schedule_callback(4, res.reset_accounting)
+    env.call_later(4, res.reset_accounting)
     env.run()
     # Busy from t=4 (reset) to t=10.
     assert res.busy_time() == pytest.approx(6.0)
@@ -192,7 +192,7 @@ def test_priority_resource_orders_by_priority():
     order = []
     visit(env, res, 5, priority=0)
     for name, prio, delay in (("low", 5, 1), ("high", 1, 2), ("mid", 3, 3)):
-        env.schedule_callback(
+        env.call_later(
             delay,
             lambda name=name, prio=prio: visit(
                 env, res, 1, lambda _t: order.append(name), prio
@@ -208,7 +208,7 @@ def test_priority_resource_fifo_within_priority():
     order = []
     visit(env, res, 5, priority=0)
     for name, delay in (("first", 1), ("second", 2)):
-        env.schedule_callback(
+        env.call_later(
             delay,
             lambda name=name: visit(env, res, 1, lambda _t: order.append(name), 2),
         )
@@ -223,7 +223,7 @@ def test_priority_resource_withdraw_queued_visit():
     visit(env, res, 5, priority=0)
     low = visit(env, res, 1, lambda _t: order.append("low"), 5)
     visit(env, res, 1, lambda _t: order.append("high"), 1)
-    env.schedule_callback(2, lambda: res.withdraw(low))
+    env.call_later(2, lambda: res.withdraw(low))
     env.run()
     assert order == ["high"]
 

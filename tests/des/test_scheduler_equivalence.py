@@ -2,11 +2,11 @@
 
 The kernel has one event loop, entered three ways: ``run()`` drains it,
 ``step()`` runs it for exactly one event, and a sanitized environment
-routes every pop through the sanitizer's checks.  On top sit an event
-free-list pool and a callback-chain request fast path.  None of these
-may change behaviour: for a fixed seed, every combination must produce
-the *same simulation* — identical event orderings on randomized storms,
-identical SimResults, and byte-identical ``repro reproduce`` reports.
+routes every schedule and pop through the sanitizer's checks.  None of
+these may change behaviour: for a fixed seed, every combination must
+produce the *same simulation* — identical event orderings on randomized
+storms, identical SimResults, and byte-identical ``repro reproduce``
+reports.
 """
 
 from __future__ import annotations
@@ -22,11 +22,9 @@ from repro.servers import make_policy
 from repro.sim.driver import Simulation
 from repro.workload import build_fileset, generate_trace
 
-#: (driver, pooling, sanitize) kernel variants; the first is the
-#: production configuration every other one is compared against.
-KERNEL_VARIANTS = list(
-    itertools.product(["run", "step"], [True, False], [False, True])
-)
+#: (driver, sanitize) kernel variants; the first is the production
+#: configuration every other one is compared against.
+KERNEL_VARIANTS = list(itertools.product(["run", "step"], [False, True]))
 
 
 #: Storms pause once at this time, so the ``run(until=...)`` horizon is
@@ -68,11 +66,11 @@ def _run_by_steps(self, until=None):
 # -- randomized event storms -------------------------------------------------
 
 
-def _storm(driver: str, pooling: bool, sanitize: bool, seed: int):
+def _storm(driver: str, sanitize: bool, seed: int):
     """A seeded blizzard of timeouts, ties, priorities, resource contention,
     interrupts and failures; returns the processed-event log."""
     rng = random.Random(seed)
-    env = Environment(pool_events=pooling, sanitize=sanitize)
+    env = Environment(sanitize=sanitize)
     res = Resource(env, capacity=2)
     log = []
 
@@ -116,7 +114,7 @@ def _storm(driver: str, pooling: bool, sanitize: bool, seed: int):
         for i in range(8):
             env.call_later(
                 rng.choice([0.0, 1.0, 2.5]),
-                lambda _e, i=i: log.append((env.now, "call_later", i)),
+                lambda i=i: log.append((env.now, "call_later", i)),
                 priority=rng.choice([0, 1]),
             )
             yield env.timeout(1)
@@ -141,10 +139,10 @@ def _storm(driver: str, pooling: bool, sanitize: bool, seed: int):
 def test_storm_identical_across_variants(seed):
     reference = _storm(*KERNEL_VARIANTS[0], seed)
     assert reference, "storm produced no events"
-    for driver, pooling, sanitize in KERNEL_VARIANTS[1:]:
-        assert _storm(driver, pooling, sanitize, seed) == reference, (
-            f"driver={driver} pooling={pooling} sanitize={sanitize} "
-            "diverged from run()+pool on the same seed"
+    for driver, sanitize in KERNEL_VARIANTS[1:]:
+        assert _storm(driver, sanitize, seed) == reference, (
+            f"driver={driver} sanitize={sanitize} "
+            "diverged from run() on the same seed"
         )
 
 
@@ -152,8 +150,8 @@ def test_storm_final_state_identical():
     """Beyond ordering: clocks and event counts agree too."""
     for seed in (5, 6):
         finals = set()
-        for driver, pooling, sanitize in KERNEL_VARIANTS:
-            env = Environment(pool_events=pooling, sanitize=sanitize)
+        for driver, sanitize in KERNEL_VARIANTS:
+            env = Environment(sanitize=sanitize)
             rng = random.Random(seed)
 
             def burst():
@@ -169,11 +167,10 @@ def test_storm_final_state_identical():
 # -- full simulations --------------------------------------------------------
 
 
-def _sim_result(monkeypatch, driver, pooling, sanitize, failures=None):
+def _sim_result(monkeypatch, driver, sanitize, failures=None):
     monkeypatch.setattr(
         Environment, "run", _run_by_steps if driver == "step" else _ENV_RUN
     )
-    monkeypatch.setenv("REPRO_DES_POOL", "1" if pooling else "0")
     monkeypatch.setenv("REPRO_DES_SANITIZE", "1" if sanitize else "0")
     fs = build_fileset(120, 15 * 1024, 12 * 1024, 0.9, seed=3, name="eq")
     trace = generate_trace(fs, 1200, seed=4, name="eq")
@@ -189,17 +186,16 @@ def _sim_result(monkeypatch, driver, pooling, sanitize, failures=None):
 
 @pytest.mark.parametrize("failures", [None, [(1, 300)]], ids=["healthy", "crash"])
 def test_simulation_identical_across_all_variants(monkeypatch, failures):
-    """SimResult equality across driver x pooling x sanitize (8 ways),
-    healthy and with a mid-run node crash."""
+    """SimResult equality across driver x sanitize (4 ways), healthy
+    and with a mid-run node crash."""
     reference = None
-    for driver, pooling, sanitize in KERNEL_VARIANTS:
-        r = _sim_result(monkeypatch, driver, pooling, sanitize, failures)
+    for driver, sanitize in KERNEL_VARIANTS:
+        r = _sim_result(monkeypatch, driver, sanitize, failures)
         if reference is None:
             reference = r
         else:
             assert r == reference, (
-                f"driver={driver} pooling={pooling} sanitize={sanitize} "
-                "changed the simulation"
+                f"driver={driver} sanitize={sanitize} changed the simulation"
             )
 
 
@@ -208,14 +204,14 @@ def test_simulation_identical_across_all_variants(monkeypatch, failures):
 
 @pytest.mark.slow
 def test_reproduce_report_byte_identical_across_kernels(monkeypatch, tmp_path):
-    """`repro reproduce --workers 2` output must not depend on event
-    pooling (workers inherit the setting through the environment)."""
+    """`repro reproduce --workers 2` output must not depend on the
+    sanitizer (workers inherit the setting through the environment)."""
     from repro.experiments.reproduce import write_report
 
     texts = {}
-    for pool in ("1", "0"):
-        monkeypatch.setenv("REPRO_DES_POOL", pool)
-        out = tmp_path / f"report-pool{pool}.md"
+    for sanitize in ("0", "1"):
+        monkeypatch.setenv("REPRO_DES_SANITIZE", sanitize)
+        out = tmp_path / f"report-sanitize{sanitize}.md"
         write_report(
             str(out),
             num_requests=800,
@@ -224,5 +220,5 @@ def test_reproduce_report_byte_identical_across_kernels(monkeypatch, tmp_path):
             workers=2,
             timing_footer=False,
         )
-        texts[pool] = out.read_bytes()
+        texts[sanitize] = out.read_bytes()
     assert texts["1"] == texts["0"]

@@ -28,7 +28,7 @@ def awaited(env, cluster, size_kb, kind, at=None, action=None):
     outcome = []
     cluster.net.transmit_cb(0, 1, size_kb, kind, outcome.append)
     if action is not None:
-        env.call_later(at, lambda _e: action())
+        env.call_later(at, lambda: action())
     env.run()
     assert len(outcome) == 1
     return outcome[0]
@@ -82,7 +82,7 @@ def test_callback_crash_mid_flight():
     env, cluster = make_cluster()
     lost = []
     cluster.net.send_message_cb(0, 1, 500.0, "bulk", on_drop=lambda: lost.append(1))
-    env.call_later(1e-6, lambda _e: cluster.node(1).crash())
+    env.call_later(1e-6, lambda: cluster.node(1).crash())
     env.run()
     assert lost == [1]
     assert cluster.net.in_flight_total() == 0
@@ -120,7 +120,7 @@ def test_crash_drops_reconcile_with_in_flight_level():
     for dst in (1, 2):
         for _ in range(5):
             cluster.net.send_message_cb(0, dst, 50.0, "bulk")
-    env.call_later(1e-6, lambda _e: cluster.node(1).crash())
+    env.call_later(1e-6, lambda: cluster.node(1).crash())
     env.run()
     net = cluster.net
     assert net.message_counts["bulk"] == 10

@@ -85,7 +85,7 @@ def test_request_cb_succeeds_once_the_link_heals():
     env, cluster = make_cluster(default_spec=spec)
     proto = cluster.net.protocol
     cluster.net.netfaults.link_down(0, 1)
-    env.call_later(2.5e-3, lambda _e: cluster.net.netfaults.link_up(0, 1))
+    env.call_later(2.5e-3, lambda: cluster.net.netfaults.link_up(0, 1))
     ok = request(env, proto, 0, 1)
     assert ok is True
     assert proto.retries.get("handoff", 0) >= 2

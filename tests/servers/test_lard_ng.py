@@ -117,7 +117,7 @@ def test_lost_reply_rolls_back_the_view_and_fails():
     decisions, failures = [], []
     p.decide_cb(1, 10, decisions.append, lambda: failures.append(env.now))
     # Node 1 dies after its query left but before the reply lands.
-    env.call_later(10e-6, lambda _e: cluster.node(1).crash())
+    env.call_later(10e-6, lambda: cluster.node(1).crash())
     env.run()
     assert decisions == [] and len(failures) == 1
     assert cluster.net.dropped_counts == {"lardng_reply": 1}

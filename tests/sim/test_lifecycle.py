@@ -170,7 +170,7 @@ def test_service_crash_aborts_and_fires_on_failed():
     env, cluster, policy = setup(nodes=1)
     request, done, failed = run_one_abortable(env, cluster, policy)
     node = cluster.node(0)
-    env.schedule_callback(1e-4, node.crash)
+    env.call_later(1e-4, node.crash)
     env.run()
     assert failed == [0]
     assert done == []
@@ -187,8 +187,8 @@ def test_incarnation_mismatch_aborts_after_quick_reboot():
     env, cluster, policy = setup(nodes=1)
     request, done, failed = run_one_abortable(env, cluster, policy)
     node = cluster.node(0)
-    env.schedule_callback(1e-4, node.crash)
-    env.schedule_callback(2e-4, node.recover)
+    env.call_later(1e-4, node.crash)
+    env.call_later(2e-4, node.recover)
     env.run()
     assert not node.failed and node.incarnation == 1
     assert failed == [0]
@@ -198,7 +198,7 @@ def test_incarnation_mismatch_aborts_after_quick_reboot():
 def test_abort_without_handler_propagates():
     env, cluster, policy = setup(nodes=1)
     start_fast_request(cluster, policy, 0, 0, 10 * 1024)
-    env.schedule_callback(1e-4, cluster.node(0).crash)
+    env.call_later(1e-4, cluster.node(0).crash)
     with pytest.raises(NodeFailedError):
         env.run()
     assert cluster.node(0).open_connections == 0
@@ -209,7 +209,7 @@ def test_client_timeout_interrupt_aborts_request():
     chain; the request aborts like a node failure, but at once."""
     env, cluster, policy = setup(nodes=1)
     request, done, failed = run_one_abortable(env, cluster, policy)
-    env.schedule_callback(1e-4, request.cancel)
+    env.call_later(1e-4, request.cancel)
     env.run()
     assert failed == [0]
     assert done == []
@@ -228,9 +228,9 @@ def test_cancel_frees_the_held_station_at_once():
     def cancel_mid_read():
         assert disk.count == 1
         request.cancel()
-        env.schedule_callback(0.0, lambda: cut.append(disk.count))
+        env.call_later(0.0, lambda: cut.append(disk.count))
 
-    env.schedule_callback(5e-3, cancel_mid_read)
+    env.call_later(5e-3, cancel_mid_read)
     env.run()
     assert failed == [0] and cut == [0]
     # The disk went idle at the cancel, long before the read would end.
@@ -248,10 +248,10 @@ def test_cancel_withdraws_a_queued_request():
     def cancel_queued():
         assert disk.count == 1 and disk.queue_length == 1
         second.cancel()
-        env.schedule_callback(0.0, lambda: queued.append(disk.queue_length))
+        env.call_later(0.0, lambda: queued.append(disk.queue_length))
 
     queued = []
-    env.schedule_callback(5e-3, cancel_queued)
+    env.call_later(5e-3, cancel_queued)
     env.run()
     assert failed == [1] and done == [0] and queued == [0]
     assert disk.total_served == 1
@@ -305,7 +305,7 @@ def test_traditional_abort_balances_dispatcher_view():
         cluster.node(0).crash()
         policy.on_node_failed(0)
 
-    env.schedule_callback(1e-4, crash)
+    env.call_later(1e-4, crash)
     env.run()
     assert mid_flight == [[1, 0]]  # assignment was counted while in flight
     assert failed == [0]

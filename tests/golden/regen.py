@@ -20,9 +20,18 @@ the mode says otherwise), four nodes, two passes:
 * ``dfs`` / ``dfs-netloss`` — partitioned disks (remote DFS reads),
   fault-free and with 2% message loss;
 * ``persistent`` — HTTP/1.1 connections of mean length 4;
-* ``clarknet`` — the fault-free l2s run on a clarknet trace.
+* ``clarknet`` — the fault-free l2s run on a clarknet trace;
+* ``outage`` — a timed link outage and a partition, the ``crash`` fault
+  schedule and an availability timeline sampled every 0.02 s.  The
+  stored JSON holds the SimResult, the timeline CSV and both injector
+  logs, so the background loops (fault and netfault injectors,
+  timeline sampler) are pinned event for event.
 
 ``lard-ng`` (the dispatcher round-trip) runs ``plain`` and ``netloss``.
+
+The chaos corpus pins the chaos-oracle sampler: one text file per trial
+of ``ScenarioGenerator(42)`` holding ``render_report`` and the number of
+mid-run samples the oracle took.
 
 Regenerate (only for an intended behaviour change, explained in the
 same commit)::
@@ -37,10 +46,14 @@ import json
 import os
 import sys
 from typing import List, Tuple
+from unittest import mock
 
+from repro.chaos import runner as chaos_runner
+from repro.chaos.generator import ScenarioGenerator
+from repro.chaos.oracle import ChaosOracle
 from repro.cluster import ClusterConfig
 from repro.faults import FaultSchedule, RetryPolicy
-from repro.netfaults import NetFaultConfig
+from repro.netfaults import NetFaultConfig, NetFaultSchedule
 from repro.overload import OverloadControl
 from repro.servers import make_policy
 from repro.sim import SimResult, Simulation
@@ -64,6 +77,7 @@ EXTRA_MODES: Tuple[Tuple[Tuple[str, ...], str], ...] = (
     (("lard", "l2s"), "dfs-netloss"),
     (("lard", "l2s"), "persistent"),
     (("l2s",), "clarknet"),
+    (POLICIES, "outage"),
 )
 
 #: Every (policy, mode, seed) cell.
@@ -77,12 +91,71 @@ SCENARIOS: List[Tuple[str, str, int]] = [
 ]
 
 
+#: Trials of ``ScenarioGenerator(CHAOS_SEED)`` in the chaos corpus.
+CHAOS_SEED = 42
+CHAOS_TRIALS = tuple(range(8))
+
+CRASH_SCHEDULE = "crash:2@0.3,recover:2@0.6"
+OUTAGE_NETFAULTS = "link:0-1@0.05..0.15,partition:2+3@0.2..0.3"
+
+
 def path_for(policy: str, mode: str, seed: int) -> str:
     return os.path.join(GOLDEN_DIR, f"{policy}-{mode}-s{seed}.json")
 
 
+def chaos_path_for(trial: int) -> str:
+    return os.path.join(GOLDEN_DIR, f"chaos-s{CHAOS_SEED}-t{trial}.txt")
+
+
+def render(policy: str, mode: str, seed: int) -> str:
+    """The stored form of one golden scenario, simulated from scratch."""
+    if mode != "outage":
+        return canonical(simulate(policy, mode, seed))
+    trace = synthesize("calgary", REQUESTS, seed=seed)
+    config = ClusterConfig(
+        nodes=NODES,
+        net_faults=NetFaultConfig(
+            schedule=NetFaultSchedule.parse(OUTAGE_NETFAULTS), seed=seed
+        ),
+    )
+    sim = Simulation(
+        trace,
+        make_policy(policy),
+        config,
+        passes=2,
+        seed=seed,
+        faults=FaultSchedule.parse(CRASH_SCHEDULE),
+        retry=RetryPolicy(),
+        timeline_interval_s=0.02,
+    )
+    result = sim.run()
+    stored = {
+        "result": dataclasses.asdict(result),
+        "timeline_csv": sim.timeline.to_csv(),
+        "fault_log": sim._injector.log,
+        "netfault_log": sim._net_injector.log,
+    }
+    return json.dumps(stored, sort_keys=True, indent=2) + "\n"
+
+
+def render_chaos(trial: int) -> str:
+    """``render_report`` of one chaos trial plus the oracle's sample count."""
+    oracles: List[ChaosOracle] = []
+
+    class RecordingOracle(ChaosOracle):
+        def attach(self, sim) -> None:
+            oracles.append(self)
+            super().attach(sim)
+
+    scenario = ScenarioGenerator(CHAOS_SEED).generate(trial)
+    with mock.patch.object(chaos_runner, "ChaosOracle", RecordingOracle):
+        report = chaos_runner.render_report(chaos_runner.run_scenario(scenario))
+    (oracle,) = oracles
+    return f"{report}\nsamples_taken: {oracle.samples_taken}\n"
+
+
 def simulate(policy: str, mode: str, seed: int) -> SimResult:
-    """Run one golden scenario from scratch."""
+    """Run one SimResult-only golden scenario from scratch."""
     trace = synthesize(
         "clarknet" if mode == "clarknet" else "calgary", REQUESTS, seed=seed
     )
@@ -98,7 +171,7 @@ def simulate(policy: str, mode: str, seed: int) -> SimResult:
         )
     kwargs = {}
     if mode == "crash":
-        kwargs["faults"] = FaultSchedule.parse("crash:2@0.3,recover:2@0.6")
+        kwargs["faults"] = FaultSchedule.parse(CRASH_SCHEDULE)
         kwargs["retry"] = RetryPolicy()
     elif mode in ("netloss", "dfs-netloss"):
         config = ClusterConfig(
@@ -132,7 +205,12 @@ def main() -> int:
     for policy, mode, seed in SCENARIOS:
         path = path_for(policy, mode, seed)
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(canonical(simulate(policy, mode, seed)))
+            fh.write(render(policy, mode, seed))
+        print(path)
+    for trial in CHAOS_TRIALS:
+        path = chaos_path_for(trial)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(render_chaos(trial))
         print(path)
     return 0
 

@@ -1,4 +1,4 @@
-"""Re-simulate the golden grid and diff against the committed JSON.
+"""Re-simulate the golden grid and diff against the committed files.
 
 A failure here means a change altered simulation behaviour.  If that
 was intended, regenerate with ``PYTHONPATH=src python
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from .regen import SCENARIOS, canonical, path_for, simulate
+from .regen import CHAOS_TRIALS, SCENARIOS, chaos_path_for, path_for, render, render_chaos
 
 
 @pytest.mark.parametrize(
@@ -20,4 +20,11 @@ from .regen import SCENARIOS, canonical, path_for, simulate
 def test_golden_simresult(policy, mode, seed):
     with open(path_for(policy, mode, seed), encoding="utf-8") as fh:
         expected = fh.read()
-    assert canonical(simulate(policy, mode, seed)) == expected
+    assert render(policy, mode, seed) == expected
+
+
+@pytest.mark.parametrize("trial", CHAOS_TRIALS)
+def test_golden_chaos_report(trial):
+    with open(chaos_path_for(trial), encoding="utf-8") as fh:
+        expected = fh.read()
+    assert render_chaos(trial) == expected

@@ -1,25 +1,25 @@
 """K1 — kernel micro-benchmark: DES event throughput.
 
 Not a paper artifact; a performance-regression guard for the substrate
-every simulation stands on.  Measures events/second through the three
-hot paths: bare timeouts, resource handoffs, and store message-passing.
+every simulation stands on.  Measures events/second through the two
+hot paths: a bare ``call_later`` chain and resource handoffs.
 """
 
 import pytest
 
-from repro.des import Environment, Resource, Store
+from repro.des import Environment, Resource
 
 
 def run_timeout_chain(n: int) -> int:
     env = Environment()
     count = [0]
 
-    def ticker(env):
-        for _ in range(n):
-            yield env.timeout(1.0)
-            count[0] += 1
+    def tick():
+        count[0] += 1
+        if count[0] < n:
+            env.call_later(1.0, tick)
 
-    env.process(ticker(env))
+    env.call_later(1.0, tick)
     env.run()
     return count[0]
 
@@ -44,38 +44,11 @@ def run_resource_contention(n: int, workers: int = 8) -> int:
     return done[0]
 
 
-def run_store_pingpong(n: int) -> int:
-    env = Environment()
-    a, b = Store(env, capacity=4), Store(env, capacity=4)
-    moved = [0]
-
-    def producer(env):
-        for i in range(n):
-            yield a.put(i)
-
-    def relay(env):
-        while True:
-            item = yield a.get()
-            yield b.put(item)
-
-    def consumer(env):
-        for _ in range(n):
-            yield b.get()
-            moved[0] += 1
-
-    env.process(producer(env))
-    env.process(relay(env))
-    env.process(consumer(env))
-    env.run()
-    return moved[0]
-
-
 @pytest.mark.parametrize(
     "name,fn,n",
     [
         ("timeouts", run_timeout_chain, 50_000),
         ("resource", run_resource_contention, 40_000),
-        ("store", run_store_pingpong, 20_000),
     ],
 )
 def test_des_kernel_throughput(benchmark, name, fn, n):

@@ -113,9 +113,9 @@ state bleeds between otherwise independent simulations.  Default to
             LOCAL,
             """
 Bare ``except:`` or blanket ``except Exception: pass`` handlers.  In
-event callbacks these silently eat the generator/callback failures the
-kernel relies on to surface broken runs (including ``Interrupt``).
-Name the exceptions or handle the error.
+event callbacks these silently eat the callback failures the kernel
+relies on to surface broken runs.  Name the exceptions or handle the
+error.
             """,
         ),
         _r(
@@ -152,10 +152,9 @@ speed — both break the "same scenario, same verdict" contract.
 A nondeterministic value — a wall-clock read, a draw from an unseeded
 RNG, OS entropy (``os.urandom``/``uuid.uuid4``), or a value whose order
 came from set/dict iteration — flows (possibly through several function
-calls and modules) into an ``Environment`` scheduling sink:
-``timeout()``, ``call_later()``, ``_schedule()``, or a ``Timeout``
-constructor.  Event
-timing then differs run to run, which breaks byte-identical replay.
+calls and modules) into an ``Environment`` scheduling sink,
+``call_later()``.  Event timing then differs run to run, which breaks
+byte-identical replay.
 The finding reports the full source → sink path.  Derive delays from
 simulated state and seeded RNG instances only.
             """,

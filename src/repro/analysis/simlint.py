@@ -473,15 +473,15 @@ class _Checker(ast.NodeVisitor):
             self._emit(
                 node,
                 "REP006",
-                "bare except: catches and hides every failure (including "
-                "kernel Interrupts); name the exceptions",
+                "bare except: catches and hides every failure; name the "
+                "exceptions",
             )
         elif self._is_blanket(node.type) and self._only_passes(node.body):
             self._emit(
                 node,
                 "REP006",
-                "blanket exception handler swallows callback/generator "
-                "failures; name the exceptions or handle the error",
+                "blanket exception handler swallows callback failures; "
+                "name the exceptions or handle the error",
             )
         self.generic_visit(node)
 

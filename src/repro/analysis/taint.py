@@ -29,8 +29,7 @@ source → sink path.
 
 Sinks
 -----
-* REP101 — kernel scheduling calls: ``timeout``, ``call_later``,
-  ``_schedule``, ``schedule``, and ``Timeout(...)`` construction.
+* REP101 — kernel scheduling calls: ``call_later`` and ``schedule``.
 * REP102 — ``SimResult(...)`` construction (any argument).
 * REP103 — ``Scenario(...)`` / ``PlanItem(...)`` construction and
   methods of ``ScenarioGenerator`` subclasses.
@@ -69,9 +68,7 @@ _SOURCES = {
 #: Builtins whose result no longer depends on the input's *order*.
 _ORDER_LAUNDER = {"sorted", "len", "min", "max", "sum", "frozenset", "set"}
 
-_SCHEDULING_SINKS = {
-    "timeout", "call_later", "_schedule", "schedule",
-}
+_SCHEDULING_SINKS = {"call_later", "schedule"}
 
 #: Max provenance steps kept per taint (also bounds fixpoint growth).
 _MAX_STEPS = 10
@@ -583,8 +580,8 @@ class TaintPass:
         """(rule, sink description) when this call is a sink."""
         name = site.attr_name or ""
         cls = (site.class_target or "").rpartition(".")[2]
-        if name in _SCHEDULING_SINKS or cls == "Timeout" or name == "Timeout":
-            return "REP101", f"scheduling call {name or cls}(...)"
+        if name in _SCHEDULING_SINKS:
+            return "REP101", f"scheduling call {name}(...)"
         if cls == "SimResult" or name == "SimResult":
             return "REP102", "SimResult(...) construction"
         if cls in ("Scenario", "PlanItem") or name in ("Scenario", "PlanItem"):

@@ -61,8 +61,10 @@ property.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
+from ..des.core import URGENT
 from .spec import Scenario
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -165,20 +167,29 @@ class ChaosOracle:
     # -- wiring ------------------------------------------------------------
 
     def attach(self, sim: "Simulation") -> None:
-        """Bind to a driver and start the mid-run sampler process."""
+        """Bind to a driver and start the mid-run sampler chain."""
         self._sim = sim
         if self.config.midrun_samples > 0:
             interval = self.scenario.horizon_s / self.config.midrun_samples
-            sim.env.process(self._sampler(max(interval, 1e-9)),
-                            name="chaos-oracle")
+            self._interval = max(interval, 1e-9)
+            sim.env.call_later(0.0, self._sleep, URGENT)
 
-    def _sampler(self, interval: float):
+    def _sleep(self) -> None:
+        """Wait one interval for the next sample, while requests remain.
+
+        Sampling also stops when nothing else is queued: no entry is left
+        that could finish a request, so the run must end (and the
+        stranded requests surface as a conservation violation) instead
+        of the sampler spinning the clock forever.
+        """
         sim = self._sim
-        assert sim is not None
-        while sim._finished < sim._total:
-            yield sim.env.timeout(interval)
-            self.samples_taken += 1
-            self._check_now(sim)
+        if sim._finished < sim._total and sim.env.peek() != inf:
+            sim.env.call_later(self._interval, self._sample)
+
+    def _sample(self) -> None:
+        self.samples_taken += 1
+        self._check_now(self._sim)
+        self._sleep()
 
     def _record(self, check: str, detail: str) -> None:
         """Deduplicated: the sampler seeing the same breach 60 times is

@@ -2,60 +2,43 @@
 
 A from-scratch kernel: :class:`Environment` advances a global clock over
 a binary heap of scheduled zero-argument continuations
-(:meth:`Environment.call_later`), and simpy-style processes — Python
-generators that yield events — run on top.  See :mod:`repro.des.core`
-for the execution model and :mod:`repro.des.resources` /
-:mod:`repro.des.stores` for the queueing primitives the cluster
+(:meth:`Environment.call_later`).  A model is a set of callback chains:
+each continuation does its work and schedules the next.  See
+:mod:`repro.des.core` for the execution model and
+:mod:`repro.des.resources` for the queueing stations the cluster
 simulator is built on.
 
 Example
 -------
+Two clocks as callback chains.  Entries due at the same time run in
+scheduling order, so the slow clock's first tick (queued at t=0) runs
+before the fast clock's second (queued at t=1):
+
 >>> from repro.des import Environment
 >>> env = Environment()
 >>> log = []
->>> def clock(env, name, period):
-...     while True:
-...         yield env.timeout(period)
+>>> def clock(name, period):
+...     def tick():
 ...         log.append((name, env.now))
->>> _ = env.process(clock(env, "fast", 1))
->>> _ = env.process(clock(env, "slow", 2))
+...         env.call_later(period, tick)
+...     env.call_later(period, tick)
+>>> clock("fast", 1)
+>>> clock("slow", 2)
 >>> env.run(until=4)
 >>> log
-[('fast', 1), ('fast', 2), ('slow', 2), ('fast', 3)]
+[('fast', 1.0), ('slow', 2.0), ('fast', 2.0), ('fast', 3.0)]
 """
 
-from .core import (
-    EmptySchedule,
-    Environment,
-    Event,
-    Interrupt,
-    Process,
-    StopProcess,
-    Timeout,
-)
-from .events import AllOf, AnyOf, Condition, ConditionValue
+from .core import EmptySchedule, Environment
 from .monitor import RateMeter, Tally, TimeWeightedValue
 from .sanitize import DESSanitizer, LeakReport, SanitizerError, Violation
-from .resources import Container, PriorityResource, Resource
-from .stores import FilterStore, Store
+from .resources import PriorityResource, Resource
 
 __all__ = [
     "Environment",
-    "Event",
-    "Timeout",
-    "Process",
-    "Interrupt",
-    "StopProcess",
     "EmptySchedule",
-    "AllOf",
-    "AnyOf",
-    "Condition",
-    "ConditionValue",
     "Resource",
     "PriorityResource",
-    "Container",
-    "Store",
-    "FilterStore",
     "TimeWeightedValue",
     "Tally",
     "RateMeter",

@@ -1,11 +1,10 @@
-"""Shared resources with queueing: counted stations and level containers.
+"""Shared resources with queueing: counted stations.
 
 :class:`Resource` models a station (or a pool of ``capacity`` identical
 servers) with a FIFO queue of waiting visits — the building block for
 CPUs, NICs, disks and router ports in :mod:`repro.cluster`.
 :class:`PriorityResource` orders its queue by priority, FIFO within a
-priority.  :class:`Container` models a continuous level (e.g. buffer
-space) with put/get semantics.
+priority.
 
 A station visit is a callback chain and costs one kernel event, its
 completion::
@@ -24,9 +23,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Optional
 
-from .core import Environment, Event
+from .core import Environment
 
-__all__ = ["Resource", "PriorityResource", "Container"]
+__all__ = ["Resource", "PriorityResource"]
 
 
 def _noop() -> None:
@@ -235,84 +234,3 @@ class PriorityResource(Resource):
                 self.queue.remove(entry)
                 return
         raise RuntimeError(f"{on_grant!r} is not queued at {self!r}")
-
-
-class ContainerPut(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        super().__init__(container.env)
-        self.amount = amount
-        container._put_queue.append(self)
-        container._trigger()
-
-
-class ContainerGet(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, container: "Container", amount: float):
-        if amount <= 0:
-            raise ValueError(f"amount must be positive, got {amount}")
-        super().__init__(container.env)
-        self.amount = amount
-        container._get_queue.append(self)
-        container._trigger()
-
-
-class Container:
-    """A continuous level between 0 and ``capacity`` with blocking put/get."""
-
-    def __init__(
-        self,
-        env: Environment,
-        capacity: float = float("inf"),
-        init: float = 0.0,
-    ):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must lie within [0, capacity]")
-        self.env = env
-        self._capacity = capacity
-        self._level = init
-        self._put_queue: Deque[ContainerPut] = deque()
-        self._get_queue: Deque[ContainerGet] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    @property
-    def capacity(self) -> float:
-        return self._capacity
-
-    def put(self, amount: float) -> ContainerPut:
-        """Add ``amount``; blocks while it would overflow the capacity."""
-        return ContainerPut(self, amount)
-
-    def get(self, amount: float) -> ContainerGet:
-        """Remove ``amount``; blocks while the level is insufficient."""
-        return ContainerGet(self, amount)
-
-    def _trigger(self) -> None:
-        # Serve puts then gets repeatedly until neither can progress;
-        # strict FIFO within each queue (no overtaking).
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._put_queue:
-                put = self._put_queue[0]
-                if self._level + put.amount <= self._capacity:
-                    self._put_queue.popleft()
-                    self._level += put.amount
-                    put.succeed()
-                    progressed = True
-            if self._get_queue:
-                get = self._get_queue[0]
-                if self._level >= get.amount:
-                    self._get_queue.popleft()
-                    self._level -= get.amount
-                    get.succeed()
-                    progressed = True

@@ -4,7 +4,7 @@ The kernel's fast paths (zero-delay now-queues merged with the heap
 under a delicate ``(time, priority, insertion-order)`` tie-break,
 cancellation by blanking a queued entry, callback chains) buy speed with
 exactly the kind of ordering hazards that are invisible to spot tests.
-The sanitizer wraps every scheduling entry point and every pop with
+The sanitizer wraps every scheduled entry and every pop with
 invariant checks, at a cost that is acceptable for smoke runs and CI but
 not for production sweeps — enable it with ``Environment(sanitize=True)``
 or ``REPRO_DES_SANITIZE=1``.
@@ -13,19 +13,15 @@ Checks
 ------
 * **Time monotonicity / tie-break order** — pops must come out in strictly
   increasing ``(time, priority, eid)`` order (eids are unique, so equality
-  is also a violation) among entries that coexisted in the queue;
-  scheduling behind ``env.now`` is caught at the source.
-* **Double trigger** — re-scheduling an :class:`~repro.des.core.Event`
-  that is already queued, or one whose callbacks have already run, and
-  popping an event whose callbacks already ran, are reported even when
-  the ``Event.succeed``/``fail`` guards were bypassed by direct state
-  writes.
-* **Leak report** — :meth:`DESSanitizer.finish` reports events created but
-  never triggered, entries scheduled but stranded in the queue, processes
-  that never terminated, in-flight operations (callback-chain requests
-  registered through :meth:`DESSanitizer.op_begin`) that never completed,
-  and interconnect messages sent but never delivered or dropped (the
-  blind spot netfault injection opens), each with provenance.
+  is also a violation) among entries that coexisted in the queue; an
+  entry pushed into the past behind the scheduler's back is caught when
+  it pops (``call_later`` refuses a negative delay at the source).
+* **Leak report** — :meth:`DESSanitizer.finish` reports entries
+  scheduled but stranded in the queue, in-flight operations
+  (callback-chain requests registered through
+  :meth:`DESSanitizer.op_begin`) that never completed, and interconnect
+  messages sent but never delivered or dropped (the blind spot netfault
+  injection opens), each with provenance.
 
 A sanitized run is behaviourally identical to an unsanitized one: the
 sanitizer only observes (the equivalence test asserts SimResult equality).
@@ -36,9 +32,7 @@ Violations raise :class:`SanitizerError` immediately and are also kept in
 from __future__ import annotations
 
 import sys
-from typing import Any, Dict, List, Optional, Set, Tuple
-
-from .core import Event
+from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = [
     "DESSanitizer",
@@ -47,14 +41,11 @@ __all__ = [
     "LeakReport",
 ]
 
-#: Kernel files whose frames are skipped when attributing creation sites.
+#: Kernel files whose frames are skipped when attributing scheduling sites.
 _KERNEL_FILE_MARKERS = ("repro/des/", "repro\\des\\")
 
-#: What the queue entry of every event runs (``event._fire``).
-_FIRE = Event._fire
 
-
-def _creation_site() -> str:
+def _scheduling_site() -> str:
     """``file:line`` of the first stack frame outside the DES kernel."""
     frame = sys._getframe(1)
     while frame is not None:
@@ -63,38 +54,6 @@ def _creation_site() -> str:
             return f"{filename}:{frame.f_lineno}"
         frame = frame.f_back
     return "<unknown>"
-
-
-def _event_of(fn: Any) -> Optional[Event]:
-    """The event whose ``_fire`` a queue entry runs, else None."""
-    if getattr(fn, "__func__", None) is _FIRE:
-        return fn.__self__
-    return None
-
-
-class _EventRecord:
-    """Provenance and lifecycle state for one tracked event."""
-
-    __slots__ = ("event", "type_name", "site", "created_at", "state",
-                 "last_eid")
-
-    def __init__(self, event: Any, created_at: float, site: str):
-        #: Strong reference: keeps ids stable for every tracked event.
-        self.event = event
-        self.type_name = type(event).__name__
-        self.site = site
-        self.created_at = created_at
-        #: "pending" -> "queued"; the record is dropped when it pops.
-        self.state = "pending"
-        #: eid the event was last scheduled under (None before scheduling).
-        self.last_eid: Optional[int] = None
-
-    def provenance(self) -> str:
-        eid = f", eid {self.last_eid}" if self.last_eid is not None else ""
-        return (
-            f"{self.type_name} created at {self.site} "
-            f"(t={self.created_at:g}{eid}, state {self.state})"
-        )
 
 
 class _EntryRecord:
@@ -148,27 +107,21 @@ class SanitizerError(RuntimeError):
 
 
 class LeakReport:
-    """End-of-run accounting of events that never completed their life."""
+    """End-of-run accounting of work that never completed its life."""
 
-    __slots__ = ("never_triggered", "stranded", "orphaned_processes",
-                 "stalled_ops", "undelivered_messages", "events_tracked")
+    __slots__ = ("stranded", "stalled_ops", "undelivered_messages",
+                 "events_tracked")
 
     def __init__(
         self,
-        never_triggered: List[str],
         stranded: List[str],
-        orphaned_processes: List[str],
         stalled_ops: List[str],
         events_tracked: int,
         undelivered_messages: Optional[List[str]] = None,
     ):
-        #: Provenance of events created but never succeeded/failed.
-        self.never_triggered = never_triggered
-        #: Provenance of entries (triggered events and call_later calls)
-        #: still queued: the run stopped before they were processed.
+        #: Provenance of ``call_later`` entries still queued: the run
+        #: stopped before they were processed.
         self.stranded = stranded
-        #: Provenance of processes whose generator never terminated.
-        self.orphaned_processes = orphaned_processes
         #: Descriptions of registered in-flight operations (callback-chain
         #: requests) that never reached completion or abort.
         self.stalled_ops = stalled_ops
@@ -185,11 +138,7 @@ class LeakReport:
     @property
     def clean(self) -> bool:
         return not (
-            self.never_triggered
-            or self.stranded
-            or self.orphaned_processes
-            or self.stalled_ops
-            or self.undelivered_messages
+            self.stranded or self.stalled_ops or self.undelivered_messages
         )
 
     def render(self) -> str:
@@ -198,9 +147,7 @@ class LeakReport:
             + ("no leaks" if self.clean else "LEAKS DETECTED")
         ]
         for title, entries in (
-            ("never-triggered events", self.never_triggered),
             ("scheduled but unprocessed entries", self.stranded),
-            ("orphaned processes", self.orphaned_processes),
             ("stalled in-flight operations", self.stalled_ops),
             ("undelivered interconnect messages", self.undelivered_messages),
         ):
@@ -211,22 +158,15 @@ class LeakReport:
 
 
 class DESSanitizer:
-    """Observes one :class:`~repro.des.core.Environment`'s event traffic.
+    """Observes one :class:`~repro.des.core.Environment`'s queue traffic.
 
-    Installed by ``Environment(sanitize=True)``; the kernel calls the
-    ``on_*`` hooks from its scheduling and processing paths.  Events are
-    keyed by ``id(event)`` — safe because the sanitizer keeps a strong
-    reference to every live tracked event, so ids cannot be recycled
-    underneath it — and queue entries by their eid.
+    Installed by ``Environment(sanitize=True)``; the kernel calls
+    :meth:`on_schedule` for every entry it pushes and :meth:`on_pop` for
+    every entry it pops.  Queue entries are keyed by their eid.
     """
 
     def __init__(self, env: Any):
         self.env = env
-        #: id(event) -> record, for events whose life is not over
-        #: (pending or queued).
-        self._records: Dict[int, _EventRecord] = {}
-        #: ids of the events currently sitting in the scheduler queue.
-        self._scheduled: Set[int] = set()
         #: eid -> record, for every entry currently in the queue.
         self._queued: Dict[int, _EntryRecord] = {}
         #: Last popped (time, priority, eid) key — pops must increase.
@@ -241,99 +181,36 @@ class DESSanitizer:
 
     # -- internals ---------------------------------------------------------
 
-    def _record_for(self, event: Any) -> _EventRecord:
-        """The record for ``event``, creating one if it is unknown.
-
-        Every kernel event is recorded by ``on_create``; an event the
-        sanitizer never saw created (one that skipped ``Event.__init__``,
-        or one already processed) gets its record on demand here.
-        """
-        rec = self._records.get(id(event))
-        if rec is None:
-            rec = _EventRecord(event, self.env._now, _creation_site())
-            self._records[id(event)] = rec
-            self.events_tracked += 1
-        return rec
-
     def _violate(self, kind: str, message: str, provenance: str) -> None:
         violation = Violation(kind, message, provenance, self.env._now)
         self.violations.append(violation)
         raise SanitizerError(violation)
 
     def _provenance(self, entry: list, rec: Optional[_EntryRecord]) -> str:
-        """Provenance of a queue entry: its event's, else its own."""
-        event = _event_of(entry[3])
-        if event is not None:
-            return self._record_for(event).provenance()
+        """Provenance of a queue entry (one never scheduled has none)."""
         if rec is None:
             rec = _EntryRecord(entry, "<unknown>", self.env._now, -1)
         return rec.provenance()
 
     # -- kernel hooks ------------------------------------------------------
 
-    def on_create(self, event: Any) -> None:
-        """A new event object was constructed."""
-        self._records[id(event)] = _EventRecord(
-            event, self.env._now, _creation_site()
-        )
-        self.events_tracked += 1
-
     # The sanitizer is opt-in diagnostics (~4x overhead by design); its
     # bookkeeping is exempt from the hot-path allocation lint.
-    # simlint: coldpath
-    def on_trigger(self, event: Any, at: float) -> None:
-        """``event`` is about to be queued to fire at ``at``."""
-        now = self.env._now
-        if id(event) in self._scheduled:
-            self._violate(
-                "double-trigger",
-                "event scheduled while already in the queue (double "
-                "succeed/fail, or a direct reset of a live event)",
-                self._record_for(event).provenance(),
-            )
-        if event.callbacks is None:
-            self._violate(
-                "double-trigger",
-                "event scheduled after its callbacks already ran",
-                self._record_for(event).provenance(),
-            )
-        if at < now:
-            self._violate(
-                "time-travel",
-                f"scheduled at t={at:g}, behind the current time {now:g}",
-                self._record_for(event).provenance(),
-            )
-        self._record_for(event).state = "queued"
-        self._scheduled.add(id(event))
-
     # simlint: coldpath
     def on_schedule(self, entry: list) -> None:
         """``entry`` (``[t, priority, eid, fn]``) is about to be pushed.
 
-        ``call_later`` has already refused a negative delay, and an
-        event's time was checked by :meth:`on_trigger`.
+        ``call_later`` has already refused a negative delay.
         """
-        eid = entry[2]
-        event = _event_of(entry[3])
-        if event is None:
-            self.events_tracked += 1
-        else:
-            self._record_for(event).last_eid = eid
-        self._queued[eid] = _EntryRecord(
-            entry, _creation_site(), self.env._now, self.pops
+        self.events_tracked += 1
+        self._queued[entry[2]] = _EntryRecord(
+            entry, _scheduling_site(), self.env._now, self.pops
         )
 
     def on_pop(self, entry: list, prev_now: float) -> None:
         """The scheduler handed out ``entry`` as the next minimum."""
-        t, priority, eid, fn = entry
+        t, priority, eid = entry[:3]
         rec = self._queued.pop(eid, None)
-        event = _event_of(fn)
-        if event is not None and event.callbacks is None:
-            self._violate(
-                "double-trigger",
-                "event popped twice: callbacks already ran",
-                self._provenance(entry, rec),
-            )
         if t < prev_now:
             self._violate(
                 "time-travel",
@@ -364,13 +241,6 @@ class DESSanitizer:
             )
         self.pops += 1
         self._last_key = key
-        if event is not None:
-            # Its life is over once it fires: drop the record (and the
-            # strong reference).  Processes are only ever queued at
-            # generator termination, so a record left behind for a
-            # process always means an orphan.
-            self._scheduled.discard(id(event))
-            self._records.pop(id(event), None)
 
     # -- in-flight operation tracking --------------------------------------
 
@@ -396,20 +266,6 @@ class DESSanitizer:
 
     def finish(self) -> LeakReport:
         """End-of-run leak report (does not raise; render and inspect)."""
-        from .core import PENDING, Process
-
-        never: List[str] = []
-        orphans: List[str] = []
-        for key, rec in sorted(
-            self._records.items(), key=lambda kv: (kv[1].created_at, kv[0])
-        ):
-            event = rec.event
-            if event._value is not PENDING:
-                continue
-            if isinstance(event, Process):
-                orphans.append(rec.provenance())
-            else:
-                never.append(rec.provenance())
         stranded = [
             self._provenance(rec.entry, rec)
             for _, rec in sorted(self._queued.items())
@@ -428,6 +284,5 @@ class DESSanitizer:
                 undelivered.append(text)
             else:
                 stalled.append(text)
-        return LeakReport(never, stranded, orphans, stalled,
-                          self.events_tracked,
+        return LeakReport(stranded, stalled, self.events_tracked,
                           undelivered_messages=undelivered)

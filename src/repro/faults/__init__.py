@@ -8,7 +8,7 @@ This package makes that claim measurable beyond a single static crash:
 * :class:`FaultSchedule` / :class:`FaultEvent` — deterministic timed
   events (``crash``, ``recover``, ``slow``) plus a seeded stochastic
   MTBF/MTTR generator;
-* :class:`FaultInjector` — the simulation process that executes a
+* :class:`FaultInjector` — the ``call_later`` chain that executes a
   schedule (timed events) and fires count-triggered events from the
   driver's completion hook;
 * :class:`RetryPolicy` — client-side timeout and capped exponential

@@ -22,8 +22,7 @@ The instrument is split in two: :class:`TimelineBase` holds the
 substrate-neutral core — window counters, the sample rows, the
 analysis helpers, CSV and ASCII rendering — and knows nothing about
 *whose* seconds it is sampling.  :class:`AvailabilityTimeline` is the
-DES instrument (an :class:`~repro.des.Environment` process samples
-simulated time); :class:`repro.live.timeline.LiveAvailabilityTimeline`
+DES instrument (a ``call_later`` chain samples simulated time); :class:`repro.live.timeline.LiveAvailabilityTimeline`
 drives the same core from an asyncio task against a wall clock, which
 is what makes sim and live availability curves directly comparable.
 """
@@ -31,9 +30,11 @@ is what makes sim and live availability curves directly comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Callable, List, Optional, Tuple
 
 from ..des import Environment
+from ..des.core import URGENT
 
 __all__ = ["TimelineSample", "TimelineBase", "AvailabilityTimeline"]
 
@@ -223,19 +224,23 @@ class AvailabilityTimeline(TimelineBase):
     # -- sampling -----------------------------------------------------------
 
     def start(self, stop: Callable[[], bool]) -> None:
-        """Start the sampler process; it exits once ``stop()`` is true.
+        """Start the sampler chain; it ends once ``stop()`` is true.
 
         The sampler checks ``stop`` *after* each window so the final
-        partial window of a run is still recorded.
+        partial window of a run is still recorded.  It also ends when
+        nothing else is queued: no entry is left that could finish a
+        request, so sampling on would only spin the clock forever.
         """
-        self.env.process(self._sampler(stop), name="availability-timeline")
+        self._stop = stop
+        self.env.call_later(0.0, self._sleep, URGENT)
 
-    def _sampler(self, stop: Callable[[], bool]):
-        while True:
-            yield self.env.timeout(self.interval_s)
-            self.take_sample()
-            if stop():
-                return
+    def _sleep(self) -> None:
+        self.env.call_later(self.interval_s, self._sample)
+
+    def _sample(self) -> None:
+        self.take_sample()
+        if not self._stop() and self.env.peek() != inf:
+            self._sleep()
 
     def take_sample(self) -> TimelineSample:
         """Close the current window and append its row."""

@@ -1,7 +1,7 @@
 """Drives a :class:`NetFaultSchedule` against a running simulation.
 
-The timed twin of :class:`repro.faults.injector.FaultInjector`: a single
-process walks the schedule, flips link/partition state on the
+The timed twin of :class:`repro.faults.injector.FaultInjector`: one
+``call_later`` chain walks the schedule, flips link/partition state on the
 :class:`~repro.netfaults.layer.NetFaultLayer`, and tells the
 distribution policy when a partition heals so it can re-announce
 soft state (see ``DistributionPolicy.on_partition_healed``).
@@ -9,8 +9,9 @@ soft state (see ``DistributionPolicy.on_partition_healed``).
 
 from __future__ import annotations
 
-from typing import Generator, List, Tuple
+from typing import List, Tuple
 
+from ..faults.injector import play_timed
 from .model import NetFaultEvent
 
 __all__ = ["NetFaultInjector"]
@@ -31,15 +32,7 @@ class NetFaultInjector:
 
     def start(self) -> None:
         if self.events:
-            self.sim.env.process(self._run(), name="netfault-injector")
-
-    def _run(self) -> Generator:
-        env = self.sim.env
-        for event in self.events:
-            delay = event.at - env.now
-            if delay > 0:
-                yield env.timeout(delay)
-            self._apply(event)
+            play_timed(self.sim.env, self.events, self._apply)
 
     def _apply(self, event: NetFaultEvent) -> None:
         layer = self.layer

@@ -131,24 +131,24 @@ def test_annotated_parameter_type():
     _, g = build({
         "pkg.core": (
             "class Env:\n"
-            "    def timeout(self, d):\n"
+            "    def call_later(self, d, fn):\n"
             "        return d\n"
         ),
         "pkg.use": (
             "from .core import Env\n"
             "\n"
             "def top(env: Env):\n"
-            "    return env.timeout(1)\n"
+            "    return env.call_later(1, None)\n"
         ),
     })
-    assert targets_of(g, "pkg.use.top") == ["pkg.core.Env.timeout"]
+    assert targets_of(g, "pkg.use.top") == ["pkg.core.Env.call_later"]
 
 
 def test_local_constructor_assignment_type():
     _, g = build({
         "pkg.core": (
             "class Env:\n"
-            "    def timeout(self, d):\n"
+            "    def call_later(self, d, fn):\n"
             "        return d\n"
         ),
         "pkg.use": (
@@ -156,10 +156,10 @@ def test_local_constructor_assignment_type():
             "\n"
             "def top():\n"
             "    env = Env()\n"
-            "    return env.timeout(1)\n"
+            "    return env.call_later(1, None)\n"
         ),
     })
-    assert "pkg.core.Env.timeout" in targets_of(g, "pkg.use.top")
+    assert "pkg.core.Env.call_later" in targets_of(g, "pkg.use.top")
 
 
 def test_self_attribute_type_inference():
@@ -181,11 +181,11 @@ def test_self_attribute_type_inference():
 
 def test_unresolved_attr_call_keeps_name():
     _, g = build({
-        "pkg.a": "def top(env):\n    return env.timeout(1)\n",
+        "pkg.a": "def top(env):\n    return env.call_later(1, None)\n",
     })
     calls = g.callees("pkg.a.top")
     assert calls[0].target is None
-    assert calls[0].attr_name == "timeout"
+    assert calls[0].attr_name == "call_later"
 
 
 def test_external_call_records_module():

@@ -1,10 +1,10 @@
 """DES sanitizer mutation tests.
 
 Each test seeds the exact buggy kernel state a real defect would create
-— scheduling into the past, double-succeeding an event, corrupting the
-queue directly — and asserts the sanitizer reports it with the offending
-event's provenance (this file's name, since the events are created
-here).
+— scheduling into the past, corrupting the queue directly, re-queueing
+an entry that already fired — and asserts the kernel refuses it or the
+sanitizer reports it, with the offending entry's provenance (this
+file's name, since the entries are scheduled here).
 """
 
 from heapq import heappush
@@ -12,13 +12,17 @@ from heapq import heappush
 import pytest
 
 from repro.des import Environment, SanitizerError
-from repro.des.core import NORMAL, PENDING, URGENT, Event
+from repro.des.core import NORMAL, URGENT
 
 HERE = "test_sanitizer.py"
 
 
 def make_env(**kw):
     return Environment(sanitize=True, **kw)
+
+
+def _noop():
+    pass
 
 
 def test_environment_flags():
@@ -39,71 +43,52 @@ def test_env_var_enables_sanitizer(monkeypatch):
 
 
 def test_negative_delay_schedule_is_caught():
+    """call_later refuses the past at the source: nothing is queued."""
     env = make_env()
-    env.timeout(5)
+    env.call_later(5, _noop)
     env.run()
     assert env.now == 5
-    ev = Event(env)
-    ev._ok = True
-    ev._value = None
-    with pytest.raises(SanitizerError) as exc:
-        env._schedule(ev, NORMAL, delay=-3.0)
-    v = exc.value.violation
-    assert v.kind == "time-travel"
-    assert HERE in v.provenance
+    with pytest.raises(ValueError, match="negative delay"):
+        env.call_later(-3.0, _noop)
+    assert env.peek() == float("inf")
+    assert (env.event_count, env.sanitizer.events_tracked) == (1, 1)
 
 
 def test_queue_injection_behind_the_clock_is_caught_at_pop():
     env = make_env()
-    env.timeout(5)
+    env.call_later(5, _noop)
     env.run()
-    intruder = Event(env)
-    intruder._ok = True
-    intruder._value = None
     # Bypass every scheduling entry point: raw heap surgery.
-    heappush(env._queue, [1.0, NORMAL, env._eid + 1, intruder._fire])
+    heappush(env._queue, [1.0, NORMAL, env._eid + 1, _noop])
     with pytest.raises(SanitizerError) as exc:
         env.step()
     assert exc.value.violation.kind == "time-travel"
 
 
-# -- mutation: double-succeed / double-fail -------------------------------
-
-
-def test_double_succeed_is_caught():
-    env = make_env()
-    ev = Event(env)
-    ev.succeed(1)
-    # The bug: a pool-reset-style direct write re-arms the trigger guard.
-    ev._value = PENDING
-    with pytest.raises(SanitizerError) as exc:
-        ev.succeed(2)
-    v = exc.value.violation
-    assert v.kind == "double-trigger"
-    assert HERE in v.provenance
-
-
-def test_double_fail_is_caught():
-    env = make_env()
-    ev = Event(env)
-    ev.defused()
-    ev.fail(RuntimeError("boom"))
-    ev._value = PENDING
-    with pytest.raises(SanitizerError) as exc:
-        ev.fail(RuntimeError("boom again"))
-    assert exc.value.violation.kind == "double-trigger"
+# -- mutation: re-queueing an entry that already fired ---------------------
 
 
 def test_repop_of_a_processed_event_is_caught():
-    env = make_env()
-    ev = Event(env)
-    ev.succeed()
-    env.run()
-    assert ev.callbacks is None  # processed
-    heappush(env._queue, [env.now, NORMAL, env._eid + 1, ev._fire])
-    with pytest.raises(SanitizerError) as exc:
-        env.step()
-    assert exc.value.violation.kind == "double-trigger"
+    """A fired ``call_later`` handle pushed back onto the heap pops with
+    a key no greater than the last pop: an order violation at the same
+    time, time travel once the clock has moved on."""
+    for later, expected in ((False, "order-violation"), (True, "time-travel")):
+        env = make_env()
+        hits = []
+
+        def fired():
+            hits.append(env.now)
+
+        handle = env.call_later(1.0, fired)
+        if later:
+            env.call_later(2.0, _noop)
+        env.run()
+        heappush(env._queue, handle)
+        with pytest.raises(SanitizerError) as exc:
+            env.step()
+        assert exc.value.violation.kind == expected
+        assert "fired" in exc.value.violation.provenance
+        assert hits == [1.0]
 
 
 # -- mutation: tie-break order --------------------------------------------
@@ -111,14 +96,11 @@ def test_repop_of_a_processed_event_is_caught():
 
 def test_out_of_order_pop_is_caught():
     env = make_env()
-    env.timeout(5)
+    env.call_later(5, _noop)
     env.run()
-    # An event that pretends to have been queued *before* the last pop
+    # An entry that pretends to have been queued *before* the last pop
     # (eid 0) with a lexically smaller key: a broken scheduler's output.
-    intruder = Event(env)
-    intruder._ok = True
-    intruder._value = None
-    heappush(env._queue, [5.0, URGENT, 0, intruder._fire])
+    heappush(env._queue, [5.0, URGENT, 0, _noop])
     with pytest.raises(SanitizerError) as exc:
         env.step()
     assert exc.value.violation.kind == "order-violation"
@@ -151,28 +133,6 @@ def test_urgent_same_time_schedule_is_not_a_false_positive():
 # -- leak report ------------------------------------------------------------
 
 
-def test_leak_report_never_triggered_event():
-    env = make_env()
-    leaked = Event(env)  # noqa: F841 - intentionally abandoned
-    env.timeout(1)
-    env.run()
-    report = env.sanitizer.finish()
-    assert not report.clean
-    assert len(report.never_triggered) == 1
-    assert HERE in report.never_triggered[0]
-    assert "LEAKS DETECTED" in report.render()
-
-
-def test_leak_report_stranded_triggered_event():
-    env = make_env()
-    ev = Event(env)
-    ev.succeed()
-    # Run stops before the event is processed.
-    report = env.sanitizer.finish()
-    assert len(report.stranded) == 1
-    assert ev is not None
-
-
 def test_leak_report_stranded_call_later_entry():
     env = make_env()
 
@@ -186,29 +146,10 @@ def test_leak_report_stranded_call_later_entry():
     assert "late" in report.stranded[0] and HERE in report.stranded[0]
 
 
-def test_leak_report_orphaned_process():
-    env = make_env()
-
-    def stuck(env):
-        yield Event(env)  # never triggered: the generator never resumes
-
-    env.process(stuck(env))
-    env.run()
-    report = env.sanitizer.finish()
-    assert len(report.orphaned_processes) == 1
-    # The abandoned wait event is also never triggered.
-    assert len(report.never_triggered) == 1
-
-
 def test_leak_report_clean_run():
     env = make_env()
     done = []
-
-    def worker(env):
-        yield env.timeout(1)
-        done.append(env.now)
-
-    env.process(worker(env))
+    env.call_later(1, lambda: done.append(env.now))
     env.run()
     report = env.sanitizer.finish()
     assert done == [1]
@@ -278,13 +219,16 @@ def test_sanitized_run_is_ordered_and_clean():
     env = make_env()
     log = []
 
-    def clock(env, name, period, beats):
-        for _ in range(beats):
-            yield env.timeout(period)
+    def clock(name, period, beats):
+        def beat():
             log.append((name, env.now))
+            if len([e for e in log if e[0] == name]) < beats:
+                env.call_later(period, beat)
 
-    env.process(clock(env, "a", 1.0, 5))
-    env.process(clock(env, "b", 2.5, 2))
+        env.call_later(period, beat)
+
+    clock("a", 1.0, 5)
+    clock("b", 2.5, 2)
     env.run()
     assert log == [
         ("a", 1.0), ("a", 2.0), ("b", 2.5), ("a", 3.0), ("a", 4.0),

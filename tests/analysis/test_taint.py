@@ -41,7 +41,7 @@ def test_rep101_wall_clock_two_calls_deep():
             "\n"
             "def drive(env):\n"
             "    d = pick_delay(2.0)\n"
-            "    env.timeout(d)\n"
+            "    env.call_later(d, None)\n"
         ),
     })
     assert rules_of(findings) == ["REP101"]
@@ -52,7 +52,7 @@ def test_rep101_wall_clock_two_calls_deep():
     trace = "\n".join(f.trace)
     assert "pkg/clockutil.py:4: source (wall-clock): time.time()" in trace
     assert "pick_delay" in trace and "read_clock" in trace
-    assert "sink: scheduling call timeout" in trace
+    assert "sink: scheduling call call_later" in trace
     # ≥2 calls deep: source line, two propagation steps, sink line.
     assert len(f.trace) >= 4
 
@@ -97,7 +97,7 @@ def test_rep101_clean_when_rng_is_seeded():
             "    return rng.random()\n"
             "\n"
             "def drive(env):\n"
-            "    env.timeout(delay())\n"
+            "    env.call_later(delay(), None)\n"
         ),
     })
     assert findings == []
@@ -111,7 +111,7 @@ def test_rep101_wall_clock_through_from_imported_datetime_class():
             "from datetime import datetime\n"
             "\n"
             "def drive(env):\n"
-            "    env.timeout(datetime.now().second)\n"
+            "    env.call_later(datetime.now().second, None)\n"
         ),
     })
     assert rules_of(findings) == ["REP101"]
@@ -127,7 +127,7 @@ def test_rep101_wall_clock_exempt_in_live_scope():
             "    return time.time()\n"
             "\n"
             "def drive(env):\n"
-            "    env.timeout(now_s())\n"
+            "    env.call_later(now_s(), None)\n"
         ),
     })
     assert findings == []
@@ -142,7 +142,7 @@ def test_rep101_suppression_comment():
             "    return time.time()\n"
             "\n"
             "def drive(env):\n"
-            "    env.timeout(stamp())  # simlint: disable=REP101\n"
+            "    env.call_later(stamp(), None)  # simlint: disable=REP101\n"
         ),
     })
     assert findings == []

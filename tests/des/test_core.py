@@ -1,14 +1,16 @@
-"""Unit tests for the DES kernel core: environment, events, processes."""
+"""Unit tests for the DES kernel core: the environment and its queue."""
+
+import doctest
 
 import pytest
 
-from repro.des import (
-    EmptySchedule,
-    Environment,
-    Event,
-    Interrupt,
-    StopProcess,
-)
+import repro.des
+from repro.des import EmptySchedule, Environment
+
+
+def test_package_doctest():
+    result = doctest.testmod(repro.des)
+    assert result.attempted > 0 and result.failed == 0
 
 
 def test_environment_starts_at_zero():
@@ -22,61 +24,45 @@ def test_environment_initial_time():
 
 
 def test_timeout_advances_clock():
+    """A chain of delayed continuations advances the clock step by step."""
     env = Environment()
     seen = []
 
-    def proc(env):
-        yield env.timeout(3)
-        seen.append(env.now)
-        yield env.timeout(4)
+    def second():
         seen.append(env.now)
 
-    env.process(proc(env))
+    def first():
+        seen.append(env.now)
+        env.call_later(4, second)
+
+    env.call_later(3, first)
     env.run()
     assert seen == [3, 7]
 
 
 def test_timeout_negative_delay_rejected():
+    """call_later refuses a delay into the past."""
     env = Environment()
     with pytest.raises(ValueError):
-        env.timeout(-1)
-
-
-def test_timeout_carries_value():
-    env = Environment()
-    result = []
-
-    def proc(env):
-        value = yield env.timeout(1, value="hello")
-        result.append(value)
-
-    env.process(proc(env))
-    env.run()
-    assert result == ["hello"]
+        env.call_later(-1, lambda: None)
 
 
 def test_run_until_time_stops_clock_exactly():
     env = Environment()
 
-    def proc(env):
-        while True:
-            yield env.timeout(10)
+    def tick():
+        env.call_later(10, tick)
 
-    env.process(proc(env))
+    env.call_later(10, tick)
     env.run(until=25)
     assert env.now == 25
 
 
 def test_run_until_time_excludes_boundary_events():
-    """Events scheduled exactly at `until` are not processed (simpy semantics)."""
+    """Entries due exactly at `until` are not processed (simpy semantics)."""
     env = Environment()
     seen = []
-
-    def proc(env):
-        yield env.timeout(5)
-        seen.append(env.now)
-
-    env.process(proc(env))
+    env.call_later(5, lambda: seen.append(env.now))
     env.run(until=5)
     assert seen == []
     env.run(until=6)
@@ -90,302 +76,47 @@ def test_run_until_past_time_raises():
         env.run(until=5)
 
 
-def test_run_until_event_returns_value():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(2)
-        return "done"
-
-    p = env.process(proc(env))
-    assert env.run(until=p) == "done"
-    assert env.now == 2
-
-
-def test_run_until_event_already_processed():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(1)
-        return 7
-
-    p = env.process(proc(env))
-    env.run()
-    assert env.run(until=p) == 7
-
-
-def test_run_until_untriggered_event_raises():
-    env = Environment()
-    ev = env.event()
-    with pytest.raises(RuntimeError, match="drained"):
-        env.run(until=ev)
-
-
-def test_event_succeed_value():
-    env = Environment()
-    ev = env.event()
-    got = []
-
-    def waiter(env, ev):
-        got.append((yield ev))
-
-    def firer(env, ev):
-        yield env.timeout(1)
-        ev.succeed(99)
-
-    env.process(waiter(env, ev))
-    env.process(firer(env, ev))
-    env.run()
-    assert got == [99]
-    assert ev.triggered and ev.processed and ev.ok
-    assert ev.value == 99
-
-
-def test_event_value_before_trigger_raises():
-    env = Environment()
-    ev = env.event()
-    with pytest.raises(AttributeError):
-        _ = ev.value
-
-
-def test_event_double_trigger_rejected():
-    env = Environment()
-    ev = env.event()
-    ev.succeed(1)
-    with pytest.raises(RuntimeError):
-        ev.succeed(2)
-    with pytest.raises(RuntimeError):
-        ev.fail(ValueError())
-
-
-def test_event_fail_propagates_into_process():
-    env = Environment()
-    caught = []
-
-    def waiter(env, ev):
-        try:
-            yield ev
-        except ValueError as exc:
-            caught.append(str(exc))
-
-    ev = env.event()
-    env.process(waiter(env, ev))
-
-    def firer(env, ev):
-        yield env.timeout(1)
-        ev.fail(ValueError("boom"))
-
-    env.process(firer(env, ev))
-    env.run()
-    assert caught == ["boom"]
-
-
 def test_unhandled_failure_escapes_run():
+    """An exception raised by a continuation escapes run() at its time."""
     env = Environment()
-    ev = env.event()
-    ev.fail(RuntimeError("unhandled"))
+
+    def boom():
+        raise RuntimeError("unhandled")
+
+    env.call_later(1, boom)
     with pytest.raises(RuntimeError, match="unhandled"):
         env.run()
-
-
-def test_defused_failure_is_silent():
-    env = Environment()
-    ev = env.event()
-    ev.fail(RuntimeError("nope"))
-    ev.defused()
-    env.run()  # must not raise
-
-
-def test_fail_requires_exception():
-    env = Environment()
-    ev = env.event()
-    with pytest.raises(TypeError):
-        ev.fail("not an exception")
-
-
-def test_process_exception_propagates_to_waiter():
-    env = Environment()
-    caught = []
-
-    def child(env):
-        yield env.timeout(1)
-        raise KeyError("inside child")
-
-    def parent(env):
-        try:
-            yield env.process(child(env))
-        except KeyError as exc:
-            caught.append(exc.args[0])
-
-    env.process(parent(env))
-    env.run()
-    assert caught == ["inside child"]
-
-
-def test_process_unhandled_exception_escapes_run():
-    env = Environment()
-
-    def bad(env):
-        yield env.timeout(1)
-        raise ZeroDivisionError
-
-    env.process(bad(env))
-    with pytest.raises(ZeroDivisionError):
-        env.run()
-
-
-def test_process_return_value_via_stopiteration():
-    env = Environment()
-
-    def child(env):
-        yield env.timeout(1)
-        return 123
-
-    values = []
-
-    def parent(env):
-        values.append((yield env.process(child(env))))
-
-    env.process(parent(env))
-    env.run()
-    assert values == [123]
-
-
-def test_stop_process_exits_with_value():
-    env = Environment()
-
-    def child(env):
-        yield env.timeout(1)
-        raise StopProcess("early")
-        yield env.timeout(100)  # never reached
-
-    p = env.process(child(env))
-    assert env.run(until=p) == "early"
     assert env.now == 1
-
-
-def test_process_is_alive_lifecycle():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(5)
-
-    p = env.process(proc(env))
-    assert p.is_alive
-    env.run()
-    assert not p.is_alive
-
-
-def test_yield_non_event_fails_process():
-    env = Environment()
-
-    def bad(env):
-        yield 42
-
-    env.process(bad(env))
-    with pytest.raises(RuntimeError, match="non-event"):
-        env.run()
-
-
-def test_interrupt_delivers_cause():
-    env = Environment()
-    causes = []
-
-    def victim(env):
-        try:
-            yield env.timeout(100)
-        except Interrupt as exc:
-            causes.append(exc.cause)
-            causes.append(env.now)
-
-    def attacker(env, p):
-        yield env.timeout(3)
-        p.interrupt("stop that")
-
-    p = env.process(victim(env))
-    env.process(attacker(env, p))
-    env.run()
-    assert causes == ["stop that", 3]
-
-
-def test_interrupt_leaves_target_pending_and_reyieldable():
-    env = Environment()
-    log = []
-
-    def victim(env):
-        to = env.timeout(10)
-        try:
-            yield to
-        except Interrupt:
-            log.append(("interrupted", env.now))
-            yield to  # resume waiting on the same timeout
-            log.append(("fired", env.now))
-
-    def attacker(env, p):
-        yield env.timeout(4)
-        p.interrupt()
-
-    p = env.process(victim(env))
-    env.process(attacker(env, p))
-    env.run()
-    assert log == [("interrupted", 4), ("fired", 10)]
-
-
-def test_interrupt_terminated_process_raises():
-    env = Environment()
-
-    def proc(env):
-        yield env.timeout(1)
-
-    p = env.process(proc(env))
-    env.run()
-    with pytest.raises(RuntimeError):
-        p.interrupt()
-
-
-def test_process_cannot_interrupt_itself():
-    env = Environment()
-    errors = []
-
-    def proc(env):
-        yield env.timeout(1)
-        try:
-            env.active_process.interrupt()
-        except RuntimeError as exc:
-            errors.append(str(exc))
-
-    env.process(proc(env))
-    env.run()
-    assert errors and "itself" in errors[0]
-
-
-def test_active_process_tracking():
-    env = Environment()
-    seen = []
-
-    def proc(env):
-        seen.append(env.active_process)
-        yield env.timeout(1)
-
-    p = env.process(proc(env))
-    assert env.active_process is None
-    env.run()
-    assert seen == [p]
-    assert env.active_process is None
 
 
 def test_deterministic_fifo_ordering_at_same_time():
     env = Environment()
     order = []
-
-    def proc(env, name):
-        yield env.timeout(5)
-        order.append(name)
-
     for name in "abcde":
-        env.process(proc(env, name))
+        env.call_later(5, lambda name=name: order.append(name))
     env.run()
     assert order == list("abcde")
+
+
+def test_urgent_entries_overtake_normal_ones_at_the_same_time():
+    """Priority compares before insertion order, on the heap and on the
+    zero-delay now queues alike."""
+    env = Environment()
+    order = []
+
+    def at_five():
+        order.append("normal-first")
+        env.call_later(0, lambda: order.append("normal-zero"))
+        env.call_later(0, lambda: order.append("urgent-zero"), priority=0)
+
+    env.call_later(5, at_five)
+    env.call_later(5, lambda: order.append("normal-second"))
+    env.call_later(5, lambda: order.append("urgent"), priority=0)
+    env.run()
+    assert order == [
+        "urgent", "normal-first", "urgent-zero", "normal-second",
+        "normal-zero",
+    ]
 
 
 def test_step_empty_schedule_raises():
@@ -394,11 +125,26 @@ def test_step_empty_schedule_raises():
         env.step()
 
 
+def test_step_runs_one_entry_at_a_time():
+    env = Environment()
+    log = []
+    env.call_later(1, lambda: log.append(1))
+    env.call_later(2, lambda: log.append(2))
+    env.step()
+    assert log == [1] and env.now == 1
+    env.step()
+    assert log == [1, 2] and env.now == 2
+    with pytest.raises(EmptySchedule):
+        env.step()
+
+
 def test_peek():
     env = Environment()
     assert env.peek() == float("inf")
-    env.timeout(7)
+    env.call_later(7, lambda: None)
     assert env.peek() == 7
+    env.call_later(0, lambda: None)
+    assert env.peek() == 0
 
 
 def test_call_later():
@@ -430,35 +176,32 @@ def test_blanked_entry_still_pops_and_late_blanking_is_harmless():
 
 
 def test_nested_process_chains():
+    """Chains compose: each level hands its result to a continuation."""
     env = Environment()
+    result = []
 
-    def level3(env):
-        yield env.timeout(1)
-        return 3
+    def level3(then):
+        env.call_later(1, lambda: then(3))
 
-    def level2(env):
-        v = yield env.process(level3(env))
-        yield env.timeout(1)
-        return v + 2
+    def level2(then):
+        level3(lambda v: env.call_later(1, lambda: then(v + 2)))
 
-    def level1(env):
-        v = yield env.process(level2(env))
-        return v + 1
+    def level1(then):
+        level2(lambda v: then(v + 1))
 
-    p = env.process(level1(env))
-    assert env.run(until=p) == 6
+    level1(result.append)
+    env.run()
+    assert result == [6]
     assert env.now == 2
 
 
 def test_many_processes_complete():
+    """Hundreds of independent continuations with tied times all run,
+    one scheduled entry each."""
     env = Environment()
     done = []
-
-    def proc(env, i):
-        yield env.timeout(i % 7)
-        done.append(i)
-
     for i in range(500):
-        env.process(proc(env, i))
+        env.call_later(i % 7, lambda i=i: done.append(i))
     env.run()
     assert sorted(done) == list(range(500))
+    assert env.event_count == 500

@@ -1,6 +1,6 @@
 """Property test: the DES kernel is fully deterministic.
 
-Random process graphs (timeouts, resources, stores, interrupts) must
+Random callback graphs (delays, resource visits, cancelled entries) must
 produce byte-identical event traces across repeated runs — the
 foundation of the simulator's reproducibility guarantees.
 """
@@ -10,7 +10,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import Environment, Resource, Store
+from repro.des import Environment, Resource
+
+
+def _noop():
+    pass
 
 
 def build_and_run(seed: int):
@@ -19,40 +23,41 @@ def build_and_run(seed: int):
     env = Environment()
     log = []
     res = Resource(env, capacity=rng.randint(1, 3))
-    store = Store(env, capacity=rng.randint(1, 5))
+    pending = []
 
-    def worker(env, name):
-        for step in range(rng_local.randint(1, 4)):
-            choice = rng_local.random()
-            if choice < 0.4:
-                granted = env.event()
-                res.acquire(granted.succeed)
-                yield granted
+    def worker(name, steps):
+        if not steps:
+            return
+        choice = rng.random()
+        rest = steps - 1
+        if choice < 0.4:
+            def granted():
                 log.append(("res", name, env.now))
-                yield env.timeout(rng_local.uniform(0, 2))
+                env.call_later(rng.uniform(0, 2), done)
+
+            def done():
                 res.release()
-            elif choice < 0.7:
-                yield store.put((name, step))
-                log.append(("put", name, env.now))
-            else:
-                yield env.timeout(rng_local.uniform(0, 1))
+                worker(name, rest)
+
+            res.acquire(granted)
+        elif choice < 0.7:
+            def tick():
                 log.append(("tick", name, env.now))
+                worker(name, rest)
 
-    def consumer(env):
-        while True:
-            item = yield store.get()
-            log.append(("got", item[0], env.now))
+            pending.append(env.call_later(rng.uniform(0, 1), tick))
+        else:
+            # Cancel a random earlier tick: its entry still pops, its
+            # continuation never runs.
+            if pending:
+                pending.pop(rng.randrange(len(pending)))[3] = _noop
+                log.append(("cancel", name, env.now))
+            env.call_later(0, lambda: worker(name, rest))
 
-    # A dedicated RNG whose draws happen deterministically at process
-    # creation order (generator bodies draw lazily, so give each its
-    # own pre-seeded stream).
-    global rng_local
-    rng_local = random.Random(seed + 1)
-
-    env.process(consumer(env))
     for i in range(rng.randint(2, 6)):
-        env.process(worker(env, f"w{i}"))
+        worker(f"w{i}", rng.randint(1, 4))
     env.run(until=50)
+    log.append(("events", env.event_count))
     return log
 
 

@@ -9,15 +9,9 @@ def test_time_weighted_mean_piecewise():
     env = Environment()
     tw = TimeWeightedValue(env, initial=0)
 
-    def proc(env):
-        yield env.timeout(2)
-        tw.set(10)  # value 0 for [0,2)
-        yield env.timeout(3)
-        tw.set(4)  # value 10 for [2,5)
-        yield env.timeout(5)  # value 4 for [5,10)
-
-    env.process(proc(env))
-    env.run()
+    env.call_later(2, lambda: tw.set(10))  # value 0 for [0,2)
+    env.call_later(5, lambda: tw.set(4))  # value 10 for [2,5)
+    env.run(until=10)  # value 4 for [5,10)
     # area = 0*2 + 10*3 + 4*5 = 50 over 10
     assert tw.mean() == pytest.approx(5.0)
     assert tw.value == 4
@@ -43,15 +37,9 @@ def test_time_weighted_reset():
     env = Environment()
     tw = TimeWeightedValue(env, initial=0)
 
-    def proc(env):
-        yield env.timeout(5)
-        tw.set(100)
-        yield env.timeout(5)
-        tw.reset()
-        yield env.timeout(10)
-
-    env.process(proc(env))
-    env.run()
+    env.call_later(5, lambda: tw.set(100))
+    env.call_later(10, tw.reset)
+    env.run(until=20)
     # After reset at t=10 with value 100, mean over [10,20) is 100.
     assert tw.mean() == pytest.approx(100.0)
     assert tw.maximum == 100
@@ -118,25 +106,27 @@ def test_reset_semantics_identical_across_meters():
     tally = Tally()
     meter = RateMeter(env)
 
-    def warmup(env):
+    def noise():
         # Warmup phase: noisy values that must leave no trace.
-        yield env.timeout(3)
         tw.set(999)
         tally.record(999.0)
         meter.tick(50)
-        yield env.timeout(2)
-        # --- warmup boundary (t=5) ---
+
+    def boundary():
         tw.set(10)
         tw.reset()
         tally.reset()
         meter.reset()
+
+    def measured():
         # Measured phase: constant level 10, one observation, 5 ticks
         # over 5 seconds.
-        yield env.timeout(5)
         tally.record(7.0)
         meter.tick(5)
 
-    env.process(warmup(env))
+    env.call_later(3, noise)
+    env.call_later(5, boundary)  # --- warmup boundary (t=5) ---
+    env.call_later(10, measured)
     env.run()
     assert tw.mean() == pytest.approx(10.0)
     assert tw.maximum == 10
@@ -148,12 +138,8 @@ def test_rate_meter():
     env = Environment()
     meter = RateMeter(env)
 
-    def proc(env):
-        for _ in range(10):
-            yield env.timeout(2)
-            meter.tick()
-
-    env.process(proc(env))
+    for k in range(1, 11):
+        env.call_later(2 * k, meter.tick)
     env.run()
     assert meter.count == 10
     assert meter.rate() == pytest.approx(0.5)
@@ -163,16 +149,11 @@ def test_rate_meter_reset_discards_warmup():
     env = Environment()
     meter = RateMeter(env)
 
-    def proc(env):
-        for _ in range(4):
-            yield env.timeout(1)
-            meter.tick()
-        meter.reset()
-        for _ in range(10):
-            yield env.timeout(2)
-            meter.tick()
-
-    env.process(proc(env))
+    for k in range(1, 5):
+        env.call_later(k, meter.tick)
+    env.call_later(4, meter.reset)
+    for k in range(1, 11):
+        env.call_later(4 + 2 * k, meter.tick)
     env.run()
     assert meter.count == 10
     assert meter.rate() == pytest.approx(0.5)
@@ -182,13 +163,8 @@ def test_rate_meter_keep_times():
     env = Environment()
     meter = RateMeter(env, keep_times=True)
 
-    def proc(env):
-        yield env.timeout(1)
-        meter.tick()
-        yield env.timeout(1)
-        meter.tick(2)
-
-    env.process(proc(env))
+    env.call_later(1, meter.tick)
+    env.call_later(2, lambda: meter.tick(2))
     env.run()
     assert meter.times == [1, 2]
 

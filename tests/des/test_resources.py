@@ -1,8 +1,8 @@
-"""Tests for Resource / PriorityResource / Container."""
+"""Tests for Resource / PriorityResource."""
 
 import pytest
 
-from repro.des import Container, Environment, PriorityResource, Resource
+from repro.des import Environment, PriorityResource, Resource
 
 
 def visit(env, res, seconds, then=None, priority=None):
@@ -226,74 +226,3 @@ def test_priority_resource_withdraw_queued_visit():
     env.call_later(2, lambda: res.withdraw(low))
     env.run()
     assert order == ["high"]
-
-
-def test_container_put_get():
-    env = Environment()
-    tank = Container(env, capacity=100, init=50)
-    levels = []
-
-    def producer(env, tank):
-        yield tank.put(30)
-        levels.append(("after put", tank.level))
-
-    def consumer(env, tank):
-        yield env.timeout(1)
-        yield tank.get(70)
-        levels.append(("after get", tank.level))
-
-    env.process(producer(env, tank))
-    env.process(consumer(env, tank))
-    env.run()
-    assert levels == [("after put", 80), ("after get", 10)]
-
-
-def test_container_get_blocks_until_available():
-    env = Environment()
-    tank = Container(env, capacity=10, init=0)
-    times = []
-
-    def consumer(env, tank):
-        yield tank.get(5)
-        times.append(env.now)
-
-    def producer(env, tank):
-        yield env.timeout(3)
-        yield tank.put(5)
-
-    env.process(consumer(env, tank))
-    env.process(producer(env, tank))
-    env.run()
-    assert times == [3]
-
-
-def test_container_put_blocks_when_full():
-    env = Environment()
-    tank = Container(env, capacity=10, init=10)
-    times = []
-
-    def producer(env, tank):
-        yield tank.put(4)
-        times.append(env.now)
-
-    def consumer(env, tank):
-        yield env.timeout(2)
-        yield tank.get(6)
-
-    env.process(producer(env, tank))
-    env.process(consumer(env, tank))
-    env.run()
-    assert times == [2]
-
-
-def test_container_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Container(env, capacity=0)
-    with pytest.raises(ValueError):
-        Container(env, capacity=5, init=6)
-    tank = Container(env, capacity=5)
-    with pytest.raises(ValueError):
-        tank.put(0)
-    with pytest.raises(ValueError):
-        tank.get(-1)

@@ -17,7 +17,8 @@ import random
 import pytest
 
 from repro.cluster import ClusterConfig
-from repro.des import EmptySchedule, Environment, Interrupt, Resource
+from repro.des import EmptySchedule, Environment, Resource
+from repro.des.core import URGENT
 from repro.servers import make_policy
 from repro.sim.driver import Simulation
 from repro.workload import build_fileset, generate_trace
@@ -66,71 +67,98 @@ def _run_by_steps(self, until=None):
 # -- randomized event storms -------------------------------------------------
 
 
+def _noop():
+    pass
+
+
 def _storm(driver: str, sanitize: bool, seed: int):
-    """A seeded blizzard of timeouts, ties, priorities, resource contention,
-    interrupts and failures; returns the processed-event log."""
+    """A seeded blizzard of delays, ties, priorities, resource contention
+    and cancellations; returns the processed-event log.
+
+    A "chaos" chain interrupts random workers: a pending tick's entry is
+    blanked, a queued visit is withdrawn from the station's queue, and a
+    held visit's completion entry is blanked while its slot frees.  The
+    victim resumes at an URGENT zero-delay entry.
+    """
     rng = random.Random(seed)
     env = Environment(sanitize=sanitize)
     res = Resource(env, capacity=2)
     log = []
 
-    def worker(wid):
-        for step in range(rng.randint(3, 12)):
-            # Integer delays force heavy (time, priority) ties.
-            delay = rng.choice([0, 0, 1, 1, 2, 5])
-            try:
-                yield env.timeout(delay, value=(wid, step))
-            except Interrupt as i:
-                log.append((env.now, "interrupted", wid, step, str(i.cause)))
-                continue
-            log.append((env.now, "tick", wid, step))
+    class Worker:
+        def __init__(self, wid):
+            self.wid = wid
+            self.steps = rng.randint(3, 12)
+            self.step = -1
+            #: What the worker waits on: ("tick" | "held", entry),
+            #: ("queued", on_grant), ("resuming", entry) or None.
+            self.waiting = None
+            self.next_step()
+
+        def next_step(self):
+            self.step += 1
+            self.waiting = None
+            if self.step < self.steps:
+                # Integer delays force heavy (time, priority) ties.
+                delay = rng.choice([0, 0, 1, 1, 2, 5])
+                self.waiting = ("tick", env.call_later(delay, self.tick))
+
+        def tick(self):
+            log.append((env.now, "tick", self.wid, self.step))
             if rng.random() < 0.4:
-                granted = env.event()
-                res.acquire(granted.succeed)
-                try:
-                    yield granted
-                    log.append((env.now, "hold", wid, step))
-                    yield env.timeout(rng.choice([0, 1, 3]))
-                except Interrupt as i:
-                    # Granted: free the slot; still queued: leave the queue.
-                    if granted.triggered:
-                        res.release()
-                    else:
-                        res.withdraw(granted.succeed)
-                    log.append((env.now, "interrupted-res", wid, step, str(i.cause)))
-                else:
-                    res.release()
-                    log.append((env.now, "release", wid, step))
+                self.waiting = ("queued", self.granted)
+                res.acquire(self.granted)
+            else:
+                self.next_step()
 
-    def chaos(procs):
-        for _ in range(10):
-            yield env.timeout(rng.choice([1, 2, 3]))
-            victim = rng.choice(procs)
-            if victim.is_alive and victim is not env.active_process:
-                victim.interrupt(cause=f"chaos@{env.now}")
+        def granted(self):
+            log.append((env.now, "hold", self.wid, self.step))
+            hold = rng.choice([0, 1, 3])
+            self.waiting = ("held", env.call_later(hold, self.done))
+
+        def done(self):
+            res.release()
+            log.append((env.now, "release", self.wid, self.step))
+            self.next_step()
+
+        def interrupt(self, cause):
+            kind, what = self.waiting
+            if kind == "tick":
+                what[3] = _noop
+                log.append((env.now, "interrupted", self.wid, self.step, cause))
+            else:
+                # Held: blank the completion and free the slot; still
+                # queued: leave the queue.
+                res.withdraw(what)
+                log.append(
+                    (env.now, "interrupted-res", self.wid, self.step, cause)
+                )
+            self.waiting = ("resuming", env.call_later(0, self.next_step, URGENT))
+
+    workers = [Worker(w) for w in range(6)]
+
+    def chaos(left):
+        def strike():
+            victim = rng.choice(workers)
+            if victim.waiting is not None and victim.waiting[0] != "resuming":
+                victim.interrupt(f"chaos@{env.now}")
                 log.append((env.now, "interrupt-sent"))
+            if left > 1:
+                chaos(left - 1)
 
-    def late_caller():
-        for i in range(8):
-            env.call_later(
-                rng.choice([0.0, 1.0, 2.5]),
-                lambda i=i: log.append((env.now, "call_later", i)),
-                priority=rng.choice([0, 1]),
-            )
-            yield env.timeout(1)
+        env.call_later(rng.choice([1, 2, 3]), strike)
 
-    def failer():
-        yield env.timeout(7)
-        ev = env.event()
-        ev.callbacks.append(lambda e: log.append((env.now, "failed-seen")))
-        ev.defused()
-        ev.fail(RuntimeError("storm failure"))
-        yield env.timeout(1)
+    def late_caller(i):
+        env.call_later(
+            rng.choice([0.0, 1.0, 2.5]),
+            lambda: log.append((env.now, "call_later", i)),
+            priority=rng.choice([0, 1]),
+        )
+        if i < 7:
+            env.call_later(1, lambda: late_caller(i + 1))
 
-    procs = [env.process(worker(w)) for w in range(6)]
-    env.process(chaos(procs))
-    env.process(late_caller())
-    env.process(failer())
+    chaos(10)
+    late_caller(0)
     _drive(env, driver, log)
     return log
 
@@ -154,11 +182,13 @@ def test_storm_final_state_identical():
             env = Environment(sanitize=sanitize)
             rng = random.Random(seed)
 
-            def burst():
-                for _ in range(200):
-                    yield env.timeout(rng.choice([0, 1, 1, 2, 7]))
+            def burst(left):
+                if left:
+                    env.call_later(
+                        rng.choice([0, 1, 1, 2, 7]), lambda: burst(left - 1)
+                    )
 
-            env.process(burst())
+            burst(200)
             _drive(env, driver, [])
             finals.add((env.now, env.event_count))
         assert len(finals) == 1, f"final states diverged: {finals}"

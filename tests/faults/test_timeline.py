@@ -24,16 +24,15 @@ def test_sampler_collects_and_stops():
     env, cluster, tl = make(interval=1.0)
     done = {"n": 0}
 
-    def work(env):
-        # Offset the completions so none coincide with a sample boundary
-        # (ordering of same-timestamp events is an implementation detail).
-        yield env.timeout(0.05)
-        for _ in range(30):
-            tl.record_completion(was_miss=False)
-            done["n"] += 1
-            yield env.timeout(0.1)
+    def complete():
+        tl.record_completion(was_miss=False)
+        done["n"] += 1
+        if done["n"] < 30:
+            env.call_later(0.1, complete)
 
-    env.process(work(env))
+    # Offset the completions so none coincide with a sample boundary
+    # (ordering of same-timestamp events is an implementation detail).
+    env.call_later(0.05, complete)
     tl.start(stop=lambda: done["n"] >= 30)
     env.run()  # terminates: the sampler exits once the work is done
     assert len(tl.samples) == 3
@@ -44,15 +43,11 @@ def test_sampler_collects_and_stops():
 def test_window_counters_reset_each_sample():
     env, cluster, tl = make(interval=1.0)
 
-    def work(env):
-        tl.record_completion(was_miss=True)
-        tl.record_completion(was_miss=False)
-        tl.record_failure()
-        tl.record_retry()
-        yield env.timeout(1.0)
-
-    env.process(work(env))
-    env.run()
+    tl.record_completion(was_miss=True)
+    tl.record_completion(was_miss=False)
+    tl.record_failure()
+    tl.record_retry()
+    env.run(until=1.0)
     s = tl.take_sample()
     assert (s.completions, s.failures, s.retries) == (2, 1, 1)
     assert s.miss_rate == pytest.approx(0.5)
@@ -76,19 +71,19 @@ def test_node_state_string_tracks_cluster():
 def test_analysis_helpers():
     env, cluster, tl = make(interval=1.0)
 
-    def work(env):
-        # 10 rps for 2 s, outage for 2 s, 10 rps for 2 s; offset from the
-        # sample boundaries so ordering at coincident times can't matter.
-        yield env.timeout(0.05)
-        for _ in range(20):
-            tl.record_completion(was_miss=False)
-            yield env.timeout(0.1)
-        yield env.timeout(2.0)
-        for _ in range(20):
-            tl.record_completion(was_miss=False)
-            yield env.timeout(0.1)
+    def burst(left, then):
+        """``left`` completions 0.1 s apart, then ``then`` 0.1 s later."""
+        tl.record_completion(was_miss=False)
+        env.call_later(
+            0.1, (lambda: burst(left - 1, then)) if left > 1 else then
+        )
 
-    env.process(work(env))
+    def outage():
+        env.call_later(2.0, lambda: burst(20, lambda: None))
+
+    # 10 rps for 2 s, outage for 2 s, 10 rps for 2 s; offset from the
+    # sample boundaries so ordering at coincident times can't matter.
+    env.call_later(0.05, lambda: burst(20, outage))
     tl.start(stop=lambda: env.now >= 6.0)
     env.run()
     assert tl.goodput_between(0.0, 2.0) == pytest.approx(10.0)

@@ -100,13 +100,13 @@ def test_connection_opens_and_closes_at_service_node():
     env, cluster, policy = setup(nodes=1)
     states = []
 
-    def watcher(env, node):
-        while True:
-            yield env.timeout(0.001)
-            states.append(node.open_connections)
-
     node = cluster.node(0)
-    env.process(watcher(env, node))
+
+    def watch():
+        states.append(node.open_connections)
+        env.call_later(0.001, watch)
+
+    env.call_later(0.001, watch)
     start_fast_request(cluster, policy, 0, 0, 100 * 1024)
     env.run(until=0.05)
     assert max(states) == 1

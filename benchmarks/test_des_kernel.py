@@ -2,7 +2,8 @@
 
 Not a paper artifact; a performance-regression guard for the substrate
 every simulation stands on.  Measures events/second through the two
-hot paths: a bare ``call_later`` chain and resource handoffs.
+hot paths: a bare ``call_later`` chain and station visits with
+handoffs.
 """
 
 import pytest
@@ -30,13 +31,14 @@ def run_resource_contention(n: int, workers: int = 8) -> int:
     done = [0]
 
     def worker(left):
-        # Each worker's visits run back to back as one hold chain.
+        # Each worker's visits run back to back as one visit chain.
         def visited():
+            res.release()
             done[0] += 1
             if left > 1:
                 worker(left - 1)
 
-        res.hold(0.5, visited)
+        res.visit(0.5, visited)
 
     for _ in range(workers):
         worker(n // workers)

@@ -1,7 +1,7 @@
 """Hot-path allocation lint (REP104).
 
 Functions marked ``# simlint: hotpath`` are the kernel v3 per-event fast
-paths (now-queue drains, free-list grant/release, the event loop) and
+paths (now-queue drains, station visit/release, the event loop) and
 the event callbacks of the request and message chains.
 The bench gate catches regressions *after* they cost a run; this pass
 catches them structurally: every project function reachable from a
@@ -13,9 +13,10 @@ Exemptions, matching how the kernel is actually written:
 
 * constructs inside a ``raise`` statement — error paths are cold, and
   the kernel's f-string diagnostics live there by design;
-* tuple literals — the ``(time, priority, eid, event)`` entry tuple *is*
-  the heap-entry contract, and tuples are the cheapest container CPython
-  has;
+* tuple literals — a priority station queues ``(priority, entry)``
+  pairs, and tuples are the cheapest container CPython has (the
+  ``[time, priority, eid, fn]`` queue entries are lists, suppressed
+  where they are built);
 * traversal stops at functions marked ``# simlint: coldpath`` (e.g.
   the sanitizer's bookkeeping hooks: reachable from the kernel's
   scheduling paths but opt-in diagnostics, allocation-heavy by design).

@@ -202,8 +202,11 @@ marked functions are the kernel v3 fast paths that run per event; a
 single stray allocation there erodes the measured speedups the bench
 gate protects.  Constructs inside ``raise`` statements are exempt
 (error paths are cold), and traversal stops at functions marked
-``# simlint: coldpath``.  Entry tuples are deliberately not flagged:
-the ``(time, priority, eid, event)`` tuple is the scheduler contract.
+``# simlint: coldpath``.  Tuple literals are deliberately not
+flagged: they are the cheapest container, and a priority station queues
+``(priority, entry)`` pairs.  The ``[time, priority, eid, fn]`` queue
+entries themselves are lists, and the places that build one carry a
+one-line suppression.
             """,
         ),
         _r(

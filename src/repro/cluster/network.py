@@ -92,21 +92,14 @@ class _MessageChain:
         self._tok = tok
 
     def _start(self) -> None:  # simlint: hotpath
-        self.sender.cpu.acquire(self._cpu_out_granted, CPU_PROMPT)
-
-    def _cpu_out_granted(self) -> None:  # simlint: hotpath
-        self.env.call_later(
-            self.net.config.cpu_msg_overhead_s / self.sender.speed,
-            self._cpu_out_done,
+        self.sender.cpu.visit(
+            self.net.config.cpu_msg_overhead_s, self._cpu_out_done, CPU_PROMPT
         )
 
     def _cpu_out_done(self) -> None:  # simlint: hotpath
         sender = self.sender
         sender.cpu.release()
-        sender.ni_out.acquire(self._ni_out_granted)
-
-    def _ni_out_granted(self) -> None:  # simlint: hotpath
-        self.env.call_later(self.ni_time, self._ni_out_done)
+        sender.ni_out.visit(self.ni_time, self._ni_out_done)
 
     def _ni_out_done(self) -> None:  # simlint: hotpath
         self.sender.ni_out.release()
@@ -123,18 +116,14 @@ class _MessageChain:
         if net.switch_ports is not None:
             # Output-queued fabric: the destination port serializes
             # transfers headed to the same node.
-            net.switch_ports[self.receiver.id].acquire(self._port_granted)
+            net.switch_ports[self.receiver.id].visit(
+                cfg.switch_latency_s
+                + self.size_kb / cfg.hardware.ni_kb_per_s
+                + self._extra_delay,
+                self._port_done,
+            )
         else:
             self.env.call_later(cfg.switch_latency_s + self._extra_delay, self._switched)
-
-    def _port_granted(self) -> None:  # simlint: hotpath
-        cfg = self.net.config
-        self.env.call_later(
-            cfg.switch_latency_s
-            + self.size_kb / cfg.hardware.ni_kb_per_s
-            + self._extra_delay,
-            self._port_done,
-        )
 
     def _port_done(self) -> None:  # simlint: hotpath
         self.net.switch_ports[self.receiver.id].release()
@@ -145,10 +134,7 @@ class _MessageChain:
         if receiver.failed or receiver.incarnation != self._rinc:
             self._drop("crash")
             return
-        receiver.ni_in.acquire(self._ni_in_granted)
-
-    def _ni_in_granted(self) -> None:  # simlint: hotpath
-        self.env.call_later(self.ni_time, self._ni_in_done)
+        receiver.ni_in.visit(self.ni_time, self._ni_in_done)
 
     def _ni_in_done(self) -> None:  # simlint: hotpath
         receiver = self.receiver
@@ -156,12 +142,8 @@ class _MessageChain:
         if receiver.failed or receiver.incarnation != self._rinc:
             self._drop("crash")
             return
-        receiver.cpu.acquire(self._cpu_in_granted, CPU_PROMPT)
-
-    def _cpu_in_granted(self) -> None:  # simlint: hotpath
-        self.env.call_later(
-            self.net.config.cpu_msg_overhead_s / self.receiver.speed,
-            self._cpu_in_done,
+        receiver.cpu.visit(
+            self.net.config.cpu_msg_overhead_s, self._cpu_in_done, CPU_PROMPT
         )
 
     def _cpu_in_done(self) -> None:  # simlint: hotpath
@@ -197,28 +179,19 @@ class _DupDelivery:
     recorded when it was spawned).
     """
 
-    __slots__ = ("net", "env", "receiver", "ni_time")
+    __slots__ = ("net", "receiver")
 
     def __init__(self, net: "Interconnect", receiver: Node, ni_time: float):
         self.net = net
-        self.env = net.env
         self.receiver = receiver
-        self.ni_time = ni_time
         if not receiver.failed:
-            receiver.ni_in.acquire(self._ni_granted)
-
-    def _ni_granted(self) -> None:
-        self.env.call_later(self.ni_time, self._ni_done)
+            receiver.ni_in.visit(ni_time, self._ni_done)
 
     def _ni_done(self) -> None:
         receiver = self.receiver
         receiver.ni_in.release()
-        receiver.cpu.acquire(self._cpu_granted, CPU_PROMPT)
-
-    def _cpu_granted(self) -> None:
-        self.env.call_later(
-            self.net.config.cpu_msg_overhead_s / self.receiver.speed,
-            self._cpu_done,
+        receiver.cpu.visit(
+            self.net.config.cpu_msg_overhead_s, self._cpu_done, CPU_PROMPT
         )
 
     def _cpu_done(self) -> None:

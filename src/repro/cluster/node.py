@@ -3,13 +3,13 @@
 Each hardware component is a FIFO :class:`repro.des.Resource`, so all the
 contention the paper simulates "faithfully" (CPU, NI, disk) emerges from
 queueing.  The request lifecycle (:mod:`repro.sim.lifecycle`) and the
-interconnect's message chains acquire, hold and free them directly.
+interconnect's message chains visit and free them directly.
 """
 
 from __future__ import annotations
 
 
-from ..des import Environment, PriorityResource, Resource, TimeWeightedValue
+from ..des import Environment, PriorityResource, Resource
 from .cache import LRUFileCache
 from .config import ClusterConfig
 
@@ -40,7 +40,7 @@ class Node:
         self.cache = make_cache(config.cache_policy, config.cache_bytes)
         #: Open client connections currently assigned to this node — the
         #: load metric every policy in the paper uses.
-        self.connections = TimeWeightedValue(env, 0)
+        self.open_connections = 0
         #: Completed requests (for completion-batch notifications).
         self.completed = 0
         #: Requests this node forwarded elsewhere.
@@ -59,32 +59,32 @@ class Node:
         #: Crash / recovery counters (availability reporting).
         self.crashes = 0
         self.recoveries = 0
-        #: CPU speed multiplier (heterogeneity extension): CPU work takes
-        #: ``seconds / speed``.
-        self.speed = config.speed_of(node_id)
-        #: Configured speed; ``slow`` fault events scale relative to this
-        #: and recovery restores it.
-        self.base_speed = self.speed
+        #: Configured CPU speed; ``slow`` fault events scale relative to
+        #: this and recovery restores it.
+        self.base_speed = config.speed_of(node_id)
+        self.cpu.speed = self.base_speed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.id} conn={self.open_connections}>"
 
     # -- load --------------------------------------------------------------
 
-    @property
-    def open_connections(self) -> int:
-        return int(self.connections.value)
-
     def connection_opened(self) -> None:
-        self.connections.add(1)
+        self.open_connections += 1
 
     def connection_closed(self) -> None:
         if self.open_connections <= 0:
             raise RuntimeError(f"node {self.id}: closing a connection at zero")
-        self.connections.add(-1)
+        self.open_connections -= 1
         self.completed += 1
 
     # -- faults --------------------------------------------------------------
+
+    @property
+    def speed(self) -> float:
+        """CPU speed multiplier (heterogeneity extension): the CPU
+        station runs ``work`` in ``work / speed``."""
+        return self.cpu.speed
 
     @property
     def state(self) -> str:
@@ -113,7 +113,7 @@ class Node:
             return
         self.failed = False
         self.cache.clear()
-        self.speed = self.base_speed
+        self.cpu.speed = self.base_speed
         self.recoveries += 1
 
     def set_speed_factor(self, factor: float) -> None:
@@ -121,7 +121,7 @@ class Node:
         injection); ``factor=1.0`` restores full speed."""
         if factor <= 0:
             raise ValueError(f"speed factor must be positive, got {factor}")
-        self.speed = self.base_speed * factor
+        self.cpu.speed = self.base_speed * factor
 
     # -- cache ---------------------------------------------------------------
 
@@ -139,7 +139,6 @@ class Node:
         self.ni_out.reset_accounting()
         self.disk.reset_accounting()
         self.cache.reset_stats()
-        self.connections.reset()
         self.completed = 0
         self.forwarded = 0
         self.shed = 0

@@ -6,7 +6,9 @@ a binary heap of scheduled zero-argument continuations
 each continuation does its work and schedules the next.  See
 :mod:`repro.des.core` for the execution model and
 :mod:`repro.des.resources` for the queueing stations the cluster
-simulator is built on.
+simulator is built on: a station visit (:meth:`Resource.visit`) hands
+the station its service time and its completion, which the station
+schedules (:meth:`Environment.schedule`) when it grants the slot.
 
 Example
 -------
@@ -30,7 +32,7 @@ before the fast clock's second (queued at t=1):
 """
 
 from .core import EmptySchedule, Environment
-from .monitor import RateMeter, Tally, TimeWeightedValue
+from .monitor import Tally
 from .sanitize import DESSanitizer, LeakReport, SanitizerError, Violation
 from .resources import PriorityResource, Resource
 
@@ -39,9 +41,7 @@ __all__ = [
     "EmptySchedule",
     "Resource",
     "PriorityResource",
-    "TimeWeightedValue",
     "Tally",
-    "RateMeter",
     "DESSanitizer",
     "SanitizerError",
     "LeakReport",

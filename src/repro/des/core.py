@@ -18,9 +18,11 @@ entries per run, so this module is written for speed as much as clarity
 
 * the heap holds *continuations*: :meth:`Environment.call_later` pushes
   one small ``[time, priority, eid, fn]`` list and returns it as the
-  handle, and the event loop (:meth:`Environment._dispatch`, shared by
-  :meth:`Environment.run`, :meth:`Environment.step` and sanitized runs)
-  pops an entry and calls ``fn()``;
+  handle (:meth:`Environment.schedule` pushes one prepared elsewhere, as
+  a station visit does at its grant), and the event loop
+  (:meth:`Environment._dispatch`, shared by :meth:`Environment.run`,
+  :meth:`Environment.step` and sanitized runs) pops an entry and calls
+  ``fn()``;
 * a scheduled continuation is cancelled by blanking its entry's ``fn``
   (the entry still pops, so event counts and order never change), and a
   retained handle is harmless: blanking an entry that has already fired
@@ -155,13 +157,24 @@ class Environment:
         still pops, so event counts and order are unchanged); doing so
         after it has fired does nothing, so a handle may be kept freely.
         """
+        return self.schedule([delay, priority, None, fn])  # simlint: disable=REP104
+
+    # simlint: hotpath
+    def schedule(self, entry: list) -> list:
+        """Schedule a prepared ``[delay, priority, None, fn]`` entry.
+
+        At call time the delay becomes the absolute due time and the
+        entry takes the next eid, so an entry built early (a station
+        visit waiting in a queue) is ordered by when it is scheduled,
+        not by when it was built.  Returns ``entry``, now the handle
+        :meth:`call_later` returns.
+        """
+        delay = entry[0]
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         now = self._now
-        t = now + delay
-        eid = self._eid = self._eid + 1
-        # The entry is the handle and the heap item at once.
-        entry = [t, priority, eid, fn]  # simlint: disable=REP104
+        t = entry[0] = now + delay
+        entry[2] = self._eid = self._eid + 1
         san = self._san
         if san is None:
             if t == now:
@@ -171,7 +184,7 @@ class Environment:
                 # and every heap entry at the current time was pushed
                 # earlier (smaller eid), so the drain in _dispatch() keeps
                 # the exact (time, priority, eid) total order.
-                (self._now_u if priority == 0 else self._now_n).append(entry)
+                (self._now_u if entry[1] == 0 else self._now_n).append(entry)
                 return entry
         else:
             san.on_schedule(entry)

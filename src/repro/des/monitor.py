@@ -1,77 +1,14 @@
 """Measurement helpers for simulations.
 
-:class:`TimeWeightedValue` tracks a piecewise-constant quantity (queue
-length, connection count, ...) and reports its time-weighted average.
-:class:`Tally` accumulates plain observations (latencies, sizes).
-:class:`RateMeter` counts events over a window and reports a rate.
-
-All three support ``reset()`` so a warmup phase can be discarded; the
-semantics are identical across the meters: accumulated history clears,
-the measurement window restarts at the current simulated time, and any
-*current* level (a TimeWeightedValue's value) carries across the
-boundary unchanged.
+:class:`Tally` accumulates plain observations (latencies, sizes) and
+supports ``reset()`` so a warmup phase can be discarded.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional
 
-from .core import Environment
-
-__all__ = ["TimeWeightedValue", "Tally", "RateMeter"]
-
-
-class TimeWeightedValue:
-    """Time-weighted average of a piecewise-constant value."""
-
-    __slots__ = ("env", "_value", "_last_change", "_area", "_t0", "_max")
-
-    def __init__(self, env: Environment, initial: float = 0.0):
-        self.env = env
-        self._value = initial
-        self._last_change = env.now
-        self._area = 0.0
-        self._t0 = env.now
-        self._max = initial
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def set(self, value: float) -> None:
-        now = self.env.now
-        self._area += self._value * (now - self._last_change)
-        self._value = value
-        self._last_change = now
-        if value > self._max:
-            self._max = value
-
-    def add(self, delta: float) -> None:
-        self.set(self._value + delta)
-
-    @property
-    def maximum(self) -> float:
-        return self._max
-
-    def mean(self, now: Optional[float] = None) -> float:
-        """Time-weighted mean since construction (or last reset)."""
-        if now is None:
-            now = self.env.now
-        elapsed = now - self._t0
-        if elapsed <= 0:
-            return self._value
-        area = self._area + self._value * (now - self._last_change)
-        return area / elapsed
-
-    def reset(self) -> None:
-        """Discard history at a warmup boundary: averaging restarts at
-        the current time from the *current* value (which is kept — the
-        tracked quantity itself doesn't change at the boundary)."""
-        self._area = 0.0
-        self._t0 = self.env.now
-        self._last_change = self.env.now
-        self._max = self._value
+__all__ = ["Tally"]
 
 
 class Tally:
@@ -137,46 +74,3 @@ class Tally:
         self._min = math.inf
         self._max = -math.inf
         self._sum = 0.0
-
-
-class RateMeter:
-    """Counts discrete events; reports count / elapsed-time."""
-
-    __slots__ = ("env", "_count", "_t0", "_times", "_keep_times")
-
-    def __init__(self, env: Environment, keep_times: bool = False):
-        self.env = env
-        self._count = 0
-        self._t0 = env.now
-        self._keep_times = keep_times
-        self._times: List[float] = []
-
-    def tick(self, n: int = 1) -> None:
-        self._count += n
-        if self._keep_times:
-            self._times.append(self.env.now)
-
-    @property
-    def count(self) -> int:
-        return self._count
-
-    @property
-    def times(self) -> List[float]:
-        return self._times
-
-    def rate(self, now: Optional[float] = None) -> float:
-        if now is None:
-            now = self.env.now
-        elapsed = now - self._t0
-        if elapsed <= 0:
-            return 0.0
-        return self._count / elapsed
-
-    def reset(self) -> None:
-        """Discard history at a warmup boundary: the count (and any kept
-        event times) clear and the rate window restarts at the current
-        time, mirroring :meth:`TimeWeightedValue.reset` /
-        :meth:`Tally.reset`."""
-        self._count = 0
-        self._t0 = self.env.now
-        self._times.clear()

@@ -4,16 +4,15 @@
 servers) with a FIFO queue of waiting visits — the building block for
 CPUs, NICs, disks and router ports in :mod:`repro.cluster`.
 :class:`PriorityResource` orders its queue by priority, FIFO within a
-priority.
+priority, and scales service by the station's ``speed``.
 
-A station visit is a callback chain and costs one kernel event, its
-completion::
+A station visit is one call that hands the station its service time and
+the continuation to run when the visit completes, and it costs one
+kernel event, that completion::
 
-    def granted():                  # runs the instant a slot is granted
-        env.call_later(work, done)  # the visit's one event
     def done():
         cpu.release()               # the next queued visit starts now
-    cpu.acquire(granted)
+    cpu.visit(work, done)           # scheduled at the grant
 
 :meth:`Resource.hold` packages exactly that: ``cpu.hold(work, then)``.
 """
@@ -23,7 +22,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Deque, Optional
 
-from .core import Environment
+from .core import NORMAL, Environment
 
 __all__ = ["Resource", "PriorityResource"]
 
@@ -35,13 +34,13 @@ def _noop() -> None:
 class Resource:
     """``capacity`` identical servers with a FIFO queue of visits.
 
-    A visit is its ``on_grant`` continuation.  The station calls it
-    synchronously the moment a slot is granted — inside :meth:`acquire`
-    on a free station, or inside the :meth:`release` that hands the
-    slot over — and the continuation schedules the visit's completion
-    (``env.call_later(service, done)``, ``done`` calling
-    :meth:`release`).  Service times are therefore read at grant time,
-    and no grant event is ever scheduled.
+    A visit is its completion entry, the ``[seconds, NORMAL, None,
+    done]`` list :meth:`visit` builds and returns.  The station
+    schedules it (:meth:`Environment.schedule`) the moment a slot is
+    granted — inside :meth:`visit` on a free station, or inside the
+    :meth:`release` that hands the slot over — so the entry takes its
+    eid at grant time and no grant event is ever scheduled.  ``done``
+    calls :meth:`release`.
     """
 
     def __init__(self, env: Environment, capacity: int = 1, name: str = ""):
@@ -50,8 +49,8 @@ class Resource:
         self.env = env
         self.name = name
         self._capacity = capacity
-        #: Waiting visits in grant order (``(priority, on_grant)`` pairs
-        #: on a :class:`PriorityResource`).
+        #: Waiting visits' entries in grant order (``(priority, entry)``
+        #: pairs on a :class:`PriorityResource`).
         self.queue: Deque[Any] = deque()
         self._busy = 0
         # Cumulative busy time accounting (for utilization metrics).
@@ -84,25 +83,41 @@ class Resource:
         return self._total_served
 
     # simlint: hotpath
-    def acquire(self, on_grant: Callable[[], None]) -> None:
-        """Grant a slot to ``on_grant`` now if one is free, else queue it."""
+    def visit(self, seconds: float, done: Callable[[], None]) -> list:
+        """Hold a slot for ``seconds`` once granted, then call ``done()``.
+
+        Returns the visit's entry: queued while it waits (eid ``None``),
+        the scheduled completion once granted.  ``done`` must
+        :meth:`release` the slot.
+        """
+        entry = [seconds, NORMAL, None, done]  # simlint: disable=REP104
         busy = self._busy
         if busy < self._capacity:
             if not busy:
                 self._busy_since = self.env._now
             self._busy = busy + 1
             self._total_served += 1
-            on_grant()
+            self.env.schedule(entry)
         else:
-            self.queue.append(on_grant)
+            self.queue.append(entry)
+        return entry
 
     # simlint: hotpath
     def release(self) -> None:
-        """Free one held slot; the next queued visit is granted it now."""
+        """Free one held slot; the next queued visit is granted it now.
+
+        A hand-over keeps the station busy, but a lone slot still closes
+        its busy period and opens a new one, so busy time sums the same
+        floating-point terms as a free followed by a grant.
+        """
         queue = self.queue
         if queue:
-            self._hand_over()
-            queue.popleft()()
+            if self._busy == 1:
+                now = self.env._now
+                self._busy_time += now - self._busy_since
+                self._busy_since = now
+            self._total_served += 1
+            self.env.schedule(queue.popleft())
             return
         busy = self._busy
         if not busy:
@@ -112,40 +127,27 @@ class Resource:
             self._busy_time += self.env._now - self._busy_since
             self._busy_since = None
 
-    def _hand_over(self) -> None:
-        """Account a slot passed straight to the next queued visit.
-
-        The station stays busy, but a lone slot still closes its busy
-        period and opens a new one, so busy time sums the same
-        floating-point terms as a free followed by a grant.
-        """
-        if self._busy == 1:
-            now = self.env._now
-            self._busy_time += now - self._busy_since
-            self._busy_since = now
-        self._total_served += 1
-
-    def withdraw(self, visit: Any) -> None:
+    def withdraw(self, entry: list) -> None:
         """Take a visit off this station early (a cancelled chain).
 
-        ``visit`` is what the chain holds at the time: the ``on_grant``
-        of a visit still queued, which leaves the queue and is never
-        granted; or, once granted, the completion entry its continuation
-        scheduled (the handle ``call_later`` returned), whose ``fn`` is
-        blanked — the visit's ``done`` never runs, though the entry still
-        pops — while the slot frees at once.
+        ``entry`` is what :meth:`visit` returned.  Still queued (eid
+        ``None``), it leaves the queue and is never granted.  Once
+        granted, its ``fn`` is blanked — the visit's ``done`` never
+        runs, though the entry still pops — and the slot frees at once.
         """
-        if isinstance(visit, list):
-            visit[3] = _noop
-            self.release()
+        if entry[2] is None:
+            self._dequeue(entry)
         else:
-            self._dequeue(visit)
+            entry[3] = _noop
+            self.release()
 
-    def _dequeue(self, on_grant: Callable[[], None]) -> None:
-        try:
-            self.queue.remove(on_grant)
-        except ValueError:
-            raise RuntimeError(f"{on_grant!r} is not queued at {self!r}") from None
+    def _dequeue(self, entry: list) -> None:
+        queue = self.queue
+        for i, queued in enumerate(queue):
+            if queued is entry:
+                del queue[i]
+                return
+        raise RuntimeError(f"{entry!r} is not queued at {self!r}")
 
     def hold(
         self,
@@ -155,19 +157,15 @@ class Resource:
     ) -> None:
         """Occupy one slot for ``seconds`` once granted, free it, then
         call ``then()``.  ``priority`` is for :class:`PriorityResource`."""
-        env = self.env
-
-        def granted() -> None:
-            env.call_later(seconds, done)
 
         def done() -> None:
             self.release()
             then()
 
         if priority is None:
-            self.acquire(granted)
+            self.visit(seconds, done)
         else:
-            self.acquire(granted, priority)  # type: ignore[call-arg]
+            self.visit(seconds, done, priority)  # type: ignore[call-arg]
 
     # -- utilization accounting ------------------------------------------
 
@@ -198,39 +196,64 @@ class Resource:
 
 class PriorityResource(Resource):
     """Resource whose queue is ordered by priority; lower values are
-    served first, FIFO within a priority."""
+    served first, FIFO within a priority.
+
+    A visit's ``seconds`` is work at unit speed: the station divides it
+    by :attr:`speed` at grant, so a visit queued across a speed change
+    runs at the speed in force when it is granted.
+    """
+
+    def __init__(self, env: Environment, capacity: int = 1, name: str = ""):
+        super().__init__(env, capacity, name)
+        #: Service-rate multiplier: a visit of ``work`` holds the
+        #: station for ``work / speed``.
+        self.speed = 1.0
 
     # simlint: hotpath
-    def acquire(  # type: ignore[override]
-        self, on_grant: Callable[[], None], priority: int = 0
-    ) -> None:
-        if self._busy < self._capacity:
-            Resource.acquire(self, on_grant)
-            return
+    def visit(  # type: ignore[override]
+        self, work: float, done: Callable[[], None], priority: int = 0
+    ) -> list:
+        entry = [work, NORMAL, None, done]  # simlint: disable=REP104
+        busy = self._busy
+        if busy < self._capacity:
+            if not busy:
+                self._busy_since = self.env._now
+            self._busy = busy + 1
+            self._total_served += 1
+            entry[0] = work / self.speed
+            self.env.schedule(entry)
+            return entry
         # Insert behind every visit of the same or a better priority.
         # The common case appends; the scan only runs when a visit
         # overtakes waiting visits of a worse priority.
         q = self.queue
-        if not q or q[-1][0] <= priority:
-            q.append((priority, on_grant))
-            return
-        for i, (p, _) in enumerate(q):
-            if p > priority:
-                q.insert(i, (priority, on_grant))
-                return
+        if q and q[-1][0] > priority:
+            for i, (p, _) in enumerate(q):
+                if p > priority:
+                    q.insert(i, (priority, entry))
+                    return entry
+        q.append((priority, entry))
+        return entry
 
     # simlint: hotpath
     def release(self) -> None:
         queue = self.queue
         if queue:
-            self._hand_over()
-            queue.popleft()[1]()
+            if self._busy == 1:
+                now = self.env._now
+                self._busy_time += now - self._busy_since
+                self._busy_since = now
+            self._total_served += 1
+            entry = queue.popleft()[1]
+            entry[0] /= self.speed
+            self.env.schedule(entry)
         else:
             Resource.release(self)
 
-    def _dequeue(self, on_grant: Callable[[], None]) -> None:
-        for entry in self.queue:
-            if entry[1] == on_grant:
-                self.queue.remove(entry)
+    def _dequeue(self, entry: list) -> None:
+        queue = self.queue
+        for i, (_, queued) in enumerate(queue):
+            if queued is entry:
+                del queue[i]
                 return
-        raise RuntimeError(f"{on_grant!r} is not queued at {self!r}")
+        raise RuntimeError(f"{entry!r} is not queued at {self!r}")

@@ -190,8 +190,9 @@ class DispatcherLARDPolicy(LARDPolicy):
                 failed()
                 return
             if self.decision_cpu_s > 0:
-                node = cluster.node(self._dispatcher)
-                node.cpu.hold(self.decision_cpu_s / node.speed, decide)
+                cluster.node(self._dispatcher).cpu.hold(
+                    self.decision_cpu_s, decide
+                )
             else:
                 decide()
 

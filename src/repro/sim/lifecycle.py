@@ -79,16 +79,16 @@ class _FastRequest:
     completion — per station visit.
 
     A stage visits at most one station, ``_at``; ``_visit`` is the
-    visit's ``on_grant`` continuation while it queues there and the
-    completion's queue entry once it holds the station.  While the chain waits
-    on anything else (the hand-off, a dispatcher round-trip, a remote
-    DFS read) ``_at`` is None.  :meth:`cancel` hands ``_visit`` to
-    ``Resource.withdraw``, which leaves the queue or frees the station
-    at once and drops the completion, so no station stage runs after a
-    cancel; every other later callback of the chain sees ``ended`` and
-    does nothing.  Messages the request already sent, and work it handed
-    to other nodes (a dispatcher's decision, a DFS home's disk read), run
-    to their end regardless.
+    visit's entry (what ``Resource.visit`` returned): queued while it
+    waits there, the scheduled completion once it holds the station.
+    While the chain waits on anything else (the hand-off, a dispatcher
+    round-trip, a remote DFS read) ``_at`` is None.  :meth:`cancel`
+    hands ``_visit`` to ``Resource.withdraw``, which leaves the queue or
+    frees the station at once and drops the completion, so no station
+    stage runs after a cancel; every other later callback of the chain
+    sees ``ended`` and does nothing.  Messages the request already sent,
+    and work it handed to other nodes (a dispatcher's decision, a DFS
+    home's disk read), run to their end regardless.
     """
 
     __slots__ = (
@@ -226,11 +226,7 @@ class _FastRequest:
         self.initial_node = node = self.cluster.node(self.initial)
         self.initial_inc = node.incarnation
         station = self._at = self.cluster.net.router
-        grant = self._visit = self._route_in_granted
-        station.acquire(grant)
-
-    def _route_in_granted(self) -> None:  # simlint: hotpath
-        self._visit = self.env.call_later(
+        self._visit = station.visit(
             self.hw.route_time(self.hw.request_kb), self._route_in_done
         )
 
@@ -241,23 +237,15 @@ class _FastRequest:
             self._abort()
             return
         station = self._at = self.initial_node.ni_in
-        grant = self._visit = self._ni_in_granted
-        station.acquire(grant)
-
-    def _ni_in_granted(self) -> None:  # simlint: hotpath
-        self._visit = self.env.call_later(
+        self._visit = station.visit(
             self.hw.ni_message_time(self.hw.request_kb), self._ni_in_done
         )
 
     def _ni_in_done(self) -> None:  # simlint: hotpath
         self.initial_node.ni_in.release()
         station = self._at = self.initial_node.cpu
-        grant = self._visit = self._parse_granted
-        station.acquire(grant, CPU_PROMPT)
-
-    def _parse_granted(self) -> None:  # simlint: hotpath
-        self._visit = self.env.call_later(
-            self.hw.parse_time() / self.initial_node.speed, self._parse_done
+        self._visit = station.visit(
+            self.hw.parse_time(), self._parse_done, CPU_PROMPT
         )
 
     # -- decide + hand-off -------------------------------------------------
@@ -295,8 +283,9 @@ class _FastRequest:
             node = self.initial_node
             node.forwarded += 1
             station = self._at = node.cpu
-            grant = self._visit = self._forward_granted
-            station.acquire(grant, CPU_PROMPT)
+            self._visit = station.visit(
+                self.hw.forward_time(), self._forward_done, CPU_PROMPT
+            )
         else:
             self._at_service()
 
@@ -307,11 +296,6 @@ class _FastRequest:
             return
         _breaker_failure(self.cluster, self.initial)
         self._abort()
-
-    def _forward_granted(self) -> None:  # simlint: hotpath
-        self._visit = self.env.call_later(
-            self.hw.forward_time() / self.initial_node.speed, self._forward_done
-        )
 
     def _forward_done(self) -> None:  # simlint: hotpath
         self.initial_node.cpu.release()
@@ -416,13 +400,7 @@ class _FastRequest:
             # A remote read gave up after the request was cancelled.
             return
         station = self._at = self.service_node.disk
-        grant = self._visit = self._disk_granted
-        station.acquire(grant)
-
-    def _disk_granted(self) -> None:  # simlint: hotpath
-        self._visit = self.env.call_later(
-            self.hw.disk_time(self.size_kb), self._disk_done
-        )
+        self._visit = station.visit(self.hw.disk_time(self.size_kb), self._disk_done)
 
     def _disk_done(self) -> None:  # simlint: hotpath
         self.service_node.disk.release()
@@ -440,13 +418,8 @@ class _FastRequest:
             self._abort()
             return
         station = self._at = self.service_node.cpu
-        grant = self._visit = self._reply_granted
-        station.acquire(grant, CPU_BULK)
-
-    def _reply_granted(self) -> None:  # simlint: hotpath
-        self._visit = self.env.call_later(
-            self.hw.reply_time(self.size_kb) / self.service_node.speed,
-            self._reply_done,
+        self._visit = station.visit(
+            self.hw.reply_time(self.size_kb), self._reply_done, CPU_BULK
         )
 
     def _reply_done(self) -> None:  # simlint: hotpath
@@ -457,22 +430,14 @@ class _FastRequest:
             self._abort()
             return
         station = self._at = self.service_node.ni_out
-        grant = self._visit = self._ni_out_granted
-        station.acquire(grant)
-
-    def _ni_out_granted(self) -> None:  # simlint: hotpath
-        self._visit = self.env.call_later(
+        self._visit = station.visit(
             self.hw.ni_reply_time(self.size_kb), self._ni_out_done
         )
 
     def _ni_out_done(self) -> None:  # simlint: hotpath
         self.service_node.ni_out.release()
         station = self._at = self.cluster.net.router
-        grant = self._visit = self._route_out_granted
-        station.acquire(grant)
-
-    def _route_out_granted(self) -> None:  # simlint: hotpath
-        self._visit = self.env.call_later(
+        self._visit = station.visit(
             self.hw.route_time(self.size_kb), self._route_out_done
         )
 

@@ -191,8 +191,7 @@ class _Connection:
         sim.env.call_later(0.0, self._open, priority=URGENT)
 
     def _cpu(self, node_id: int, seconds: float, then, priority=CPU_PROMPT):
-        node = self.cluster.node(node_id)
-        node.cpu.hold(seconds / node.speed, then, priority)
+        self.cluster.node(node_id).cpu.hold(seconds, then, priority)
 
     def _open(self) -> None:
         current = self.policy.initial_node(self.index, int(self.ids[self.r]))

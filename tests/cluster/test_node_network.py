@@ -86,6 +86,25 @@ def test_node_cpu_occupancy_is_serialized():
     assert done == [("a", 1.0), ("b", 2.0)]
 
 
+def test_cpu_hold_queued_across_a_slowdown_runs_at_grant_speed():
+    """CPU work is divided by the speed in force when the visit is
+    granted: a visit already held keeps its time, one queued across
+    set_speed_factor runs at the new speed, and recovery restores it."""
+    env, cluster = make_cluster(1)
+    node = cluster.node(0)
+    done = []
+
+    node.cpu.hold(1.0, lambda: done.append(("a", env.now)))
+    node.cpu.hold(1.0, lambda: done.append(("b", env.now)))
+    env.call_later(0.5, lambda: node.set_speed_factor(0.5))
+    env.run()
+    assert done == [("a", 1.0), ("b", 3.0)]
+    assert node.speed == node.cpu.speed == 0.5 and node.state == "slow"
+    node.crash()
+    node.recover()
+    assert node.speed == node.base_speed == 1.0 and node.state == "up"
+
+
 def test_node_parse_reply_disk_times_match_table1():
     hw = ClusterConfig().hardware
     assert hw.parse_time() == pytest.approx(1 / 6300)

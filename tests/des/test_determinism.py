@@ -31,15 +31,12 @@ def build_and_run(seed: int):
         choice = rng.random()
         rest = steps - 1
         if choice < 0.4:
-            def granted():
-                log.append(("res", name, env.now))
-                env.call_later(rng.uniform(0, 2), done)
-
             def done():
                 res.release()
+                log.append(("res", name, env.now))
                 worker(name, rest)
 
-            res.acquire(granted)
+            res.visit(rng.uniform(0, 2), done)
         elif choice < 0.7:
             def tick():
                 log.append(("tick", name, env.now))

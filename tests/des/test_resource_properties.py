@@ -1,6 +1,6 @@
 """Property tests: Resource semantics against a reference model.
 
-Random workloads of acquire/hold/release visits are checked against an
+Random workloads of visit/hold/release visits are checked against an
 oracle: at no instant do more than ``capacity`` holders exist, grants
 are FIFO among waiting visits, and total busy time matches the union
 of holding intervals.
@@ -27,34 +27,39 @@ from repro.des import Environment, Resource
 def test_property_capacity_never_exceeded(capacity, jobs):
     env = Environment()
     res = Resource(env, capacity=capacity)
-    holding = [0]
+    visits = []  # (entry, hold, completed) per job, in arrival order
     max_holding = [0]
-    grants = []
+    ends = []
 
-    def job(jid, hold):
-        def granted():
-            grants.append((env.now, jid))
-            holding[0] += 1
-            max_holding[0] = max(max_holding[0], holding[0])
-            env.call_later(hold, done)
+    def observe():
+        # Holders are the granted (scheduled) entries not yet completed.
+        holding = sum(1 for e, _, c in visits if e[2] is not None and not c[0])
+        assert holding == res.count
+        max_holding[0] = max(max_holding[0], holding)
+
+    def job(hold):
+        completed = [False]
 
         def done():
-            holding[0] -= 1
+            completed[0] = True
+            ends.append((entry[2], env.now - hold))
             res.release()
+            observe()
 
-        res.acquire(granted)
+        entry = res.visit(hold, done)
+        visits.append((entry, hold, completed))
+        observe()
 
-    for jid, (arrival, hold) in enumerate(jobs):
-        env.call_later(arrival, lambda jid=jid, hold=hold: job(jid, hold))
+    for arrival, hold in jobs:
+        env.call_later(arrival, lambda hold=hold: job(hold))
     env.run()
 
     assert max_holding[0] <= capacity
-    assert len(grants) == len(jobs)
-    assert holding[0] == 0
+    assert len(ends) == len(jobs)
     assert res.count == 0 and res.queue_length == 0
-    # Grant times never decrease (the log is in processing order).
-    times = [t for t, _ in grants]
-    assert all(b >= a for a, b in zip(times, times[1:]))
+    # Grant times never decrease in grant (eid) order.
+    times = [t for _, t in sorted(ends)]
+    assert all(b >= a - 1e-9 for a, b in zip(times, times[1:]))
 
 
 @given(
@@ -92,16 +97,19 @@ def test_property_busy_time_matches_interval_union(jobs):
     res = Resource(env, capacity=1)
     total_hold = [0.0]
 
-    def job(hold):
-        def granted():
-            start = env.now
-            env.call_later(hold, lambda: done(start))
+    last_end = [0.0]
 
-        def done(start):
-            total_hold[0] += env.now - start
+    def job(hold):
+        arrival = env.now
+
+        def done():
+            # FIFO on one slot: a visit starts when it arrives or when
+            # the visit before it ends, whichever is later.
+            total_hold[0] += env.now - max(arrival, last_end[0])
+            last_end[0] = env.now
             res.release()
 
-        res.acquire(granted)
+        res.visit(hold, done)
 
     for arrival, hold in jobs:
         env.call_later(arrival, lambda hold=hold: job(hold))

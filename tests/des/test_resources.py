@@ -3,28 +3,23 @@
 import pytest
 
 from repro.des import Environment, PriorityResource, Resource
+from repro.des.core import NORMAL
 
 
 def visit(env, res, seconds, then=None, priority=None):
-    """One station visit as a callback chain; returns its on_grant.
+    """One station visit through ``Resource.visit``; returns its entry.
 
     ``then(granted_at)`` runs once the visit has released the station.
     """
 
-    def granted():
-        start = env.now
-        env.call_later(seconds, lambda: done(start))
-
-    def done(start):
+    def done():
         res.release()
         if then is not None:
-            then(start)
+            then(env.now - seconds)
 
     if priority is None:
-        res.acquire(granted)
-    else:
-        res.acquire(granted, priority)
-    return granted
+        return res.visit(seconds, done)
+    return res.visit(seconds, done, priority)
 
 
 def test_resource_grants_up_to_capacity():
@@ -48,18 +43,19 @@ def test_resource_fifo_order():
 
 
 def test_grant_runs_the_continuation_synchronously():
-    """A free station calls on_grant inside acquire(); a busy one calls
-    the next queued continuation inside release()."""
+    """A free station schedules the visit's entry inside visit(); a busy
+    one queues it unscheduled and schedules it inside the release() that
+    hands the slot over."""
     env = Environment()
     res = Resource(env, capacity=1)
-    log = []
-    res.acquire(lambda: log.append("first"))
-    assert log == ["first"] and res.count == 1
-    res.acquire(lambda: log.append("second"))
-    assert log == ["first"] and res.queue_length == 1
-    res.release()
-    assert log == ["first", "second"] and res.count == 1
-    assert res.queue_length == 0 and env.event_count == 0
+    first = res.visit(1.0, res.release)
+    assert first == [1.0, NORMAL, 1, res.release] and res.count == 1
+    second = res.visit(2.0, res.release)
+    assert second == [2.0, NORMAL, None, res.release]
+    assert res.queue_length == 1 and env.event_count == 1
+    env.step()  # first's completion releases: second is granted at t=1
+    assert second == [3.0, NORMAL, 2, res.release] and res.count == 1
+    assert res.queue_length == 0 and env.event_count == 2
 
 
 def test_uncontended_visit_costs_one_event():
@@ -98,7 +94,7 @@ def test_resource_invalid_capacity():
 def test_resource_release_without_hold_raises():
     env = Environment()
     res = Resource(env, capacity=1)
-    res.acquire(lambda: None)
+    res.visit(1.0, lambda: None)
     res.release()
     with pytest.raises(RuntimeError):
         res.release()
@@ -131,18 +127,13 @@ def test_withdraw_held_visit_frees_slot_and_drops_done():
     done never runs: the completion entry is blanked, yet still pops."""
     env = Environment()
     res = Resource(env, capacity=1)
-    handle = []
     done = []
-
-    def granted():
-        handle.append(env.call_later(10, lambda: done.append(env.now)))
-
-    res.acquire(granted)
+    held = res.visit(10, lambda: done.append(env.now))
     nxt = []
     visit(env, res, 1, lambda t: nxt.append(t))
 
     def cancel():
-        res.withdraw(handle[0])
+        res.withdraw(held)
         assert res.count == 1 and res.queue_length == 0
 
     env.call_later(3, cancel)
@@ -226,3 +217,43 @@ def test_priority_resource_withdraw_queued_visit():
     env.call_later(2, lambda: res.withdraw(low))
     env.run()
     assert order == ["high"]
+
+
+def test_withdraw_takes_queued_and_held_entries():
+    """withdraw() reads the entry: a queued one (eid None) leaves the
+    queue unscheduled; a held one (eid set) is blanked and its slot goes
+    to the next queued visit, on both station kinds."""
+    for res in (Resource(Environment()), PriorityResource(Environment())):
+        env = res.env
+        log = []
+        held = res.visit(5, lambda: log.append("held"))
+        queued = res.visit(1, lambda: log.append("queued"))
+        last = visit(env, res, 1, lambda t: log.append(("last", t)))
+        res.withdraw(queued)
+        assert queued[2] is None and res.queue_length == 1
+        assert env.event_count == 1
+        env.call_later(2, lambda: res.withdraw(held))
+        env.run()
+        assert log == [("last", 2)]
+        assert last[2] == 3 and res.total_served == 2
+        assert res.count == 0 and res.busy_time() == pytest.approx(3.0)
+
+
+def test_queued_visits_take_eids_in_grant_order():
+    """A queued visit takes its eid when it is granted, not when it was
+    queued: later calls interleave, and a priority queue's overtakers
+    take theirs first."""
+    env = Environment()
+    res = Resource(env, capacity=1)
+    a, b, c = (visit(env, res, 1) for _ in range(3))
+    tick = env.call_later(0.5, lambda: None)
+    assert [a[2], tick[2], b[2], c[2]] == [1, 2, None, None]
+    env.run()
+    assert [b[2], c[2]] == [3, 4]
+
+    env = Environment()
+    res = PriorityResource(env, capacity=1)
+    visit(env, res, 1, priority=0)
+    low, high, mid = (visit(env, res, 1, priority=p) for p in (5, 1, 3))
+    env.run()
+    assert high[2] < mid[2] < low[2] == env.event_count

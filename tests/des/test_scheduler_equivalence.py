@@ -90,8 +90,8 @@ def _storm(driver: str, sanitize: bool, seed: int):
             self.wid = wid
             self.steps = rng.randint(3, 12)
             self.step = -1
-            #: What the worker waits on: ("tick" | "held", entry),
-            #: ("queued", on_grant), ("resuming", entry) or None.
+            #: What the worker waits on: ("tick", entry), ("visit",
+            #: entry) — queued or held — ("resuming", entry) or None.
             self.waiting = None
             self.next_step()
 
@@ -106,19 +106,16 @@ def _storm(driver: str, sanitize: bool, seed: int):
         def tick(self):
             log.append((env.now, "tick", self.wid, self.step))
             if rng.random() < 0.4:
-                self.waiting = ("queued", self.granted)
-                res.acquire(self.granted)
+                hold = rng.choice([0, 1, 3])
+                self.waiting = ("visit", res.visit(hold, self.done))
             else:
                 self.next_step()
 
-        def granted(self):
-            log.append((env.now, "hold", self.wid, self.step))
-            hold = rng.choice([0, 1, 3])
-            self.waiting = ("held", env.call_later(hold, self.done))
-
         def done(self):
             res.release()
-            log.append((env.now, "release", self.wid, self.step))
+            # The visit's eid records when it was granted.
+            eid = self.waiting[1][2]
+            log.append((env.now, "release", self.wid, self.step, eid))
             self.next_step()
 
         def interrupt(self, cause):

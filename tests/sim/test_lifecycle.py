@@ -68,6 +68,28 @@ def test_request_time_breakdown_local_miss():
     assert env.now == pytest.approx(expected, rel=1e-9)
 
 
+def test_cpu_stages_run_at_the_speed_in_force_at_grant():
+    """A request whose parse queues behind a busy CPU while the node
+    slows to half speed parses, and replies, at half speed."""
+    env, cluster, policy = setup(nodes=1)
+    node = cluster.node(0)
+    node.cpu.hold(1.0, lambda: None)
+    env.call_later(0.5, lambda: node.set_speed_factor(0.5))
+    size = 10 * 1024
+    run_one(env, cluster, policy, size=size)
+    hw = cluster.config.hardware
+    kb = 10.0
+    expected = (
+        1.0
+        + hw.parse_time() / 0.5
+        + hw.disk_time(kb)
+        + hw.reply_time(kb) / 0.5
+        + hw.ni_reply_time(kb)
+        + hw.route_time(kb)
+    )
+    assert env.now == pytest.approx(expected, rel=1e-9)
+
+
 def test_second_request_hits_cache():
     env, cluster, policy = setup(nodes=1)
     run_one(env, cluster, policy, index=0, file_id=7)

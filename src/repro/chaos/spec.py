@@ -457,9 +457,9 @@ class Scenario:
         Actions: ``kill``/``respawn`` (crash window via SIGKILL + fresh
         incarnation), ``suspend``/``resume`` (slow window via
         SIGSTOP/SIGCONT — the live analog of a fail-slow node),
-        ``link_down``/``link_up`` (the *dst* node's chaos proxy refuses
-        connections; ``src`` is ignored because every live path crosses
-        the front-end star).
+        ``link_down``/``link_up`` (the *dst* node's chaos proxy severs
+        its connections and refuses new ones; ``src`` is ignored because
+        every live path crosses the front-end star).
         """
         horizon = self.horizon_s
 
@@ -491,9 +491,9 @@ class Scenario:
     def live_rates(self) -> Dict[str, float]:
         """Run-wide fabric rates for the live chaos proxies.
 
-        ``loss`` is applied per proxied connection (the connection is
-        severed mid-transfer), ``delay_s``/``jitter_s`` stretch each
-        proxied byte stream — the connection-level analog of the sim's
+        ``loss`` is applied per proxied request (the connection is
+        severed before the request is forwarded), ``delay_s``/``jitter_s``
+        hold each proxied request back — the stream analog of the sim's
         per-message perturbation.
         """
         rates = {"loss": 0.0, "delay_s": 0.0, "jitter_s": 0.0}

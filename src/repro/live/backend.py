@@ -10,16 +10,23 @@ likewise only block on disk for misses) and insert it, evicting LRU
 files' bytes.
 
 Hand-off: when a request arrives with an ``X-Forward-Port`` header, this
-node is the *initial* node of a handed-off request — it opens a second
-TCP connection to the target back-end and relays the response, tagging
-it ``X-Handoff: 1``.  That is the live twin of the simulator's hand-off
-accounting: the forwarding work and the extra network round-trip happen
-on the initial node, the cache work on the target.
+node is the *initial* node of a handed-off request — it fetches the file
+from the target back-end over a pooled keep-alive connection
+(:class:`~repro.live.http11.ConnectionPool`) and relays the response,
+tagging it ``X-Handoff: 1``.  That is the live twin of the simulator's
+hand-off accounting: the forwarding work and the extra network
+round-trip happen on the initial node, the cache work on the target.
 
 Run standalone as a process with ``python -m repro.live.backend``; the
 parent reads the ``REPRO-LIVE-BACKEND node=<id> port=<port>`` handshake
 line from stdout.  :class:`LiveCluster` also supports in-process mode
 for hermetic tests.
+
+Connections: a request carrying ``Connection: keep-alive`` (the
+front-end's and other back-ends' pooled hops) is answered in kind and
+the connection stays open for the next request, until EOF or a request
+without keep-alive.  Admin calls, probes and clients get one response
+and a close.
 """
 
 from __future__ import annotations
@@ -36,6 +43,8 @@ from . import http11
 from .fileset import file_name, load_manifest
 
 __all__ = ["BackendServer", "main"]
+
+_JSON = {"Content-Type": "application/json"}
 
 
 class BackendServer:
@@ -64,8 +73,16 @@ class BackendServer:
         self.served = 0
         self.relayed = 0
         self.errors = 0
+        #: Connections accepted (a pooled hop is one connection for
+        #: many requests).
+        self.connections = 0
+        #: Keep-alive hops to other back-ends (hand-off relays).
+        self.pool = http11.ConnectionPool(host)
         self._server: Optional[asyncio.base_events.Server] = None
         self._closing = asyncio.Event()
+        #: Writers of connections waiting for their next request (a
+        #: dict for its deterministic order).
+        self._idle: Dict[asyncio.StreamWriter, None] = {}
 
     @property
     def port(self) -> int:
@@ -80,37 +97,61 @@ class BackendServer:
 
     async def serve_until_shutdown(self) -> None:
         assert self._server is not None
-        async with self._server:
-            await self._closing.wait()
+        await self._closing.wait()
+        await self.stop()
 
     async def stop(self) -> None:
+        """Stop accepting, close the relay pool and end idle handlers.
+
+        ``Server.wait_closed`` waits for open connections on Python
+        3.12+, so idle keep-alive connections are closed here; a handler
+        busy with a request closes its connection after the response.
+        """
         self._closing.set()
+        self.pool.close()
+        self.close_idle()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+
+    def close_idle(self) -> None:
+        """Close every connection waiting for its next request."""
+        for writer in self._idle:
+            writer.close()
+        self._idle.clear()
 
     # -- request handling --------------------------------------------------
 
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self.connections += 1
         try:
-            request = await http11.read_request(reader)
-            if request is None:
-                return
-            response = await self._dispatch(request)
-            writer.write(response)
-            await writer.drain()
+            while not self._closing.is_set():
+                self._idle[writer] = None
+                try:
+                    request = await http11.read_request(reader)
+                finally:
+                    self._idle.pop(writer, None)
+                if request is None:
+                    return
+                keep_alive = request.keep_alive and not self._closing.is_set()
+                response = await self._dispatch(request)
+                writer.write(
+                    http11.render_response(
+                        response.status, response.body, response.headers,
+                        keep_alive=keep_alive,
+                    )
+                )
+                await writer.drain()
+                if not keep_alive:
+                    return
         except (http11.HTTPError, ConnectionError, asyncio.IncompleteReadError):
             self.errors += 1
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            await http11.close_quietly(writer)
 
-    async def _dispatch(self, request: http11.Request) -> bytes:
+    async def _dispatch(self, request: http11.Request) -> http11.Response:
         path = request.path
         if request.method == "GET" and path.startswith("/f/"):
             return await self._serve_file(request)
@@ -118,38 +159,32 @@ class BackendServer:
             body = json.dumps(
                 {"node": self.node_id, "incarnation": self.incarnation}
             ).encode()
-            return http11.render_response(
-                200, body, {"Content-Type": "application/json"}
-            )
+            return http11.Response(200, _JSON, body)
         if request.method == "GET" and path == "/stats":
-            return http11.render_response(
-                200,
-                json.dumps(self.stats()).encode(),
-                {"Content-Type": "application/json"},
-            )
+            return http11.Response(200, _JSON, json.dumps(self.stats()).encode())
         if request.method == "POST" and path == "/warm":
             self._warm(json.loads(request.body))
-            return http11.render_response(200, b"ok")
+            return http11.Response(200, body=b"ok")
         if request.method == "POST" and path == "/reset":
             self.reset_meters()
-            return http11.render_response(200, b"ok")
+            return http11.Response(200, body=b"ok")
         if request.method == "POST" and path == "/shutdown":
             # Arrange the event after the response is written.
             asyncio.get_running_loop().call_soon(self._closing.set)
-            return http11.render_response(200, b"bye")
-        return http11.render_response(404, b"not found")
+            return http11.Response(200, body=b"bye")
+        return http11.Response(404, body=b"not found")
 
-    async def _serve_file(self, request: http11.Request) -> bytes:
+    async def _serve_file(self, request: http11.Request) -> http11.Response:
         try:
             fid = int(request.path[len("/f/"):])
         except ValueError:
-            return http11.render_response(400, b"bad file id")
+            return http11.Response(400, body=b"bad file id")
         forward_port = request.headers.get("x-forward-port")
         if forward_port is not None:
             return await self._relay(fid, int(forward_port))
         size = self.sizes.get(fid)
         if size is None:
-            return http11.render_response(404, b"no such file")
+            return http11.Response(404, body=b"no such file")
         if self.cache.lookup(fid):
             body = self._content[fid]
             cached = "HIT"
@@ -161,10 +196,8 @@ class BackendServer:
                 self._content[fid] = body
             cached = "MISS"
         self.served += 1
-        return http11.render_response(
-            200,
-            body,
-            {"X-Cache": cached, "X-Node": str(self.node_id)},
+        return http11.Response(
+            200, {"X-Cache": cached, "X-Node": str(self.node_id)}, body
         )
 
     def _warm(self, fids: list) -> None:
@@ -192,30 +225,20 @@ class BackendServer:
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(None, path.read_bytes)
 
-    async def _relay(self, fid: int, target_port: int) -> bytes:
+    async def _relay(self, fid: int, target_port: int) -> http11.Response:
         """Hand-off: fetch ``fid`` from the target node and relay it.
 
         The initial node does NOT cache relayed content (the simulator's
         handed-off requests likewise only touch the target's cache).
         """
-        reader, writer = await asyncio.open_connection(self.host, target_port)
-        try:
-            writer.write(http11.render_request("GET", f"/f/{fid}"))
-            await writer.drain()
-            response = await http11.read_response(reader)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        response = await self.pool.request(target_port, "GET", f"/f/{fid}")
         self.relayed += 1
         headers = {
             "X-Cache": response.headers.get("x-cache", "MISS"),
             "X-Node": response.headers.get("x-node", "?"),
             "X-Handoff": "1",
         }
-        return http11.render_response(response.status, response.body, headers)
+        return http11.Response(response.status, headers, response.body)
 
     # -- meters ------------------------------------------------------------
 
@@ -225,6 +248,7 @@ class BackendServer:
             "served": self.served,
             "relayed": self.relayed,
             "errors": self.errors,
+            "connections": self.connections,
             "cache_hits": self.cache.hits,
             "cache_misses": self.cache.misses,
             "cache_insertions": self.cache.insertions,
@@ -238,6 +262,7 @@ class BackendServer:
         self.served = 0
         self.relayed = 0
         self.errors = 0
+        self.connections = 0
         self.cache.reset_stats()
 
 

@@ -186,7 +186,11 @@ async def run_live_side(
     timeline.start()
     injector.start()
     try:
-        result = await replay.run()
+        elapsed = await replay.drive()
+        # Actions still due when the load ends run now, before the
+        # summary counts kills and respawns.
+        await injector.finish()
+        result = await replay.result(elapsed)
     finally:
         await injector.finish()
         await timeline.stop()

@@ -407,8 +407,8 @@ class LiveCluster:
                 stats.append({
                     "node": node_id, "served": 0, "relayed": 0, "errors": 0,
                     "cache_hits": 0, "cache_misses": 0, "cache_insertions": 0,
-                    "cache_evictions": 0, "cache_used_bytes": 0,
-                    "cache_files": 0, "unreachable": 1,
+                    "connections": 0, "cache_evictions": 0,
+                    "cache_used_bytes": 0, "cache_files": 0, "unreachable": 1,
                 })
         return stats
 
@@ -463,22 +463,9 @@ class LiveCluster:
     # -- tiny HTTP client helpers -----------------------------------------
 
     async def _get(self, port: int, path: str) -> http11.Response:
-        return await self._roundtrip(port, "GET", path)
+        return await http11.roundtrip(self.config.host, port, "GET", path)
 
     async def _post(self, port: int, path: str, body: bytes = b"") -> http11.Response:
-        return await self._roundtrip(port, "POST", path, body)
-
-    async def _roundtrip(
-        self, port: int, method: str, path: str, body: bytes = b""
-    ) -> http11.Response:
-        reader, writer = await asyncio.open_connection(self.config.host, port)
-        try:
-            writer.write(http11.render_request(method, path, body=body))
-            await writer.drain()
-            return await http11.read_response(reader)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        return await http11.roundtrip(
+            self.config.host, port, "POST", path, body=body
+        )

@@ -4,14 +4,15 @@ This is the live twin of :mod:`repro.faults`/:mod:`repro.netfaults`,
 executing the *same* serializable :class:`~repro.chaos.spec.Scenario`
 plan against a real cluster of worker subprocesses:
 
-* :class:`ChaosProxy` — a tiny TCP proxy interposed in front of each
+* :class:`ChaosProxy` — a tiny HTTP proxy interposed in front of each
   back-end.  The front-end and the health prober talk to the proxy
   port (which never changes), the proxy talks to whichever worker
-  incarnation currently backs the node.  Connection-level netfaults
-  live here: ``link_down`` refuses connections, ``loss`` severs a
-  seeded fraction of connections before any byte flows, and
-  ``delay``/``jitter`` stretch connection setup — the TCP-stream
-  analog of the sim's per-message perturbation.
+  incarnation currently backs the node.  Netfaults live here, judged
+  per request so pooled keep-alive connections see them too:
+  ``link_down`` severs carried connections and refuses new ones,
+  ``loss`` severs the connection before a seeded fraction of requests
+  is forwarded, and ``delay``/``jitter`` hold each request back — the
+  stream analog of the sim's per-message perturbation.
 
 * :class:`HealthMonitor` — mark-down/mark-up state per node, fed by
   periodic ``GET /health`` probes (through the proxy, so it sees what
@@ -92,13 +93,20 @@ class ResilienceConfig:
 
 
 class ChaosProxy:
-    """TCP proxy in front of one back-end: stable port, injected faults.
+    """HTTP proxy in front of one back-end: stable port, injected faults.
 
     The proxy is the node's *address* for the rest of the system; a
     respawned worker gets a fresh ephemeral port, and
     :meth:`set_upstream` repoints the proxy without the front-end ever
     learning about it — exactly how a sim node keeps its id across an
     incarnation bump.
+
+    Faults are judged per *request*, not per connection, so pooled
+    keep-alive hops see the same fault rates as one-shot connections:
+    each request is framed with :func:`~repro.live.http11.read_request`,
+    ``loss`` severs the connection before forwarding it, and
+    ``delay``/``jitter`` hold it back.  Setting :attr:`link_down`
+    severs every carried connection and refuses new ones.
     """
 
     def __init__(
@@ -121,13 +129,16 @@ class ChaosProxy:
         self.loss = loss
         self.delay_s = delay_s
         self.jitter_s = jitter_s
-        #: While True, every inbound connection is refused (link_out).
-        self.link_down = False
+        self._link_down = False
         # Seeded per-proxy: fault decisions replay for a fixed seed and
-        # connection order (REP001 — no unseeded RNG, even live).
+        # request order (REP001 — no unseeded RNG, even live).
         self._rng = random.Random((seed << 8) ^ node_id)
         self._server: Optional[asyncio.base_events.Server] = None
+        #: Client-side writers of the connections being carried (a dict
+        #: for its deterministic order).
+        self._carried: Dict[asyncio.StreamWriter, None] = {}
         self.connections = 0
+        self.requests = 0
         self.refused = 0
         self.dropped = 0
         self.delay_injected_s = 0.0
@@ -136,6 +147,20 @@ class ChaosProxy:
     def port(self) -> int:
         assert self._server is not None, "proxy not started"
         return self._server.sockets[0].getsockname()[1]
+
+    @property
+    def link_down(self) -> bool:
+        """While True, inbound connections are refused (link_out).
+
+        Setting it severs every connection the proxy carries.
+        """
+        return self._link_down
+
+    @link_down.setter
+    def link_down(self, down: bool) -> None:
+        self._link_down = down
+        if down:
+            self._sever()
 
     def set_upstream(self, port: int) -> None:
         self.upstream_port = port
@@ -147,6 +172,7 @@ class ChaosProxy:
         return self.port
 
     async def stop(self) -> None:
+        self._sever()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -155,10 +181,17 @@ class ChaosProxy:
         return {
             "node": self.node_id,
             "connections": self.connections,
+            "requests": self.requests,
             "refused": self.refused,
             "dropped": self.dropped,
             "delay_injected_s": self.delay_injected_s,
         }
+
+    def _sever(self) -> None:
+        """Cut every carried connection; its handler then closes."""
+        for writer in self._carried:
+            writer.transport.abort()
+        self._carried.clear()
 
     # -- connection handling ------------------------------------------------
 
@@ -166,65 +199,59 @@ class ChaosProxy:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.connections += 1
-        try:
-            if self.link_down:
-                self.refused += 1
-                return
-            if self.loss > 0.0 and self._rng.random() < self.loss:
-                # Sever before any byte flows: the client sees a clean
-                # connection reset, the message-loss analog for a stream.
-                self.dropped += 1
-                return
-            delay = self.delay_s
-            if self.jitter_s > 0.0:
-                delay += self._rng.random() * self.jitter_s
-            if delay > 0.0:
-                self.delay_injected_s += delay
-                await asyncio.sleep(delay)
-            try:
-                up_reader, up_writer = await asyncio.open_connection(
-                    self.host, self.upstream_port
-                )
-            except (ConnectionError, OSError):
-                self.refused += 1
-                return
-            try:
-                await asyncio.gather(
-                    self._pump(reader, up_writer),
-                    self._pump(up_reader, writer),
-                )
-            finally:
-                up_writer.close()
-                try:
-                    await up_writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    @staticmethod
-    async def _pump(
-        reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+        if self._link_down:
+            self.refused += 1
+            await http11.close_quietly(writer)
+            return
+        self._carried[writer] = None
+        up: Optional[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = None
+        up_port = self.upstream_port
         try:
             while True:
-                chunk = await reader.read(65536)
-                if not chunk:
-                    break
-                writer.write(chunk)
+                request = await http11.read_request(reader)
+                if request is None or self._link_down:
+                    return
+                self.requests += 1
+                if self.loss > 0.0 and self._rng.random() < self.loss:
+                    # Sever before the request is forwarded: the client
+                    # sees the connection close with no response, the
+                    # message-loss analog for a stream.
+                    self.dropped += 1
+                    return
+                delay = self.delay_s
+                if self.jitter_s > 0.0:
+                    delay += self._rng.random() * self.jitter_s
+                if delay > 0.0:
+                    self.delay_injected_s += delay
+                    await asyncio.sleep(delay)
+                # Reconnect when the worker behind the node died or was
+                # replaced since the last request on this connection.
+                if up is None or up_port != self.upstream_port or (
+                    up[0].at_eof() or up[1].is_closing()
+                ):
+                    if up is not None:
+                        up[1].close()
+                        up = None
+                    up_port = self.upstream_port
+                    try:
+                        up = await asyncio.open_connection(self.host, up_port)
+                    except (ConnectionError, OSError):
+                        self.refused += 1
+                        return
+                up[1].write(request.encode())
+                await up[1].drain()
+                response = await http11.read_response(up[0])
+                writer.write(response.encode())
                 await writer.drain()
-        except (ConnectionError, OSError):
+                if not (request.keep_alive and response.keep_alive):
+                    return
+        except (ConnectionError, OSError, http11.HTTPError):
             pass
         finally:
-            try:
-                if writer.can_write_eof():
-                    writer.write_eof()
-            except (ConnectionError, OSError, RuntimeError):
-                pass
+            self._carried.pop(writer, None)
+            if up is not None:
+                up[1].close()
+            await http11.close_quietly(writer)
 
 
 class HealthMonitor:
@@ -371,19 +398,11 @@ class HealthMonitor:
             self._mark_up(node)
 
     async def _fetch_health(self, node: int) -> Dict[str, Any]:
-        reader, writer = await asyncio.open_connection(
-            self.host, self.ports[node]
+        # A fresh connection per probe: the probe tests that the node
+        # accepts connections.
+        response = await http11.roundtrip(
+            self.host, self.ports[node], "GET", "/health"
         )
-        try:
-            writer.write(http11.render_request("GET", "/health"))
-            await writer.drain()
-            response = await http11.read_response(reader)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
         if response.status != 200:
             raise http11.HTTPError(f"health probe status {response.status}")
         return json.loads(response.body)

@@ -10,10 +10,15 @@ Dispatch mirrors the simulator's hand-off model with real sockets:
 
 * not forwarded — fetch directly from the target back-end;
 * forwarded — fetch from the *initial* back-end with an
-  ``X-Forward-Port`` header naming the target, so the initial node opens
-  the second TCP connection and relays the bytes.  The forwarding work
+  ``X-Forward-Port`` header naming the target, so the initial node
+  fetches from the target and relays the bytes.  The forwarding work
   and extra hop land on the initial node, the cache work on the target,
   exactly as the sim charges them.
+
+Both hops run over pooled keep-alive connections
+(:class:`~repro.live.http11.ConnectionPool`), the live twin of the
+paper's messages over already-open connections; client connections stay
+one request each.
 
 The engine's ``connection_opened``/``request_completed`` bracketing
 reproduces the sim's open-connection accounting, which is what the
@@ -93,6 +98,8 @@ class FrontEnd:
         #: onto it (completions/failures are recorded client-side).
         self.timeline = None
         self._arrival = 0
+        #: Keep-alive connections to the back-ends.
+        self.pool = http11.ConnectionPool(host)
         self._server: Optional[asyncio.base_events.Server] = None
         self.requests = 0
         self.completed = 0
@@ -117,6 +124,7 @@ class FrontEnd:
         return self.port
 
     async def stop(self) -> None:
+        self.pool.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -145,11 +153,7 @@ class FrontEnd:
         except (http11.HTTPError, ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            await http11.close_quietly(writer)
 
     async def _serve(self, request: http11.Request) -> bytes:
         if request.method != "GET" or not request.path.startswith("/f/"):
@@ -284,8 +288,11 @@ class FrontEnd:
         self.engine.connection_opened(outcome.target)
         try:
             response = await asyncio.wait_for(
-                self._fetch(
-                    self.backend_ports[fetch_node], outcome.file_id, headers
+                self.pool.request(
+                    self.backend_ports[fetch_node],
+                    "GET",
+                    f"/f/{outcome.file_id}",
+                    headers,
                 ),
                 timeout=self.resilience.request_timeout_s,
             )
@@ -320,18 +327,3 @@ class FrontEnd:
         self.engine.request_aborted(
             outcome.initial, opened=True, target=outcome.target
         )
-
-    async def _fetch(
-        self, port: int, fid: int, headers: Dict[str, str]
-    ) -> http11.Response:
-        reader, writer = await asyncio.open_connection(self.host, port)
-        try:
-            writer.write(http11.render_request("GET", f"/f/{fid}", headers))
-            await writer.drain()
-            return await http11.read_response(reader)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass

@@ -118,6 +118,14 @@ class Replay:
         return (self.completed + self.failed) / self.total if self.total else 1.0
 
     async def run(self) -> SimResult:
+        """Drive the load, then build the result."""
+        return await self.result(await self.drive())
+
+    async def drive(self) -> float:
+        """Warm up, reset the meters, replay the measured window.
+
+        Returns the measured window's wall seconds.
+        """
         host = self.cluster.config.host
         port = self.cluster.frontend_port
 
@@ -145,8 +153,7 @@ class Replay:
             await self._closed_loop(host, port, self.total)
         else:
             await self._open_loop(host, port, self.total)
-        elapsed = time.monotonic() - t0
-        return await self._build_result(elapsed)
+        return time.monotonic() - t0
 
     async def _closed_loop(self, host: str, port: int, limit: int) -> None:
         """``concurrency`` workers each: take the next index, run it."""
@@ -179,7 +186,7 @@ class Replay:
         start = time.monotonic()
         try:
             response = await asyncio.wait_for(
-                self._fetch(host, port, fid),
+                http11.roundtrip(host, port, "GET", f"/f/{fid}"),
                 timeout=self.config.request_timeout_s,
             )
         except asyncio.TimeoutError:
@@ -217,20 +224,8 @@ class Replay:
             if response.headers.get("x-handoff") == "1":
                 self.client_handoffs += 1
 
-    async def _fetch(self, host: str, port: int, fid: int) -> http11.Response:
-        reader, writer = await asyncio.open_connection(host, port)
-        try:
-            writer.write(http11.render_request("GET", f"/f/{fid}"))
-            await writer.drain()
-            return await http11.read_response(reader)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _build_result(self, elapsed: float) -> SimResult:
+    async def result(self, elapsed: float) -> SimResult:
+        """The run's ``SimResult``: client books, back-end and cluster meters."""
         engine = self.cluster.engine
         backends = await self.cluster.backend_stats()
         hits = sum(b["cache_hits"] for b in backends)

@@ -25,6 +25,7 @@ from repro.live import (
     run_live_scenario,
     run_loadtest,
 )
+from repro.live.chaos import run_live_side
 from repro.live.cli import main as live_main
 from repro.servers import make_policy
 from repro.workload import synthesize
@@ -67,6 +68,26 @@ def test_kill_recover_scenario_survives_and_conserves(tmp_path):
     assert outcome.passed
     # The render must not blow up (CI prints it on failure).
     assert "live actions executed" in outcome.render()
+
+
+def test_respawn_at_the_end_of_the_load_is_counted(tmp_path):
+    """A respawn still due when the load ends runs in the injector's
+    ``finish()``; the live summary must be built after it, so the
+    respawn it lists as executed is also counted."""
+    base = Scenario.load(FIXTURE)
+    crash = dataclasses.replace(base.plan[0], start=0.5, end=base.horizon_s)
+    scenario = dataclasses.replace(base, requests=400, plan=(crash,))
+    assert scenario.live_schedule()[-1] == (1.0, "respawn", {"node": 1})
+
+    live, _, executed = asyncio.run(
+        run_live_side(scenario, tmp_path, concurrency=8)
+    )
+    assert [(a, n) for _, a, n in executed] == [("kill", 1), ("respawn", 1)]
+    summary = live.netfault_summary["live"]
+    assert summary["kills"] == 1
+    assert summary["respawns"] == 1
+    assert summary["incarnations"][1] == 1
+    assert live.verify() == []
 
 
 def test_ramp_scenario_scores_shed_and_goodput(tmp_path):

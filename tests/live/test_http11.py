@@ -92,3 +92,64 @@ def test_response_body_read_exactly_content_length():
 def test_unknown_status_gets_generic_reason():
     raw = http11.render_response(599, b"")
     assert raw.startswith(b"HTTP/1.1 599 Unknown\r\n")
+
+
+@pytest.mark.parametrize("length", ["abc", "x", "-5", "+5", "5.0", ""])
+@pytest.mark.parametrize("parser, head", [
+    (http11.read_request, b"GET /f/1 HTTP/1.1\r\n"),
+    (http11.read_response, b"HTTP/1.1 200 OK\r\n"),
+])
+def test_malformed_content_length_is_an_http_error(parser, head, length):
+    raw = head + b"Content-Length: " + length.encode() + b"\r\n\r\nbody"
+    with pytest.raises(http11.HTTPError):
+        parse(parser, raw)
+
+
+def test_truncated_body_is_an_http_error():
+    raw = b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort"
+    with pytest.raises(http11.HTTPError):
+        parse(http11.read_response, raw)
+
+
+def test_connection_header_follows_keep_alive():
+    request = parse(
+        http11.read_request, http11.render_request("GET", "/f/1", keep_alive=True)
+    )
+    assert request.headers["connection"] == "keep-alive"
+    assert request.keep_alive
+    response = parse(http11.read_response, http11.render_response(200, b"x"))
+    assert response.headers["connection"] == "close"
+    assert not response.keep_alive
+
+
+def test_two_keep_alive_requests_read_back_to_back_on_one_stream():
+    first = http11.render_request(
+        "POST", "/warm", body=b"[1, 2]", keep_alive=True
+    )
+    second = http11.render_request(
+        "GET", "/f/7", {"X-Forward-Port": "9000"}, keep_alive=True
+    )
+
+    async def go():
+        reader = asyncio.StreamReader()
+        reader.feed_data(first + second)
+        reader.feed_eof()
+        return [await http11.read_request(reader) for _ in range(3)]
+
+    one, two, end = asyncio.run(go())
+    assert (one.method, one.path, one.body) == ("POST", "/warm", b"[1, 2]")
+    assert (two.method, two.path, two.body) == ("GET", "/f/7", b"")
+    assert two.headers["x-forward-port"] == "9000"
+    assert one.keep_alive and two.keep_alive
+    assert end is None  # clean EOF after the last frame
+
+
+def test_encode_forwards_a_parsed_frame_unchanged():
+    raw = http11.render_request(
+        "POST", "/warm", {"X-Forward-Port": "9"}, b"[3]", keep_alive=True
+    )
+    request = parse(http11.read_request, raw)
+    assert parse(http11.read_request, request.encode()) == request
+    raw = http11.render_response(404, b"gone", {"X-Node": "2"}, keep_alive=True)
+    response = parse(http11.read_response, raw)
+    assert parse(http11.read_response, response.encode()) == response

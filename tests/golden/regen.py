@@ -25,7 +25,10 @@ the mode says otherwise), four nodes, two passes:
   schedule and an availability timeline sampled every 0.02 s.  The
   stored JSON holds the SimResult, the timeline CSV and both injector
   logs, so the background loops (fault and netfault injectors,
-  timeline sampler) are pinned event for event.
+  timeline sampler) are pinned event for event;
+* ``slow`` — fail-slow: node 1's CPU drops to quarter speed at 0.3 s
+  and is restored at 1.2 s, so CPU holds queued across either change
+  run at the speed in force when they are granted.
 
 ``lard-ng`` (the dispatcher round-trip) runs ``plain`` and ``netloss``.
 
@@ -78,6 +81,7 @@ EXTRA_MODES: Tuple[Tuple[Tuple[str, ...], str], ...] = (
     (("lard", "l2s"), "persistent"),
     (("l2s",), "clarknet"),
     (POLICIES, "outage"),
+    (POLICIES, "slow"),
 )
 
 #: Every (policy, mode, seed) cell.
@@ -97,6 +101,7 @@ CHAOS_TRIALS = tuple(range(8))
 
 CRASH_SCHEDULE = "crash:2@0.3,recover:2@0.6"
 OUTAGE_NETFAULTS = "link:0-1@0.05..0.15,partition:2+3@0.2..0.3"
+SLOW_SCHEDULE = "slow:1@0.3x0.25,slow:1@1.2x1"
 
 
 def path_for(policy: str, mode: str, seed: int) -> str:
@@ -173,6 +178,8 @@ def simulate(policy: str, mode: str, seed: int) -> SimResult:
     if mode == "crash":
         kwargs["faults"] = FaultSchedule.parse(CRASH_SCHEDULE)
         kwargs["retry"] = RetryPolicy()
+    elif mode == "slow":
+        kwargs["faults"] = FaultSchedule.parse(SLOW_SCHEDULE)
     elif mode in ("netloss", "dfs-netloss"):
         config = ClusterConfig(
             nodes=NODES,

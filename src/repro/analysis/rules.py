@@ -198,7 +198,7 @@ reachable from one through the call graph) contains an
 allocation-bearing construct: a comprehension or generator expression,
 a list/set/dict literal, a ``lambda``, a nested ``def``, an f-string,
 or a call to ``dict``/``list``/``set``/``deque``/... factories.  These
-marked functions are the kernel v3 fast paths that run per event; a
+marked functions are the kernel paths that run per event; a
 single stray allocation there erodes the measured speedups the bench
 gate protects.  Constructs inside ``raise`` statements are exempt
 (error paths are cold), and traversal stops at functions marked

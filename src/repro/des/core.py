@@ -26,29 +26,20 @@ entries per run, so this module is written for speed as much as clarity
 * a scheduled continuation is cancelled by blanking its entry's ``fn``
   (the entry still pops, so event counts and order never change), and a
   retained handle is harmless: blanking an entry that has already fired
-  does nothing;
-* zero-delay *now queues* (kernel v3): entries scheduled at exactly the
-  current simulated time bypass the heap entirely and land in two
-  per-priority FIFO deques drained before the clock advances.  The
-  drain respects the exact global (time, priority, eid) order (heap
-  items at the current time were scheduled earlier and therefore carry
-  smaller ids than any now-queue entry), so results are bit-identical
-  to routing everything through the heap; it just skips the
-  O(log n) push/pop for every entry that fires "now".
+  does nothing.
 
 The kernel carries an optional runtime sanitizer
 (``Environment(sanitize=True)`` or ``REPRO_DES_SANITIZE=1``): every
 scheduled entry and every pop is then routed through
 :mod:`repro.des.sanitize`'s invariant checks (time monotonicity,
-tie-break order, end-of-run leak accounting).  When the sanitizer is
-off the hooks reduce to a single predictable-branch ``None`` check per
-entry point.
+tie-break order, end-of-run leak accounting).  The hooks sit in the
+one scheduling body and the one event loop; when the sanitizer is off
+each reduces to a single ``None`` check.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from heapq import heappop, heappush
 from math import inf
 from typing import Callable, Optional
@@ -90,8 +81,6 @@ class Environment:
     __slots__ = (
         "_now",
         "_queue",
-        "_now_u",
-        "_now_n",
         "_eid",
         "_san",
     )
@@ -112,13 +101,6 @@ class Environment:
             self._san = None
         # Heap of [time, priority, eid, fn] entries.
         self._queue: list = []
-        # Zero-delay now queues (kernel v3), one per priority level.
-        # Sanitized environments leave them empty: every entry then flows
-        # through the fully-checked heap path, and the sanitizer's
-        # pop-order checks certify exactly the order the now queues
-        # reproduce.
-        self._now_u: deque = deque()
-        self._now_n: deque = deque()
         self._eid = 0
 
     # -- public API ---------------------------------------------------------
@@ -172,29 +154,15 @@ class Environment:
         delay = entry[0]
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        now = self._now
-        t = entry[0] = now + delay
+        entry[0] = self._now + delay
         entry[2] = self._eid = self._eid + 1
-        san = self._san
-        if san is None:
-            if t == now:
-                # Zero-delay fast path (kernel v3): the entry fires at the
-                # current time, so it skips the heap and joins the
-                # per-priority now queue.  FIFO order there is eid order,
-                # and every heap entry at the current time was pushed
-                # earlier (smaller eid), so the drain in _dispatch() keeps
-                # the exact (time, priority, eid) total order.
-                (self._now_u if entry[1] == 0 else self._now_n).append(entry)
-                return entry
-        else:
-            san.on_schedule(entry)
+        if self._san is not None:
+            self._san.on_schedule(entry)
         heappush(self._queue, entry)
         return entry
 
     def peek(self) -> float:
         """Time of the next scheduled entry, or ``inf`` if none."""
-        if self._now_u or self._now_n:
-            return self._now
         q = self._queue
         return q[0][0] if q else inf
 
@@ -242,53 +210,21 @@ class Environment:
         at or beyond ``stop_at`` (the clock never advances to it); with
         ``single`` it returns True after the first entry.  Returns False
         when it stopped because nothing was left to process before
-        ``stop_at``.
-
-        The pop merges the heap with the zero-delay now queues: heap
-        entries at the current time were scheduled earlier (smaller eid)
-        than any now-queue entry, and urgent now-queue entries overtake
-        NORMAL heap entries at the current time (priority compares
-        first).  Sanitized environments keep the now queues empty and
-        take every entry off the heap, so the sanitizer can check the
-        order it comes out in.
+        ``stop_at``.  Sanitized runs take the same loop: the sanitizer
+        sees every entry as it pops, before the clock moves to it.
         """
         q = self._queue
         san = self._san
-        now_u = self._now_u
-        now_n = self._now_n
         pop = heappop
-        pop_u = now_u.popleft
-        pop_n = now_n.popleft
-        now = self._now
-        while True:
-            if san is None:
-                if now_u:
-                    if q and q[0][0] == now and q[0][1] == 0:
-                        entry = pop(q)
-                    else:
-                        entry = pop_u()
-                elif q:
-                    entry = q[0]
-                    t = entry[0]
-                    if t == now:
-                        pop(q)
-                    elif now_n:
-                        entry = pop_n()
-                    elif t >= stop_at:
-                        return False
-                    else:
-                        self._now = now = t
-                        pop(q)
-                elif now_n:
-                    entry = pop_n()
-                else:
-                    return False
-            else:
-                if not q or q[0][0] >= stop_at:
-                    return False
-                entry = pop(q)
-                san.on_pop(entry, now)
-                self._now = now = entry[0]
+        while q:
+            entry = q[0]
+            if entry[0] >= stop_at:
+                return False
+            pop(q)
+            if san is not None:
+                san.on_pop(entry, self._now)
+            self._now = entry[0]
             entry[3]()
             if single:
                 return True
+        return False

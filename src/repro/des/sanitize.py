@@ -1,13 +1,14 @@
 """Runtime DES sanitizer: kernel invariant checking for sanitized runs.
 
-The kernel's fast paths (zero-delay now-queues merged with the heap
-under a delicate ``(time, priority, insertion-order)`` tie-break,
-cancellation by blanking a queued entry, callback chains) buy speed with
-exactly the kind of ordering hazards that are invisible to spot tests.
-The sanitizer wraps every scheduled entry and every pop with
-invariant checks, at a cost that is acceptable for smoke runs and CI but
-not for production sweeps — enable it with ``Environment(sanitize=True)``
-or ``REPRO_DES_SANITIZE=1``.
+The kernel's design (one heap ordered by a ``(time, priority,
+insertion-order)`` tie-break, entries built early and scheduled later,
+cancellation by blanking a queued entry, callback chains) buys speed
+with exactly the kind of ordering hazards that are invisible to spot
+tests.  The kernel's one scheduling body and one event loop hand every
+scheduled entry and every pop to the sanitizer's invariant checks, at
+a cost that is acceptable for smoke runs and CI but not for production
+sweeps — enable it with ``Environment(sanitize=True)`` or
+``REPRO_DES_SANITIZE=1``.
 
 Checks
 ------

@@ -99,8 +99,8 @@ def test_deterministic_fifo_ordering_at_same_time():
 
 
 def test_urgent_entries_overtake_normal_ones_at_the_same_time():
-    """Priority compares before insertion order, on the heap and on the
-    zero-delay now queues alike."""
+    """Priority compares before insertion order, for entries scheduled
+    ahead and for zero-delay entries scheduled at the current time."""
     env = Environment()
     order = []
 
@@ -117,6 +117,23 @@ def test_urgent_entries_overtake_normal_ones_at_the_same_time():
         "urgent", "normal-first", "urgent-zero", "normal-second",
         "normal-zero",
     ]
+
+
+def test_zero_delay_entries_between_windows_join_those_left_at_the_horizon():
+    """``run(until=T)`` leaves entries due at ``T`` queued; zero-delay
+    entries the caller schedules before the next window join them in
+    (priority, eid) order."""
+    env = Environment()
+    order = []
+    env.call_later(5, lambda: order.append("normal-a"))
+    env.call_later(5, lambda: order.append("normal-b"))
+    env.run(until=5)
+    assert order == [] and env.now == 5 and env.peek() == 5
+    env.call_later(0, lambda: order.append("normal-zero"))
+    env.call_later(0, lambda: order.append("urgent-zero"), priority=0)
+    env.run()
+    assert order == ["urgent-zero", "normal-a", "normal-b", "normal-zero"]
+    assert env.now == 5
 
 
 def test_step_empty_schedule_raises():

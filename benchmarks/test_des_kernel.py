@@ -4,7 +4,12 @@ Not a paper artifact; a performance-regression guard for the substrate
 every simulation stands on.  Measures events/second through the two
 hot paths: a bare ``call_later`` chain and station visits with
 handoffs.
+
+Under ``--benchmark-disable`` the fixture calls the function once and
+keeps no stats, so that one call is timed directly.
 """
+
+import time
 
 import pytest
 
@@ -54,10 +59,13 @@ def run_resource_contention(n: int, workers: int = 8) -> int:
     ],
 )
 def test_des_kernel_throughput(benchmark, name, fn, n):
+    start = time.perf_counter()
     result = benchmark.pedantic(fn, args=(n,), rounds=3, iterations=1)
+    elapsed = time.perf_counter() - start
     assert result == n or result == (n // 8) * 8
     # Regression floor: the kernel must stay well above 10k events/s
     # even on slow CI machines (typical: several hundred k/s).
-    events_per_sec = n / benchmark.stats.stats.mean
+    mean = elapsed if benchmark.stats is None else benchmark.stats.stats.mean
+    events_per_sec = n / mean
     print(f"\n{name}: {events_per_sec:,.0f} ops/s")
     assert events_per_sec > 10_000

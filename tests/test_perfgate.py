@@ -1,0 +1,112 @@
+"""The speed gate's verdict (``tools/perfgate.py``) on fixture payloads."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+spec = importlib.util.spec_from_file_location(
+    "perfgate", Path(__file__).resolve().parent.parent / "tools" / "perfgate.py"
+)
+perfgate = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(perfgate)
+
+W = "sim-calgary-lard"
+
+
+def _run(value, correct=True, failed=0):
+    return {
+        "correct": correct,
+        "attempted": 100,
+        "failed": failed,
+        "metrics": {"requests_per_s": {"value": value, "unit": "1/s"}},
+    }
+
+
+def _entry(workload, median):
+    return {"workload": workload, "change": {"requests_per_s": {"median": median}}}
+
+
+def _judge(values, committed=1000.0, **run_kw):
+    runs = {W: [_run(v, **run_kw) for v in values]}
+    return perfgate.verdict({W: committed}, runs, gated=(W,), threshold=0.1)
+
+
+def test_drop_beyond_threshold_fails():
+    passed, (row,) = _judge([880.0, 890.0, 950.0])
+    assert not passed
+    assert row["median"] == 890.0
+    assert "below the committed" in row["problems"][0]
+
+
+def test_drop_inside_threshold_passes():
+    passed, (row,) = _judge([905.0, 920.0, 1100.0])
+    assert passed
+    assert row["ratio"] == 0.92 and row["problems"] == []
+
+
+def test_incorrect_run_fails_even_when_fast():
+    passed, (row,) = _judge([1200.0], correct=False)
+    assert not passed
+    assert row["problems"] == ["seed None: correct is not true"]
+
+
+def test_failed_operations_fail_even_when_fast():
+    passed, (row,) = _judge([1200.0], failed=3)
+    assert not passed
+    assert row["problems"] == ["seed None: 3 failed operations"]
+
+
+def test_run_without_result_fails():
+    runs = {W: [{"error": "exit 1: boom", "seed": 2}]}
+    passed, (row,) = perfgate.verdict({W: 1000.0}, runs, gated=(W,))
+    assert not passed
+    assert row["problems"] == ["seed 2: exit 1: boom", "no measured run"]
+
+
+def test_gated_workload_without_committed_entry_fails():
+    passed, (row,) = perfgate.verdict({}, {W: [_run(1000.0)]}, gated=(W,))
+    assert not passed
+    assert row["problems"] == ["no committed BENCH_perf.json entry"]
+
+
+def test_gated_workload_not_run_fails():
+    passed, (row,) = perfgate.verdict({W: 1000.0}, {}, gated=(W,))
+    assert not passed
+    assert row["problems"] == ["no measured run"]
+
+
+def test_report_only_workload_cannot_fail_on_speed():
+    runs = {"live-lard": [_run(10.0)]}
+    passed, (row,) = perfgate.verdict({}, runs, gated=())
+    assert passed and not row["gated"]
+
+
+def test_report_only_workload_still_fails_on_correctness():
+    runs = {"live-lard": [_run(1000.0, failed=1)]}
+    passed, _ = perfgate.verdict({"live-lard": 1000.0}, runs, gated=())
+    assert not passed
+
+
+def test_newest_entry_per_workload_is_compared():
+    entries = [
+        _entry(W, 500.0),
+        _entry("live-lard", 900.0),
+        _entry(W, 1000.0),
+    ]
+    committed = perfgate.committed_medians(entries)
+    assert committed == {W: 1000.0, "live-lard": 900.0}
+    passed, _ = perfgate.verdict(committed, {W: [_run(850.0)]}, gated=(W,))
+    assert not passed
+
+
+def test_committed_trajectory_covers_every_gated_workload():
+    import json
+
+    root = Path(__file__).resolve().parent.parent
+    entries = json.loads((root / "BENCH_perf.json").read_text())["entries"]
+    bench = json.loads((root / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in bench["workloads"]]
+    committed = perfgate.committed_medians(entries)
+    assert set(perfgate.GATED) <= set(workloads)
+    assert all(committed.get(w, 0) > 0 for w in perfgate.GATED)

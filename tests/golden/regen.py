@@ -20,7 +20,9 @@ the mode says otherwise), four nodes, two passes:
 * ``dfs`` / ``dfs-netloss`` — partitioned disks (remote DFS reads),
   fault-free and with 2% message loss;
 * ``persistent`` — HTTP/1.1 connections of mean length 4;
-* ``clarknet`` — the fault-free l2s run on a clarknet trace;
+* ``clarknet`` / ``nasa`` / ``rutgers`` — a fault-free run on that
+  trace (l2s, lard and l2s respectively; ``nasa`` and ``rutgers`` on
+  seed 1 only);
 * ``outage`` — a timed link outage and a partition, the ``crash`` fault
   schedule and an availability timeline sampled every 0.02 s.  The
   stored JSON holds the SimResult, the timeline CSV and both injector
@@ -30,7 +32,13 @@ the mode says otherwise), four nodes, two passes:
   and is restored at 1.2 s, so CPU holds queued across either change
   run at the speed in force when they are granted.
 
-``lard-ng`` (the dispatcher round-trip) runs ``plain`` and ``netloss``.
+``lard-ng`` (the dispatcher round-trip) runs ``plain`` and ``netloss``;
+``round-robin``, ``consistent-hash`` and ``dns-cached`` run ``plain``.
+
+``canonical`` is the simulator's speed-scenario shape, kept as a
+correctness canary: traditional, lard and l2s on an 8,000-request
+calgary trace (seed 0), sixteen nodes, two passes, default
+``Simulation`` settings.
 
 The chaos corpus pins the chaos-oracle sampler: one text file per trial
 of ``ScenarioGenerator(42)`` holding ``render_report`` and the number of
@@ -71,27 +79,34 @@ SEEDS = (1, 2)
 NODES = 4
 REQUESTS = 600
 
-#: Modes beyond the base grid, each with the policies it runs.
-EXTRA_MODES: Tuple[Tuple[Tuple[str, ...], str], ...] = (
-    (POLICIES, "timeout"),
-    (("lard-ng",), "plain"),
-    (("lard-ng",), "netloss"),
-    (("lard", "l2s"), "dfs"),
-    (("lard", "l2s"), "dfs-netloss"),
-    (("lard", "l2s"), "persistent"),
-    (("l2s",), "clarknet"),
-    (POLICIES, "outage"),
-    (POLICIES, "slow"),
+#: Modes beyond the base grid, each with the policies and seeds it runs.
+EXTRA_MODES: Tuple[Tuple[Tuple[str, ...], str, Tuple[int, ...]], ...] = (
+    (POLICIES, "timeout", SEEDS),
+    (("lard-ng",), "plain", SEEDS),
+    (("lard-ng",), "netloss", SEEDS),
+    (("lard", "l2s"), "dfs", SEEDS),
+    (("lard", "l2s"), "dfs-netloss", SEEDS),
+    (("lard", "l2s"), "persistent", SEEDS),
+    (("l2s",), "clarknet", SEEDS),
+    (POLICIES, "outage", SEEDS),
+    (POLICIES, "slow", SEEDS),
+    (("round-robin", "consistent-hash", "dns-cached"), "plain", SEEDS),
+    (("lard",), "nasa", (1,)),
+    (("l2s",), "rutgers", (1,)),
+    (POLICIES, "canonical", (0,)),
 )
+
+#: Modes that run on a trace other than calgary, named after it.
+TRACE_MODES = ("clarknet", "nasa", "rutgers")
 
 #: Every (policy, mode, seed) cell.
 SCENARIOS: List[Tuple[str, str, int]] = [
     (policy, mode, seed) for policy in POLICIES for mode in MODES for seed in SEEDS
 ] + [
     (policy, mode, seed)
-    for policies, mode in EXTRA_MODES
+    for policies, mode, seeds in EXTRA_MODES
     for policy in policies
-    for seed in SEEDS
+    for seed in seeds
 ]
 
 
@@ -161,8 +176,13 @@ def render_chaos(trial: int) -> str:
 
 def simulate(policy: str, mode: str, seed: int) -> SimResult:
     """Run one SimResult-only golden scenario from scratch."""
+    if mode == "canonical":
+        trace = synthesize("calgary", 8_000, seed=seed)
+        return Simulation(
+            trace, make_policy(policy), ClusterConfig(nodes=16), passes=2
+        ).run()
     trace = synthesize(
-        "clarknet" if mode == "clarknet" else "calgary", REQUESTS, seed=seed
+        mode if mode in TRACE_MODES else "calgary", REQUESTS, seed=seed
     )
     config = ClusterConfig(nodes=NODES)
     if mode == "persistent":
@@ -195,7 +215,7 @@ def simulate(policy: str, mode: str, seed: int) -> SimResult:
         kwargs["overload"] = OverloadControl.default(
             NODES, max_inflight=8, limiter_mode=None, deadline_s=0.05, seed=seed
         )
-    elif mode not in ("plain", "clarknet"):
+    elif mode != "plain" and mode not in TRACE_MODES:
         raise ValueError(f"unknown golden mode {mode!r}")
     sim = Simulation(
         trace, make_policy(policy), config, passes=2, seed=seed, **kwargs

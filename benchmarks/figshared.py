@@ -1,13 +1,7 @@
-"""Shared setup and assertions for the figure 7-10 scaling benchmarks.
-
-Also the bridge to the perf suite: :func:`canonical_perf_simulation`
-delegates to :mod:`repro.bench`, so ``benchmarks/perf/`` and
-``repro bench`` measure exactly the scenario shape the figures run.
-"""
+"""Shared setup and assertions for the figure 7-10 scaling benchmarks."""
 
 from __future__ import annotations
 
-from repro.bench import canonical_simulation
 from repro.experiments import ScalingExperiment
 
 
@@ -29,17 +23,6 @@ def figure_experiment(
     print_figure(exp, figure)
     assert_paper_shape(exp, **shape_kwargs)
     return exp
-
-
-def canonical_perf_simulation(policy: str, num_requests=None):
-    """Build the canonical 16-node perf scenario for ``policy``.
-
-    Thin wrapper over :func:`repro.bench.canonical_simulation` so the
-    perf suite and the figure benchmarks share one scenario definition.
-    """
-    if num_requests is None:
-        return canonical_simulation(policy)
-    return canonical_simulation(policy, num_requests=num_requests)
 
 
 def assert_paper_shape(

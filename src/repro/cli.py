@@ -40,10 +40,6 @@ Commands
     trace file for ``repro analyze`` / ``run_simulation``.
 ``repro reproduce [--out REPORT.md] [--requests K] [--model-only]``
     Run the whole suite and write a consolidated markdown report.
-``repro bench [--quick] [--profile [N]] [--out FILE] [--check FILE]``
-    DES kernel performance harness: events/s and wall-clock on the
-    canonical 16-node scenarios, with an optional regression check
-    against a committed baseline (see docs/KERNEL.md).
 ``repro lint [PATH ...] [--format {text,json}] [--select RULES]
 [--explain REPxxx] [--sarif FILE] [--baseline FILE] [--write-baseline
 FILE] [--no-project]``
@@ -348,14 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="parallel worker processes (default: REPRO_BENCH_WORKERS or 1)",
     )
 
-    # `repro bench` and `repro lint` own their own argparse (both are
-    # also runnable as `python -m repro.<module>`); declared here so
-    # they show in --help.
-    sub.add_parser(
-        "bench",
-        help="DES kernel performance harness (see `repro bench --help`)",
-        add_help=False,
-    )
+    # `repro lint` owns its own argparse (also runnable as
+    # `python -m repro.analysis.engine`); declared here so it shows in
+    # --help.
     sub.add_parser(
         "lint",
         help="determinism linter (see `repro lint --help`)",
@@ -868,13 +859,8 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "bench":
-        # Delegate everything after `bench` to the harness's own parser.
-        from .bench import main as bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "lint":
-        # Likewise for simlint.
+        # Delegate everything after `lint` to simlint's own parser.
         from .analysis.engine import main as lint_main
 
         return lint_main(argv[1:])

@@ -22,7 +22,7 @@ its latency signal high (see the ``_admission_armed`` comment).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class Simulation:
         warmup_fraction: float = 0.3,
         passes: int = 1,
         prewarm_local_caches: Optional[bool] = None,
-        failures: Optional[Sequence[Tuple[int, int]]] = None,
         record_timeline: bool = False,
         arrival_rate: Optional[float] = None,
         record_latencies: bool = False,
@@ -116,16 +115,6 @@ class Simulation:
         self._measure_start: Optional[float] = None
         self._last_completion = 0.0
         self._response = Tally()
-        #: (node_id, trigger) pairs: node_id crashes when the finished
-        #: request count (completed + failed) reaches the trigger.
-        self._pending_failures: List[Tuple[int, int]] = sorted(
-            failures or [], key=lambda f: f[1]
-        )
-        for node_id, trigger in self._pending_failures:
-            if not 0 <= node_id < config.nodes:
-                raise ValueError(f"failure node {node_id} out of range")
-            if trigger < 0:
-                raise ValueError("failure trigger must be non-negative")
         self.record_timeline = record_timeline
         #: Completion timestamps of measured requests (when recording).
         self.completion_times: List[float] = []
@@ -140,9 +129,7 @@ class Simulation:
         self.record_latencies = record_latencies
         self._latencies: List[float] = []
 
-        #: Fault-injection schedule (timed and count-triggered events);
-        #: the legacy ``failures`` parameter remains as a shorthand for
-        #: count-triggered crashes and both may be used together.
+        #: Fault-injection schedule (timed and count-triggered events).
         self.faults = faults
         self._injector = (
             FaultInjector(self, faults) if faults is not None else None
@@ -307,7 +294,6 @@ class Simulation:
     def _after_request(self) -> None:
         if self._finished == self._warmup_count:
             self._begin_measurement()
-        self._check_failures()
         if self._injector is not None:
             self._injector.notify_finished(self._finished)
         if self.arrival_rate is None:
@@ -320,11 +306,6 @@ class Simulation:
             # measurement even starts.
             self._spawn_next()
 
-    def _check_failures(self) -> None:
-        while self._pending_failures and self._finished >= self._pending_failures[0][1]:
-            node_id, _ = self._pending_failures.pop(0)
-            self.fail_node(node_id)
-
     def crash_node(self, node_id: int) -> None:
         """Crash a node now: in-flight requests there abort (at their next
         stage boundary, against the bumped incarnation), the policy repairs
@@ -336,9 +317,6 @@ class Simulation:
         self.policy.on_node_failed(node_id)
         if self.timeline is not None:
             self.timeline.mark_event("crash", node_id)
-
-    #: Backwards-compatible name for :meth:`crash_node`.
-    fail_node = crash_node
 
     def recover_node(self, node_id: int) -> None:
         """Reboot a crashed node: cold (flushed) cache, base speed, zero

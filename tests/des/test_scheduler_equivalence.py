@@ -19,6 +19,7 @@ import pytest
 from repro.cluster import ClusterConfig
 from repro.des import EmptySchedule, Environment, Resource
 from repro.des.core import URGENT
+from repro.faults import FaultSchedule
 from repro.servers import make_policy
 from repro.sim.driver import Simulation
 from repro.workload import build_fileset, generate_trace
@@ -194,7 +195,7 @@ def test_storm_final_state_identical():
 # -- full simulations --------------------------------------------------------
 
 
-def _sim_result(monkeypatch, driver, sanitize, failures=None):
+def _sim_result(monkeypatch, driver, sanitize, faults=None):
     monkeypatch.setattr(
         Environment, "run", _run_by_steps if driver == "step" else _ENV_RUN
     )
@@ -206,18 +207,22 @@ def _sim_result(monkeypatch, driver, sanitize, failures=None):
         make_policy("l2s"),
         ClusterConfig(nodes=4),
         passes=2,
-        failures=failures,
+        faults=faults,
     )
     return sim.run()
 
 
-@pytest.mark.parametrize("failures", [None, [(1, 300)]], ids=["healthy", "crash"])
-def test_simulation_identical_across_all_variants(monkeypatch, failures):
+@pytest.mark.parametrize(
+    "faults",
+    [None, FaultSchedule.single_crash(1, after_requests=300)],
+    ids=["healthy", "crash"],
+)
+def test_simulation_identical_across_all_variants(monkeypatch, faults):
     """SimResult equality across driver x sanitize (4 ways), healthy
     and with a mid-run node crash."""
     reference = None
     for driver, sanitize in KERNEL_VARIANTS:
-        r = _sim_result(monkeypatch, driver, sanitize, failures)
+        r = _sim_result(monkeypatch, driver, sanitize, faults)
         if reference is None:
             reference = r
         else:

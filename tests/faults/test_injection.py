@@ -84,26 +84,6 @@ def test_counted_and_timed_events_mix(trace):
     assert kinds == ["crash", "recover"]
 
 
-def test_legacy_failures_param_still_works(trace):
-    sim = Simulation(
-        trace, make_policy("l2s"), cfg(), passes=2, failures=[(2, 3000)]
-    )
-    sim.run()
-    assert sim.cluster.node(2).failed
-    # And composes with the new-style schedule.
-    sim = Simulation(
-        trace,
-        make_policy("l2s"),
-        cfg(),
-        passes=2,
-        failures=[(2, 3000)],
-        faults=FaultSchedule.parse("recover:2@30"),
-        retry=RetryPolicy(),
-    )
-    sim.run()
-    assert not sim.cluster.node(2).failed
-
-
 def test_injector_validates_schedule_against_cluster(trace):
     with pytest.raises(ValueError):
         Simulation(

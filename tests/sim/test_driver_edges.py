@@ -8,6 +8,7 @@ from repro.chaos import ScenarioGenerator
 from repro.chaos.runner import run_scenario
 from repro.cluster import ClusterConfig
 from repro.des import Environment
+from repro.faults import FaultSchedule
 from repro.model import MB
 from repro.servers import make_policy
 from repro.sim import Simulation
@@ -62,7 +63,7 @@ def test_failure_trigger_beyond_total_never_fires():
         make_policy("l2s"),
         cfg(),
         warmup_fraction=0.0,
-        failures=[(1, 10_000)],
+        faults=FaultSchedule.single_crash(1, after_requests=10_000),
     )
     r = sim.run()
     assert not sim.cluster.node(1).failed
@@ -72,8 +73,8 @@ def test_failure_trigger_beyond_total_never_fires():
 def test_fail_node_idempotent():
     trace = tiny_trace(20)
     sim = Simulation(trace, make_policy("l2s"), cfg(), warmup_fraction=0.0)
-    sim.fail_node(1)
-    sim.fail_node(1)  # second call is a no-op
+    sim.crash_node(1)
+    sim.crash_node(1)  # second call is a no-op
     r = sim.run()
     assert sim.cluster.node(1).failed
     assert r.requests_measured + r.requests_failed == 20

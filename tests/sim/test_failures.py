@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.des import Environment
+from repro.faults import FaultEvent, FaultSchedule
 from repro.model import MB
 from repro.servers import make_policy
 from repro.servers.base import ServiceUnavailable
@@ -27,17 +28,22 @@ def run_with_failure(trace, policy_name, node, trigger, nodes=4):
         make_policy(policy_name),
         cfg(nodes),
         passes=2,
-        failures=[(node, trigger)],
+        faults=FaultSchedule.single_crash(node, after_requests=trigger),
         record_timeline=True,
     )
     return sim, sim.run()
 
 
 def test_failure_validation(trace):
-    with pytest.raises(ValueError):
-        Simulation(trace, make_policy("l2s"), cfg(), failures=[(9, 100)])
-    with pytest.raises(ValueError):
-        Simulation(trace, make_policy("l2s"), cfg(), failures=[(0, -1)])
+    with pytest.raises(ValueError, match="outside the 4-node cluster"):
+        Simulation(
+            trace,
+            make_policy("l2s"),
+            cfg(),
+            faults=FaultSchedule.single_crash(9, after_requests=100),
+        )
+    with pytest.raises(ValueError, match="non-negative"):
+        FaultEvent("crash", 0, after_requests=-1)
 
 
 def test_all_requests_accounted_for_after_failure(trace):

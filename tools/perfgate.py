@@ -19,9 +19,10 @@ The gate fails when
 
 Workloads outside ``GATED`` are measured and reported but cannot fail on
 speed: the live cluster drifts between sessions by more than the
-threshold on unchanged code (see CHANGES.md).  The live workload's first
-run of a session is slow (a cold start), so one run on the first seed is
-discarded before its measured runs.
+threshold on unchanged code (see CHANGES.md).  One live run on the first
+seed is discarded before the measured ones, so a slow first run of a
+session (a cold start, seen once) cannot count; its value is still
+reported.
 
 Results go to standard output and to ``perfgate-report.json`` in the
 repository root.  Exit status 0 means pass, 1 means fail.

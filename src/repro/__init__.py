@@ -19,21 +19,31 @@ Quickstart::
     result = run_simulation("calgary", "l2s", nodes=16, num_requests=20_000)
     bound = model_bound_for_trace("calgary", nodes=16)
     print(result.throughput_rps, bound.throughput)
+
+The names below are exported lazily (PEP 562): ``import repro`` loads
+no subpackage, and each name imports its defining module on first
+access.  A live back-end worker (``python -m repro.live.backend``)
+therefore starts without numpy or the simulator.  The imports under
+``TYPE_CHECKING`` are the same names for type checkers and simlint.
 """
 
-from .cluster import Cluster, ClusterConfig
-from .faults import AvailabilityTimeline, FaultSchedule, RetryPolicy
-from .model import ModelParameters, compute_surfaces, throughput_increase
-from .servers import (
-    ConsistentHashPolicy,
-    L2SPolicy,
-    LARDPolicy,
-    RoundRobinPolicy,
-    TraditionalPolicy,
-    make_policy,
-)
-from .sim import SimResult, Simulation, model_bound_for_trace, run_simulation
-from .workload import Trace, synthesize
+import importlib
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from .cluster import Cluster, ClusterConfig
+    from .faults import AvailabilityTimeline, FaultSchedule, RetryPolicy
+    from .model import ModelParameters, compute_surfaces, throughput_increase
+    from .servers import (
+        ConsistentHashPolicy,
+        L2SPolicy,
+        LARDPolicy,
+        RoundRobinPolicy,
+        TraditionalPolicy,
+        make_policy,
+    )
+    from .sim import SimResult, Simulation, model_bound_for_trace, run_simulation
+    from .workload import Trace, synthesize
 
 __version__ = "1.0.0"
 
@@ -60,3 +70,26 @@ __all__ = [
     "Trace",
     "synthesize",
 ]
+
+#: Defining submodule -> the public names it supplies.
+_SOURCES = {
+    ".cluster": ("Cluster", "ClusterConfig"),
+    ".faults": ("AvailabilityTimeline", "FaultSchedule", "RetryPolicy"),
+    ".model": ("ModelParameters", "compute_surfaces", "throughput_increase"),
+    ".servers": (
+        "ConsistentHashPolicy", "L2SPolicy", "LARDPolicy",
+        "RoundRobinPolicy", "TraditionalPolicy", "make_policy",
+    ),
+    ".sim": ("SimResult", "Simulation", "model_bound_for_trace", "run_simulation"),
+    ".workload": ("Trace", "synthesize"),
+}
+_LAZY = {name: module for module, names in _SOURCES.items() for name in names}
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value
+    return value

@@ -49,23 +49,32 @@ Layers
     ``repro live chaos``: one scenario file, both substrates, one
     availability/hit-ratio/hand-off scorecard.
 
+The names below are exported lazily (PEP 562): importing
+:mod:`repro.live.backend` loads only that worker's own modules, so each
+worker process the cluster boots starts without numpy, the simulator or
+the chaos runner.
+
 See ``docs/LIVE.md`` for the architecture, the resilience layer, and
 the known sim-vs-live gaps.
 """
 
-from .chaos import LiveChaosOutcome, run_live_scenario
-from .clock import WallClock
-from .compare import CompareReport, run_compare
-from .cluster import LiveCluster, LiveClusterConfig
-from .engine import LiveUnsupported, PolicyEngine, RouteOutcome
-from .faultproxy import (
-    ChaosProxy,
-    HealthMonitor,
-    LiveFaultInjector,
-    ResilienceConfig,
-)
-from .loadtest import LoadTestConfig, Replay, run_loadtest
-from .timeline import LiveAvailabilityTimeline
+import importlib
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from .chaos import LiveChaosOutcome, run_live_scenario
+    from .clock import WallClock
+    from .compare import CompareReport, run_compare
+    from .cluster import LiveCluster, LiveClusterConfig
+    from .engine import LiveUnsupported, PolicyEngine, RouteOutcome
+    from .faultproxy import (
+        ChaosProxy,
+        HealthMonitor,
+        LiveFaultInjector,
+        ResilienceConfig,
+    )
+    from .loadtest import LoadTestConfig, Replay, run_loadtest
+    from .timeline import LiveAvailabilityTimeline
 
 __all__ = [
     "WallClock",
@@ -87,3 +96,27 @@ __all__ = [
     "LiveChaosOutcome",
     "run_live_scenario",
 ]
+
+#: Defining submodule -> the public names it supplies.
+_SOURCES = {
+    ".chaos": ("LiveChaosOutcome", "run_live_scenario"),
+    ".clock": ("WallClock",),
+    ".compare": ("CompareReport", "run_compare"),
+    ".cluster": ("LiveCluster", "LiveClusterConfig"),
+    ".engine": ("LiveUnsupported", "PolicyEngine", "RouteOutcome"),
+    ".faultproxy": (
+        "ChaosProxy", "HealthMonitor", "LiveFaultInjector", "ResilienceConfig",
+    ),
+    ".loadtest": ("LoadTestConfig", "Replay", "run_loadtest"),
+    ".timeline": ("LiveAvailabilityTimeline",),
+}
+_LAZY = {name: module for module, names in _SOURCES.items() for name in names}
+
+
+def __getattr__(name: str) -> Any:
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module, __name__), name)
+    globals()[name] = value
+    return value

@@ -2,12 +2,17 @@
 
 :class:`LiveCluster` owns the whole stack: it materializes the trace's
 file set, starts one back-end per node (real subprocesses by default,
-in-process servers for hermetic tests), builds the
+all booting at once; in-process servers for hermetic tests), builds the
 :class:`~repro.live.engine.PolicyEngine` around the chosen policy, and
 wires the front-end.  Back-end caches are sized from the same
 ``cache_bytes`` knob as the simulated nodes' caches
 (:class:`repro.cluster.config.ClusterConfig` defaults to 32 MB), which
-is what makes live and simulated hit ratios comparable.
+is what makes live and simulated hit ratios comparable.  A worker runs
+``python -m repro.live.backend``, whose import graph is the stdlib plus
+the cache, ``http11`` and ``fileset`` (the package exports are lazy), so
+a boot or a respawn costs one lean interpreter start per worker.  A
+boot that fails part way reaps every worker it spawned before it
+re-raises.
 
 Chaos mode (:meth:`LiveCluster.enable_chaos`, process back-ends only)
 interposes one :class:`~repro.live.faultproxy.ChaosProxy` per node and
@@ -158,8 +163,25 @@ class LiveCluster:
     async def start(self) -> int:
         """Materialize files, boot back-ends, start the front-end.
 
-        Returns the front-end's listening port.
+        Returns the front-end's listening port.  A boot that fails part
+        way (a bad handshake, the boot timeout, a front-end bind error)
+        kills every worker it spawned and :meth:`stop`s whatever else it
+        started before re-raising, so no caller has to clean up after a
+        ``start()`` that raised.
         """
+        try:
+            return await self._boot()
+        except BaseException:
+            for proc in self._procs:
+                if proc.returncode is None:
+                    try:
+                        proc.kill()
+                    except ProcessLookupError:
+                        pass
+            await self.stop()
+            raise
+
+    async def _boot(self) -> int:
         # File materialization is blocking disk I/O (open/truncate per
         # touched file); run it off-loop so a large population doesn't
         # stall the event loop during boot (simlint REP105).
@@ -261,8 +283,18 @@ class LiveCluster:
             self.backend_ports.append(port)
 
     async def _start_backend_processes(self) -> None:
-        for node_id in range(self.config.nodes):
-            proc, port = await self._spawn_backend(node_id, incarnation=0)
+        # Every worker boots at once, each under its own handshake bound.
+        # All spawns are awaited even when one fails, so that start()
+        # sees every process that came up and can kill it.
+        results = await asyncio.gather(
+            *(self._spawn_backend(node_id, incarnation=0)
+              for node_id in range(self.config.nodes)),
+            return_exceptions=True,
+        )
+        for result in results:
+            if isinstance(result, BaseException):
+                raise result
+        for _, port in results:
             self.real_ports.append(port)
             self.backend_ports.append(port)
 

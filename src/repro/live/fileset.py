@@ -8,17 +8,20 @@ writing data blocks — so even multi-hundred-MB footprints cost near-zero
 disk.  Reads of sparse files return zeros at full speed, which is fine:
 the experiment measures caching and distribution behaviour, not disk
 media bandwidth.
+
+The back-end workers import this module for :func:`file_name` and
+:func:`load_manifest`, so numpy is imported inside
+:func:`materialize_fileset`, the one function that needs it.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, Union
+from typing import TYPE_CHECKING, Dict, Union
 
-import numpy as np
-
-from ..workload.traces import Trace
+if TYPE_CHECKING:
+    from ..workload.traces import Trace
 
 __all__ = ["file_name", "materialize_fileset", "load_manifest"]
 
@@ -41,6 +44,8 @@ def materialize_fileset(
     processes can serve size metadata without re-reading the trace.
     Idempotent: existing files of the right size are left alone.
     """
+    import numpy as np
+
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     sizes = trace.fileset.sizes

@@ -16,7 +16,10 @@ the mode says otherwise), four nodes, two passes:
   and hand-off re-dispatch);
 * ``admission`` — open-loop arrivals against a static front-door cap;
 * ``timeout`` — client timeouts (0.2 s) with retries, so requests are
-  cancelled mid-stage;
+  cancelled mid-stage.  On the traditional server the timeout fires on
+  seed 1 only (9 retries; none on seeds 2–5), so seed 1 alone pins the
+  traditional timeout path and ``traditional-timeout-s2`` is
+  byte-identical to ``traditional-plain-s2``;
 * ``dfs`` / ``dfs-netloss`` — partitioned disks (remote DFS reads),
   fault-free and with 2% message loss;
 * ``persistent`` — HTTP/1.1 connections of mean length 4;

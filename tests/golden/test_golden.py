@@ -7,9 +7,18 @@ tests/golden/regen.py`` and explain the diff in the same commit.
 
 from __future__ import annotations
 
+import hashlib
+import os
+
 import pytest
 
 from .regen import CHAOS_TRIALS, SCENARIOS, chaos_path_for, path_for, render, render_chaos
+
+#: The one pair of byte-identical golden files.  The traditional server
+#: never reaches the 0.2 s client timeout on seed 2, so that ``timeout``
+#: cell pins only that an armed timeout which never fires leaves the run
+#: unchanged; seed 1 pins the timeout path itself.
+IDENTICAL = {"traditional-plain-s2.json", "traditional-timeout-s2.json"}
 
 
 @pytest.mark.parametrize(
@@ -28,3 +37,15 @@ def test_golden_chaos_report(trial):
     with open(chaos_path_for(trial), encoding="utf-8") as fh:
         expected = fh.read()
     assert render_chaos(trial) == expected
+
+
+def test_golden_files_are_distinct():
+    paths = [path_for(*scenario) for scenario in SCENARIOS]
+    paths += [chaos_path_for(trial) for trial in CHAOS_TRIALS]
+    by_digest = {}
+    for path in paths:
+        with open(path, "rb") as fh:
+            digest = hashlib.sha256(fh.read()).hexdigest()
+        by_digest.setdefault(digest, set()).add(os.path.basename(path))
+    duplicates = [names for names in by_digest.values() if len(names) > 1]
+    assert duplicates == [IDENTICAL]

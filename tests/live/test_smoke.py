@@ -59,6 +59,34 @@ def test_four_node_process_cluster_smoke(tmp_path, policy_name):
     assert [p.returncode for p in procs] == [0, 0, 0, 0]
 
 
+def test_failed_boot_leaves_no_worker_running(tmp_path, monkeypatch):
+    # Node 2's worker comes up, but its handshake is then rejected: the
+    # raising start() must still reap it and every sibling it spawned.
+    spawned = []
+    read_handshake = LiveCluster._read_handshake
+
+    async def flaky_handshake(proc, node_id):
+        spawned.append(proc)
+        port = await read_handshake(proc, node_id)
+        if node_id == 2:
+            raise RuntimeError("planted bad handshake")
+        return port
+
+    monkeypatch.setattr(
+        LiveCluster, "_read_handshake", staticmethod(flaky_handshake)
+    )
+    cluster = LiveCluster(
+        make_policy("lard"),
+        small_trace(requests=100),
+        LiveClusterConfig(nodes=4, backend_mode="process", root=tmp_path),
+    )
+    with pytest.raises(RuntimeError, match="planted bad handshake"):
+        asyncio.run(cluster.start())
+    assert len(spawned) == 4
+    assert all(proc.returncode is not None for proc in spawned)
+    assert cluster._procs == [] and cluster.frontend is None
+
+
 def test_inline_cluster_serves_and_conserves(tmp_path):
     # The hermetic deployment shape used by the loadtest CLI's
     # --backend-mode inline: same conservation contract, no subprocesses.

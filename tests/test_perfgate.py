@@ -23,8 +23,15 @@ def _run(value, correct=True, failed=0):
     }
 
 
-def _entry(workload, median):
-    return {"workload": workload, "change": {"requests_per_s": {"median": median}}}
+def _entry(workload, by_seed, median=None):
+    values = {"by_seed": {str(seed): v for seed, v in by_seed.items()}}
+    if median is not None:
+        values["median"] = median
+    return {"workload": workload, "change": {"requests_per_s": values}}
+
+
+def _seeds(value):
+    return {seed: value for seed in perfgate.SEEDS}
 
 
 def _judge(values, committed=1000.0, **run_kw):
@@ -67,7 +74,7 @@ def test_run_without_result_fails():
 def test_gated_workload_without_committed_entry_fails():
     passed, (row,) = perfgate.verdict({}, {W: [_run(1000.0)]}, gated=(W,))
     assert not passed
-    assert row["problems"] == ["no committed BENCH_perf.json entry"]
+    assert row["problems"] == ["no committed per-seed BENCH_perf.json values"]
 
 
 def test_gated_workload_not_run_fails():
@@ -90,14 +97,34 @@ def test_report_only_workload_still_fails_on_correctness():
 
 def test_newest_entry_per_workload_is_compared():
     entries = [
-        _entry(W, 500.0),
-        _entry("live-lard", 900.0),
-        _entry(W, 1000.0),
+        _entry(W, _seeds(500.0)),
+        _entry("live-lard", _seeds(900.0)),
+        _entry(W, _seeds(1000.0)),
     ]
     committed = perfgate.committed_medians(entries)
     assert committed == {W: 1000.0, "live-lard": 900.0}
     passed, _ = perfgate.verdict(committed, {W: [_run(850.0)]}, gated=(W,))
     assert not passed
+
+
+def test_baseline_is_the_median_of_the_gates_own_seeds():
+    # Seed 1 is slow, seeds 4-10 are fast: the 10-seed median would
+    # overstate what seeds 1-3 should read.
+    by_seed = {1: 900.0, 2: 1000.0, 3: 1010.0}
+    by_seed.update({seed: 1200.0 for seed in range(4, 11)})
+    committed = perfgate.committed_medians([_entry(W, by_seed, median=1200.0)])
+    assert committed == {W: 1000.0}
+    passed, _ = perfgate.verdict(committed, {W: [_run(950.0)]}, gated=(W,))
+    assert passed
+
+
+def test_newest_entry_without_per_seed_values_counts_as_uncommitted():
+    entries = [_entry(W, _seeds(1000.0)), _entry(W, {1: 990.0}, median=990.0)]
+    committed = perfgate.committed_medians(entries)
+    assert committed == {}
+    passed, (row,) = perfgate.verdict(committed, {W: [_run(1000.0)]}, gated=(W,))
+    assert not passed
+    assert row["problems"] == ["no committed per-seed BENCH_perf.json values"]
 
 
 def test_committed_trajectory_covers_every_gated_workload():
@@ -109,4 +136,6 @@ def test_committed_trajectory_covers_every_gated_workload():
     workloads = [w["name"] for w in bench["workloads"]]
     committed = perfgate.committed_medians(entries)
     assert set(perfgate.GATED) <= set(workloads)
+    # committed_medians leaves out a workload whose newest entry lacks a
+    # per-seed value for one of the gate's seeds.
     assert all(committed.get(w, 0) > 0 for w in perfgate.GATED)

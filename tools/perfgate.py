@@ -7,7 +7,10 @@ Run from anywhere, with no arguments::
 For every workload in ``BENCHMARK.json`` it runs the benchmark's own
 command (``perfbench/run.py --trace 0``) for ``run_seconds`` on each of
 ``SEEDS`` and compares the median ``requests_per_s`` with the newest
-``BENCH_perf.json`` entry for that workload (its ``change`` median).
+``BENCH_perf.json`` entry for that workload: the median of that entry's
+``change`` values on the same seeds (``by_seed``).  Seeds are not alike
+(sim-calgary-lard seed 1 runs several percent below seeds 2 and 3), so
+comparing with the entry's 10-seed median would carry a fixed offset.
 
 The gate fails when
 
@@ -15,7 +18,8 @@ The gate fails when
   a result;
 * a workload in ``GATED`` has a median more than ``THRESHOLD`` below its
   committed median;
-* a workload in ``GATED`` has no committed entry at all.
+* a workload in ``GATED`` has no committed entry, or its newest entry
+  lacks a value for one of ``SEEDS``.
 
 Workloads outside ``GATED`` are measured and reported but cannot fail on
 speed: the live cluster drifts between sessions by more than the
@@ -52,8 +56,17 @@ METRIC = "requests_per_s"
 
 
 def committed_medians(entries: Sequence[Mapping]) -> Dict[str, float]:
-    """The newest entry's change median per workload (file order is age)."""
-    return {e["workload"]: e["change"][METRIC]["median"] for e in entries}
+    """The newest entry's change median over ``SEEDS``, per workload.
+
+    File order is age.  A workload whose newest entry lacks a value for
+    one of ``SEEDS`` is left out, so the gate reports it uncommitted.
+    """
+    newest = {e["workload"]: e["change"][METRIC].get("by_seed", {}) for e in entries}
+    return {
+        workload: statistics.median(by_seed[str(seed)] for seed in SEEDS)
+        for workload, by_seed in newest.items()
+        if all(str(seed) in by_seed for seed in SEEDS)
+    }
 
 
 def verdict(
@@ -80,7 +93,7 @@ def verdict(
         ]
         if workload in gated:
             if base is None:
-                problems.append("no committed BENCH_perf.json entry")
+                problems.append("no committed per-seed BENCH_perf.json values")
             elif median is None:
                 problems.append("no measured run")
             elif median < base * (1 - threshold):

@@ -72,6 +72,15 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Violation", "OracleConfig", "ChaosOracle", "availability_floor"]
 
+#: Mid-run sample count across the estimated horizon.
+_MIDRUN_SAMPLES = 64
+#: Absolute slack subtracted from the availability floor of disruptive
+#: plans, on top of the closed-loop in-flight allowance.
+_SLACK = 0.05
+#: Width, as a fraction of the trace, of the tail comparison window for
+#: the metastable check.
+_METASTABLE_WINDOW = 0.15
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -95,22 +104,13 @@ class OracleConfig:
     #: Treat any failed or shed request as a violation, regardless of the
     #: fault plan (planted-failure fixtures and shrinking demos).
     strict: bool = False
-    #: Mid-run sample count across the estimated horizon (0 disables the
-    #: sampler; the post-run checks always run).
-    midrun_samples: int = 64
-    #: Absolute slack subtracted from the availability floor of
-    #: disruptive plans, on top of the closed-loop in-flight allowance.
-    slack: float = 0.05
     #: Post-perturbation completion rate must reach this fraction of the
     #: no-perturbation baseline's rate over the same tail window, or of
     #: the run's own pre-window rate (0 disables the metastable check).
     metastable_ratio: float = 0.7
-    #: Width, as a fraction of the trace, of the tail comparison window
-    #: for the metastable check.
-    metastable_window: float = 0.15
 
 
-def availability_floor(scenario: Scenario, slack: float = 0.05) -> float:
+def availability_floor(scenario: Scenario) -> float:
     """Lower bound on the served fraction the fault plan permits.
 
     Returns exactly 1.0 when the plan contains nothing that can cause a
@@ -147,7 +147,7 @@ def availability_floor(scenario: Scenario, slack: float = 0.05) -> float:
     if not disruptive:
         return 1.0
     mpl_allowance = (16.0 * scenario.nodes) / max(1, scenario.requests)
-    return max(0.0, 1.0 - penalty - slack - mpl_allowance)
+    return max(0.0, 1.0 - penalty - _SLACK - mpl_allowance)
 
 
 class ChaosOracle:
@@ -169,10 +169,8 @@ class ChaosOracle:
     def attach(self, sim: "Simulation") -> None:
         """Bind to a driver and start the mid-run sampler chain."""
         self._sim = sim
-        if self.config.midrun_samples > 0:
-            interval = self.scenario.horizon_s / self.config.midrun_samples
-            self._interval = max(interval, 1e-9)
-            sim.env.call_later(0.0, self._sleep, URGENT)
+        self._interval = max(self.scenario.horizon_s / _MIDRUN_SAMPLES, 1e-9)
+        sim.env.call_later(0.0, self._sleep, URGENT)
 
     def _sleep(self) -> None:
         """Wait one interval for the next sample, while requests remain.
@@ -290,7 +288,7 @@ class ChaosOracle:
         generated = sim._next
         if generated > 0:
             served = sim._completed / generated
-            floor = availability_floor(self.scenario, self.config.slack)
+            floor = availability_floor(self.scenario)
             if floor >= 1.0:
                 if sim._failed > 0:
                     self._record(
@@ -363,7 +361,7 @@ class ChaosOracle:
         mpl = sim.config.multiprogramming_per_node * sim.config.nodes
         m = len(times)
         f_tail_hi = 1.0 - min(mpl, m // 4) / m * span
-        window = self.config.metastable_window
+        window = _METASTABLE_WINDOW
         ratio = self.config.metastable_ratio
         for item in items:
             if item.end is None or item.end >= f_tail_hi - 1e-9:

@@ -132,7 +132,6 @@ def build_overload(scenario: Scenario) -> Optional[OverloadControl]:
         scenario.nodes,
         max_inflight=scenario.admission_limit,
         deadline_s=scenario.deadline_s,
-        limiter_mode=None if scenario.admission_limit is not None else "aimd",
         seed=scenario.seed,
     )
 

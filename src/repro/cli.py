@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--requests", type=int, default=None)
     p_fig.add_argument(
         "--workers", type=int, default=None,
-        help="parallel worker processes (default: REPRO_BENCH_WORKERS or 1)",
+        help="parallel worker processes (default: REPRO_FARM_WORKERS or 1)",
     )
 
     p_flt = sub.add_parser(
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_rep.add_argument(
         "--workers", type=int, default=None,
-        help="parallel worker processes (default: REPRO_BENCH_WORKERS or 1)",
+        help="parallel worker processes (default: REPRO_FARM_WORKERS or 1)",
     )
 
     # `repro lint` owns its own argparse (also runnable as

@@ -43,7 +43,7 @@ class Cluster:
         return len(self.nodes)
 
     def note_shed(self, node: Node) -> None:
-        """Count one admission/breaker shed at ``node`` and notify the
+        """Count one breaker shed at ``node`` and notify the
         timeline listener, if any."""
         node.shed += 1
         if self.shed_listener is not None:

@@ -77,10 +77,6 @@ class ClusterConfig:
     #: :mod:`repro.netfaults`.  None, or an inert config, leaves the
     #: fabric perfect and the legacy code paths untouched.
     net_faults: Optional[NetFaultConfig] = None
-    #: Per-node admission threshold: a node whose open-connection count
-    #: has reached this sheds new requests (the client backs off and
-    #: retries).  None disables shedding.
-    admission_threshold: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.nodes < 1:
@@ -95,8 +91,6 @@ class ClusterConfig:
             raise ValueError("control_kb must be positive")
         if self.cache_policy.lower() not in ("lru", "gds", "lfu"):
             raise ValueError(f"unknown cache policy {self.cache_policy!r}")
-        if self.admission_threshold is not None and self.admission_threshold < 1:
-            raise ValueError("admission_threshold must be >= 1 when set")
         if self.net_faults is not None and not isinstance(self.net_faults, NetFaultConfig):
             raise TypeError("net_faults must be a NetFaultConfig (or None)")
         if self.node_speeds is not None:

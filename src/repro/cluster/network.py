@@ -22,8 +22,12 @@ Delivery is not guaranteed.  Two things can kill a message in flight:
 
 Every send therefore reports an outcome: ``done`` fires on delivery,
 ``on_drop`` on a drop (:meth:`Interconnect.transmit_cb` folds both into
-one ``done(ok)`` and adds the ack/retry protocol for the kinds it
-covers).  A message, once sent, runs to its delivery or drop even if
+one ``done(ok)``).  The interconnect alone decides which messages are
+reliable: under an active netfault layer, :meth:`~Interconnect.
+transmit_cb`, :meth:`~Interconnect.send_control_cb` and
+:meth:`~Interconnect.broadcast_control` send the kinds the ack/retry
+protocol covers through it, and every other kind best-effort.  A
+message, once sent, runs to its delivery or drop even if
 the request that sent it has given up.  Per-kind
 sent/delivered/dropped/duplicate counters reconcile as
 ``sent == delivered + dropped + in_flight``.
@@ -376,13 +380,32 @@ class Interconnect:
         done: Optional[Callable[[], None]] = None,
         on_drop: Optional[Callable[[], None]] = None,
     ) -> None:
-        """A small (4-byte payload) control message: 19 us one-way."""
+        """A small (4-byte payload) control message: 19 us one-way.
+
+        A kind the ack/retry protocol covers goes through
+        :meth:`~repro.netfaults.protocol.ReliableMessenger.send_cb`:
+        ``done`` fires at the first delivery and ``on_drop`` only once
+        retries exhaust without one.
+        """
+        config = self.config
+        proto = self.protocol
+        if proto is not None and proto.covers(kind):
+            proto.send_cb(
+                src,
+                dst,
+                config.control_kb,
+                kind,
+                deliver=done,
+                failed=on_drop,
+                ni_time_s=config.ni_control_time(),
+            )
+            return
         self.send_message_cb(
             src,
             dst,
-            self.config.control_kb,
+            config.control_kb,
             kind,
-            ni_time_s=self.config.ni_control_time(),
+            ni_time_s=config.ni_control_time(),
             done=done,
             on_drop=on_drop,
         )
@@ -428,7 +451,8 @@ class Interconnect:
         """Fire-and-forget control messages from ``src`` to all other nodes.
 
         The paper implements broadcast as multiple point-to-point M-VIA
-        messages; the sender does not wait on their delivery.
+        messages; the sender does not wait on their delivery.  Each one
+        is a :meth:`send_control_cb`, so a covered kind is sent reliably.
         """
         for node in self.nodes:
             if node.id == src or node.id == exclude:

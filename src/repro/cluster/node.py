@@ -45,9 +45,9 @@ class Node:
         self.completed = 0
         #: Requests this node forwarded elsewhere.
         self.forwarded = 0
-        #: Requests rejected by admission control (connection queue over
-        #: ``config.admission_threshold``); the client backs off and
-        #: retries, so a shed is load shedding, not a crash.
+        #: Requests rejected at service entry by this node's circuit
+        #: breaker; the client backs off and retries, so a shed is load
+        #: shedding, not a crash.
         self.shed = 0
         #: True once the node has crashed (failure-injection runs).  The
         #: request lifecycle checks this at stage boundaries and aborts.

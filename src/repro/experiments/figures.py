@@ -158,12 +158,6 @@ def _scaling_cell(args) -> tuple:
     return system, nodes, result
 
 
-def bench_workers(default: int = 1) -> int:
-    """Worker processes for experiment fan-out (REPRO_BENCH_WORKERS)."""
-    value = os.environ.get("REPRO_BENCH_WORKERS", "")
-    return max(1, int(value)) if value else default
-
-
 def scaling_experiment(
     trace_name: str,
     systems: Sequence[str] = DEFAULT_SYSTEMS,
@@ -178,8 +172,8 @@ def scaling_experiment(
     The same synthesized trace instance drives every run, exactly as the
     paper drives every server with the same log.  Each (system, nodes)
     cell is an independent deterministic simulation; with ``workers > 1``
-    (or ``REPRO_BENCH_WORKERS``) the cells fan out across processes —
-    results are bit-identical to the serial run.
+    (default: ``REPRO_FARM_WORKERS`` or 1) the cells fan out across
+    processes — results are bit-identical to the serial run.
     """
     from ..sim import DEFAULT_SIM_CACHE_BYTES
 
@@ -194,13 +188,14 @@ def scaling_experiment(
         model[n] = model_bound_for_trace(trace, nodes=n, cache_bytes=cache).throughput
 
     cells = [(trace, s, n, cache) for n in node_counts for s in systems]
-    n_workers = workers if workers is not None else bench_workers()
     # Fan out through the farm's ordered pool map: serial fallback,
     # worker-crash retry, and ordered collection in one place (results
     # are bit-identical to the serial run either way).
-    from ..farm.runner import pool_map
+    from ..farm.runner import farm_workers, pool_map
 
-    for system, n, result in pool_map(_scaling_cell, cells, workers=n_workers):
+    for system, n, result in pool_map(
+        _scaling_cell, cells, workers=farm_workers(workers)
+    ):
         results[system][n] = result
     return ScalingExperiment(
         trace=trace_name,

@@ -236,7 +236,6 @@ def overload_frontier(
             overload = (
                 OverloadControl.default(
                     nodes,
-                    limiter_mode="aimd",
                     # The limit chases the latency the goodput metric
                     # cares about — the deadline — at half, for
                     # headroom.  A far tighter target (deadline/4)

@@ -20,7 +20,7 @@ import os
 import sys
 from typing import List, Optional
 
-from .runner import FarmWorkerError, run_chaos_farm, run_sweep
+from .runner import FarmWorkerError, farm_workers, run_chaos_farm, run_sweep
 from .spec import FarmSpecError, SweepSpec
 
 __all__ = ["main", "build_parser"]
@@ -131,13 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _workers(ns: argparse.Namespace) -> int:
-    if ns.workers is not None:
-        return max(1, ns.workers)
-    value = os.environ.get("REPRO_FARM_WORKERS", "")
-    return max(1, int(value)) if value else 1
-
-
 def _sweep_spec(ns: argparse.Namespace) -> SweepSpec:
     if ns.spec is not None:
         return SweepSpec.load(ns.spec)
@@ -184,7 +177,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
         spec.save(ns.save_spec)
         print(f"wrote {ns.save_spec}: {spec.describe()}")
         return 0
-    workers = _workers(ns)
+    workers = farm_workers(ns.workers)
     # Banner to stderr: stdout carries only the merged report, which is
     # byte-identical across worker counts.
     print(
@@ -219,7 +212,7 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(ns: argparse.Namespace) -> int:
-    workers = _workers(ns)
+    workers = farm_workers(ns.workers)
     policies = _str_list(ns.policies) if ns.policies else None
     print(
         f"farm chaos: {ns.trials} trials, seed {ns.seed}, "

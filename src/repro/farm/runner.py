@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ __all__ = [
     "ChaosFarmResult",
     "FarmResult",
     "FarmWorkerError",
+    "farm_workers",
     "pool_map",
     "run_chaos_farm",
     "run_sweep",
@@ -42,6 +44,17 @@ DEFAULT_CRASH_RETRIES = 2
 
 class FarmWorkerError(RuntimeError):
     """A shard's worker died repeatedly; the sweep cannot complete."""
+
+
+def farm_workers(workers: Optional[int] = None) -> int:
+    """Worker processes: ``workers``, else ``REPRO_FARM_WORKERS``, else 1.
+
+    Clamped to at least 1.
+    """
+    if workers is None:
+        value = os.environ.get("REPRO_FARM_WORKERS", "")
+        workers = int(value) if value else 1
+    return max(1, workers)
 
 
 # ---------------------------------------------------------------------------

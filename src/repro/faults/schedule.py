@@ -213,6 +213,11 @@ class RetryPolicy:
     it counts as permanently failed.  ``timeout_s``, when set, bounds how
     long a client waits for a response before giving up and retrying
     (the request is cancelled wherever it is).
+
+    The same class carries the netfault ARQ's per-message parameters
+    (:data:`repro.netfaults.model.ARQ_RETRY`): there ``timeout_s`` is the
+    ack deadline of one transmission and ``backoff`` the pause before a
+    retransmission.
     """
 
     #: Maximum re-issues per request (0 = fail immediately, the legacy
@@ -231,12 +236,10 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.base_backoff_s <= 0:
-            raise ValueError("base_backoff_s must be positive")
+        if not 0.0 <= self.base_backoff_s <= self.cap_s:
+            raise ValueError("backoff needs 0 <= base_backoff_s <= cap_s")
         if self.multiplier < 1.0:
             raise ValueError("multiplier must be >= 1")
-        if self.cap_s < self.base_backoff_s:
-            raise ValueError("cap_s must be >= base_backoff_s")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
 

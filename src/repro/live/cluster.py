@@ -128,10 +128,6 @@ class LiveCluster:
         assert self.frontend is not None, "cluster not started"
         return self.frontend.port
 
-    @property
-    def chaos_enabled(self) -> bool:
-        return self._chaos is not None
-
     def enable_chaos(
         self,
         seed: int = 0,

@@ -4,7 +4,7 @@
 and binds it to a *live membership* instead of the simulated cluster: a
 duck-typed object exposing exactly the surface policies read —
 ``num_nodes``, ``node(i).open_connections``, and a ``net`` control plane
-(``send_control_cb`` / ``broadcast_control`` / ``protocol``).  Time comes
+(``send_control_cb`` / ``broadcast_control``).  Time comes
 from an injected :class:`~repro.servers.Clock` (a wall clock by default).
 
 Control messages the policies emit (L2S load broadcasts, LARD completion
@@ -69,12 +69,9 @@ class _LiveControlPlane:
     """Zero-latency local control plane with message accounting.
 
     Mirrors the subset of :class:`repro.cluster.network.Interconnect`
-    the policies call.  ``protocol`` is ``None`` — the retry/ack layer
-    only exists under simulated network faults (LARD checks this before
-    arming drop-compensation callbacks).
+    the policies call.  Delivery here is always immediate, so no message
+    needs the simulator's ack/retry protocol.
     """
-
-    protocol = None
 
     def __init__(self, nodes: List[_LiveNode]) -> None:
         self.nodes = nodes

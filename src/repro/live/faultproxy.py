@@ -34,9 +34,9 @@ plan against a real cluster of worker subprocesses:
   availability numbers comparable.
 
 * :class:`ResilienceConfig` — the front-end's resilience knobs.  The
-  retry budget and capped-exponential backoff reuse the sim's
-  :class:`~repro.faults.schedule.RetryPolicy` verbatim, so "mirroring
-  RetrySpec semantics" is enforced by construction rather than by
+  retry budget and capped-exponential backoff are the sim client's
+  :class:`~repro.faults.schedule.RetryPolicy` class, so live retries
+  follow the sim's re-issue schedule by construction rather than by
   keeping two sets of constants in sync.
 """
 
@@ -58,38 +58,35 @@ __all__ = [
     "ResilienceConfig",
 ]
 
+#: Per-probe timeout of the health monitor (seconds).
+_PROBE_TIMEOUT_S = 1.0
+#: Admission shedding floor: with fewer healthy back-ends than this, new
+#: requests are shed with ``X-Shed: 1`` instead of queued onto a cluster
+#: that cannot serve them.
+MIN_HEALTHY = 1
+
 
 @dataclass
 class ResilienceConfig:
     """Front-end resilience knobs (live twin of the sim's fault knobs)."""
 
     #: Retry budget + capped-exponential backoff, shared *class* with the
-    #: sim driver so live retries mirror RetrySpec semantics exactly.
+    #: sim driver so live retries follow the sim client's schedule.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     #: Per-attempt back-end fetch timeout at the front-end.
     request_timeout_s: float = 10.0
     #: Seconds between health-probe sweeps.
     probe_interval_s: float = 0.2
-    #: Per-probe timeout.
-    probe_timeout_s: float = 1.0
     #: Consecutive probe failures before an up node is marked down.
     fail_threshold: int = 2
-    #: Admission shedding floor: with fewer healthy back-ends than this,
-    #: new requests are shed with ``X-Shed: 1`` instead of queued onto a
-    #: cluster that cannot serve them.
-    min_healthy: int = 1
 
     def __post_init__(self) -> None:
         if self.request_timeout_s <= 0:
             raise ValueError("request_timeout_s must be positive")
         if self.probe_interval_s <= 0:
             raise ValueError("probe_interval_s must be positive")
-        if self.probe_timeout_s <= 0:
-            raise ValueError("probe_timeout_s must be positive")
         if self.fail_threshold < 1:
             raise ValueError("fail_threshold must be >= 1")
-        if self.min_healthy < 0:
-            raise ValueError("min_healthy must be >= 0")
 
 
 class ChaosProxy:
@@ -377,7 +374,7 @@ class HealthMonitor:
         self.probes += 1
         try:
             payload = await asyncio.wait_for(
-                self._fetch_health(node), timeout=self.config.probe_timeout_s
+                self._fetch_health(node), timeout=_PROBE_TIMEOUT_S
             )
         except (
             ConnectionError,

@@ -36,13 +36,13 @@ Resilience (mirrors the sim driver's fault paths — see docs/LIVE.md):
   the retry budget is spent (the sim's client re-issue semantics);
 * non-200 responses are terminal, never retried (a logical error is not
   a fault);
-* when fewer than ``min_healthy`` back-ends are up, new requests are
+* when fewer than ``MIN_HEALTHY`` back-ends are up, new requests are
   shed with a 503 tagged ``X-Shed: 1`` before touching the policy —
   graceful degradation the client accounts as failed *and* shed,
   keeping the ``SimResult`` conservation identity intact.
 
 Overload control (``overload=`` an :class:`~repro.overload.
-OverloadControl`, see docs/OVERLOAD.md): the ad-hoc ``min_healthy``
+OverloadControl`, see docs/OVERLOAD.md): the ad-hoc ``MIN_HEALTHY``
 shed above is subsumed by the *same* :class:`~repro.overload.
 AdmissionController` object model the DES driver uses (health feeds in
 as its ``capacity_ok`` input), dispatch attempts pass through the
@@ -59,7 +59,7 @@ from typing import Dict, List, Optional, Tuple
 from ..servers import ServiceUnavailable
 from . import http11
 from .engine import PolicyEngine, RouteOutcome
-from .faultproxy import HealthMonitor, ResilienceConfig
+from .faultproxy import MIN_HEALTHY, HealthMonitor, ResilienceConfig
 
 __all__ = ["FrontEnd"]
 
@@ -88,7 +88,7 @@ class FrontEnd:
         self.resilience = resilience or ResilienceConfig()
         #: :class:`~repro.overload.OverloadControl` for this run, or
         #: ``None``.  The *same object model* the DES driver wires in:
-        #: the admission controller replaces the ad-hoc ``min_healthy``
+        #: the admission controller replaces the ad-hoc ``MIN_HEALTHY``
         #: shed (which feeds in as its ``capacity_ok`` input), and the
         #: breaker board gates dispatch attempts and steers routing.
         self.overload = overload
@@ -167,7 +167,7 @@ class FrontEnd:
         self.requests += 1
         healthy_ok = not (
             self.monitor is not None
-            and self.monitor.healthy_count() < self.resilience.min_healthy
+            and self.monitor.healthy_count() < MIN_HEALTHY
         )
         admission = self.overload.admission if self.overload is not None else None
         if admission is None:
@@ -187,7 +187,7 @@ class FrontEnd:
             return response
         # Unified admission control: the identical AdmissionController
         # object model the DES driver gates its front door with (see
-        # docs/OVERLOAD.md).  The min_healthy health check feeds in as
+        # docs/OVERLOAD.md).  The MIN_HEALTHY health check feeds in as
         # capacity_ok so "cluster cannot serve" sheds flow through the
         # same books as queue-full and deadline sheds.
         verdict = admission.try_admit(

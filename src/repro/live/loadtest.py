@@ -131,12 +131,9 @@ class Replay:
 
         prewarm = self.config.prewarm
         if prewarm is None:
-            # Match Simulation's default: zero-time prewarm is exactly
-            # right only for strictly-local policies.
-            prewarm = self.cluster.engine.policy.name in (
-                "traditional",
-                "round-robin",
-            )
+            # Match Simulation: zero-time prewarm is exactly right only
+            # for strictly-local policies.
+            prewarm = self.cluster.engine.policy.local_prewarm
         if prewarm:
             await self.cluster.prewarm(self.trace.file_ids)
 

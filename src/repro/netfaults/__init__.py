@@ -9,16 +9,17 @@ use to survive it.  See ``docs/NETFAULTS.md``.
 from .injector import NetFaultInjector
 from .layer import NetFaultLayer
 from .model import (
+    ARQ_RETRY,
     DEFAULT_RELIABLE_KINDS,
     NETFAULT_KINDS,
     NetFaultConfig,
     NetFaultEvent,
     NetFaultSchedule,
-    RetrySpec,
 )
 from .protocol import ReliableMessenger
 
 __all__ = [
+    "ARQ_RETRY",
     "DEFAULT_RELIABLE_KINDS",
     "NETFAULT_KINDS",
     "NetFaultConfig",
@@ -27,5 +28,4 @@ __all__ = [
     "NetFaultLayer",
     "NetFaultSchedule",
     "ReliableMessenger",
-    "RetrySpec",
 ]

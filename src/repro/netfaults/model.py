@@ -8,23 +8,23 @@ partitions — as plain data, mirroring the style of
 :mod:`repro.faults.schedule` (node crash/recover schedules).  The runtime
 interpretation lives in :mod:`repro.netfaults.layer`.
 
-Everything here is deterministic by construction: stochastic schedules
-derive per-link RNGs from an explicit seed, and the probabilistic knobs
-(loss/dup rates) are drawn at message time from the single seeded RNG
+Everything here is deterministic by construction: the probabilistic
+knobs (loss/dup rates) are drawn at message time from the single seeded RNG
 owned by the :class:`~repro.netfaults.layer.NetFaultLayer`.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+from ..faults.schedule import RetryPolicy
+
 __all__ = [
+    "ARQ_RETRY",
     "NETFAULT_KINDS",
     "NetFaultEvent",
     "NetFaultSchedule",
-    "RetrySpec",
     "NetFaultConfig",
     "DEFAULT_RELIABLE_KINDS",
 ]
@@ -182,75 +182,25 @@ class NetFaultSchedule:
             events.append(NetFaultEvent("heal", end))
         return NetFaultSchedule(tuple(events))
 
-    @staticmethod
-    def stochastic_links(
-        nodes: int,
-        horizon_s: float,
-        mtbf_s: float,
-        mttr_s: float,
-        seed: int = 0,
-    ) -> "NetFaultSchedule":
-        """Exponential link up/down cycles for every undirected pair.
 
-        Mirrors :meth:`repro.faults.schedule.FaultSchedule.stochastic`:
-        each link owns an RNG derived from ``seed`` and its endpoints, so
-        adding links (or reordering the loop) never perturbs another
-        link's sample path.
-        """
-        if mtbf_s <= 0 or mttr_s <= 0:
-            raise ValueError("mtbf_s and mttr_s must be positive")
-        events: List[NetFaultEvent] = []
-        for a in range(nodes):
-            for b in range(a + 1, nodes):
-                rng = random.Random((seed << 20) ^ (a * 0x9E3779B1) ^ (b * 0x85EBCA77))
-                t = rng.expovariate(1.0 / mtbf_s)
-                while t < horizon_s:
-                    events.append(NetFaultEvent("link_down", t, src=a, dst=b))
-                    t += rng.expovariate(1.0 / mttr_s)
-                    if t >= horizon_s:
-                        break
-                    events.append(NetFaultEvent("link_up", t, src=a, dst=b))
-                    t += rng.expovariate(1.0 / mtbf_s)
-        return NetFaultSchedule(tuple(events))
-
-
-@dataclass(frozen=True)
-class RetrySpec:
-    """Per-message-kind reliability parameters (stop-and-wait ARQ).
-
-    ``timeout_s`` is the ack deadline for one transmission attempt;
-    ``backoff(attempt)`` (1-based) is the capped exponential pause before
-    retransmission number ``attempt``.  The unloaded one-way control
-    latency is ~19 us, but the paper's closed-loop saturation methodology
-    keeps NI and CPU queues deep, so real round trips stretch into the
-    milliseconds; a 10 ms deadline keeps spurious retransmissions (which
-    the receiver dedups, but which still cost fabric and CPU time) rare
-    while four attempts still push residual loss below 1e-7 at 1% message
-    loss and detect an unreachable peer within ~100 ms.
-    """
-
-    timeout_s: float = 10e-3
-    max_retries: int = 3
-    base_backoff_s: float = 5e-3
-    multiplier: float = 2.0
-    cap_s: float = 50e-3
-
-    def __post_init__(self) -> None:
-        if self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.base_backoff_s < 0 or self.cap_s < 0:
-            raise ValueError("backoff parameters must be non-negative")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1.0")
-
-    def backoff(self, attempt: int) -> float:
-        """Pause before retransmission ``attempt`` (1-based), capped."""
-        if attempt < 1:
-            raise ValueError("attempt is 1-based")
-        return min(self.base_backoff_s * self.multiplier ** (attempt - 1), self.cap_s)
-
+#: Reliability parameters of the stop-and-wait ARQ
+#: (:mod:`repro.netfaults.protocol`).  ``timeout_s`` is the ack deadline
+#: for one transmission attempt; ``backoff(attempt)`` (1-based) is the
+#: capped exponential pause before retransmission number ``attempt``.
+#: The unloaded one-way control latency is ~19 us, but the paper's
+#: closed-loop saturation methodology keeps NI and CPU queues deep, so
+#: real round trips stretch into the milliseconds; a 10 ms deadline keeps
+#: spurious retransmissions (which the receiver dedups, but which still
+#: cost fabric and CPU time) rare while four attempts still push residual
+#: loss below 1e-7 at 1% message loss and detect an unreachable peer
+#: within ~100 ms.
+ARQ_RETRY = RetryPolicy(
+    max_retries=3,
+    base_backoff_s=5e-3,
+    multiplier=2.0,
+    cap_s=50e-3,
+    timeout_s=10e-3,
+)
 
 #: Message kinds the reliability protocol covers by default: every kind
 #: whose loss wedges a policy or loses application state.  Load broadcasts
@@ -292,12 +242,9 @@ class NetFaultConfig:
     schedule: Optional[NetFaultSchedule] = None
     #: Seed for the layer's message-time RNG (loss/dup/jitter draws).
     seed: int = 0
-    #: Message kinds covered by the ack/retry protocol.
-    reliable_kinds: Tuple[str, ...] = DEFAULT_RELIABLE_KINDS
-    #: Per-kind overrides of the retry parameters.
-    protocol: Tuple[Tuple[str, RetrySpec], ...] = ()
-    #: Retry parameters for covered kinds without an override.
-    default_spec: RetrySpec = field(default_factory=RetrySpec)
+    #: Retry parameters for every kind in :data:`DEFAULT_RELIABLE_KINDS`;
+    #: ``timeout_s`` is required (it is the ARQ's ack deadline).
+    default_spec: RetryPolicy = ARQ_RETRY
     #: When a partitioned-DFS remote fetch exhausts its retries, read a
     #: degraded local-disk replica instead of failing the request.
     dfs_local_fallback: bool = True
@@ -325,6 +272,8 @@ class NetFaultConfig:
                 raise ValueError(f"link loss rate must be in [0, 1), got {rate}")
         if self.handoff_redispatch < 0:
             raise ValueError("handoff_redispatch must be >= 0")
+        if self.default_spec.timeout_s is None:
+            raise ValueError("default_spec needs an ack timeout_s")
 
     @property
     def active(self) -> bool:
@@ -338,10 +287,3 @@ class NetFaultConfig:
             or (self.schedule is not None and len(self.schedule) > 0)
             or self.always_on
         )
-
-    def spec_for(self, kind: str) -> RetrySpec:
-        """The retry parameters governing messages of ``kind``."""
-        for k, spec in self.protocol:
-            if k == kind:
-                return spec
-        return self.default_spec

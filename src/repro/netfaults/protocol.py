@@ -18,21 +18,26 @@ path:
   server-set updates).  The ``deliver`` effect fires at the first
   delivery only.
 
-Which message kinds opt in is the policy's choice, expressed through
-``NetFaultConfig.reliable_kinds``; everything else keeps the bare
-best-effort send.
+The kinds in :data:`~repro.netfaults.model.DEFAULT_RELIABLE_KINDS` opt
+in, and :class:`~repro.cluster.network.Interconnect` alone decides: its
+``transmit_cb``, ``send_control_cb`` and ``broadcast_control`` route a
+covered kind through this messenger and everything else through the
+bare best-effort send.  Every covered kind retries on
+``NetFaultConfig.default_spec``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, Optional, TYPE_CHECKING
 
-from .model import NetFaultConfig, RetrySpec
+from .model import DEFAULT_RELIABLE_KINDS, NetFaultConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..cluster.network import Interconnect
 
 __all__ = ["ReliableMessenger"]
+
+_RELIABLE = frozenset(DEFAULT_RELIABLE_KINDS)
 
 
 class ReliableMessenger:
@@ -42,7 +47,7 @@ class ReliableMessenger:
         self.net = net
         self.env = net.env
         self.config = config
-        self._reliable = frozenset(config.reliable_kinds)
+        self.spec = config.default_spec
         self._seq = 0
         #: Retransmissions per kind.
         self.retries: Dict[str, int] = {}
@@ -56,10 +61,7 @@ class ReliableMessenger:
         self.redispatches = 0
 
     def covers(self, kind: str) -> bool:
-        return kind in self._reliable
-
-    def spec_for(self, kind: str) -> RetrySpec:
-        return self.config.spec_for(kind)
+        return kind in _RELIABLE
 
     def _bump(self, counter: Dict[str, int], kind: str) -> None:
         counter[kind] = counter.get(kind, 0) + 1
@@ -105,7 +107,7 @@ class ReliableMessenger:
         net = self.net
         env = self.env
         cfg = net.config
-        spec = self.spec_for(kind)
+        spec = self.spec
         attempt = 0
         started = 0.0
         delivered_once = False
@@ -176,25 +178,6 @@ class ReliableMessenger:
             return
         _ReliableSend(self, src, dst, size_kb, kind, deliver, failed, ni_time_s)
 
-    def send_control_cb(
-        self,
-        src: int,
-        dst: int,
-        kind: str,
-        deliver: Optional[Callable[[], None]] = None,
-        failed: Optional[Callable[[], None]] = None,
-    ) -> None:
-        cfg = self.net.config
-        self.send_cb(
-            src,
-            dst,
-            cfg.control_kb,
-            kind,
-            deliver=deliver,
-            failed=failed,
-            ni_time_s=cfg.ni_control_time(),
-        )
-
 
 class _ReliableSend:
     """State machine for one :meth:`ReliableMessenger.send_cb` call."""
@@ -238,7 +221,7 @@ class _ReliableSend:
         self.kind = kind
         self.deliver = deliver
         self.failed = failed
-        self.spec = messenger.spec_for(kind)
+        self.spec = messenger.spec
         messenger._seq += 1
         self.seq = messenger._seq
         self.attempt = 0

@@ -7,14 +7,13 @@ is — the identical objects plug into the DES driver and the live
 asyncio front-end:
 
 * :class:`AdmissionController` — the front door.  A bounded accept
-  queue on top of a concurrency cap, deadline-aware drop (reject a
-  request whose *estimated* queue wait already exceeds its deadline),
-  and priority classes that shed low-priority work first.
+  queue on top of a concurrency cap, with deadline-aware drop (reject
+  a request whose *estimated* queue wait already exceeds its deadline).
 * :class:`CircuitBreaker` / :class:`BreakerBoard` — per-back-end
   closed/open/half-open breakers with seeded probe timing, consulted by
   the routing redispatch so traffic flows around a node that keeps
   failing instead of piling onto it.
-* :class:`AdaptiveConcurrencyLimit` — AIMD or gradient backpressure:
+* :class:`AdaptiveConcurrencyLimit` — AIMD backpressure:
   the concurrency cap the admission controller enforces follows the
   observed service latency, so the front-end's appetite shrinks when
   the back-ends slow down.

@@ -1,4 +1,4 @@
-"""The front door: bounded accept queue, deadline drop, priority classes.
+"""The front door: bounded accept queue and deadline drop.
 
 The controller models the front-end's accept queue without owning a
 queue data structure (neither substrate actually parks requests — the
@@ -19,10 +19,7 @@ What it tracks is the *admitted in-flight population*:
   EWMA service latency over the limit's drain rate) already exceeds its
   deadline is rejected immediately — failing in microseconds instead of
   after ``deadline_s`` of futile queueing is precisely what keeps
-  goodput up through a flash crowd;
-* priority classes share the queue unevenly: class ``p`` (0 = highest)
-  may only occupy the first ``(classes - p) / classes`` of the queue
-  slots, so low-priority work sheds first as the backlog grows.
+  goodput up through a flash crowd.
 
 The concurrency limit is either the static ``max_inflight`` or, when an
 :class:`~repro.overload.limiter.AdaptiveConcurrencyLimit` is attached,
@@ -42,6 +39,10 @@ from .limiter import AdaptiveConcurrencyLimit
 
 __all__ = ["AdmissionConfig", "AdmissionDecision", "AdmissionController"]
 
+#: EWMA weight for the observed service latency feeding the queue-wait
+#: estimate.
+_LATENCY_ALPHA = 0.2
+
 
 @dataclass(frozen=True)
 class AdmissionConfig:
@@ -55,11 +56,6 @@ class AdmissionConfig:
     #: Client deadline; a request whose estimated queue wait exceeds it
     #: is dropped at the door.  ``None`` disables the deadline check.
     deadline_s: Optional[float] = None
-    #: Number of priority classes (1 = no prioritization).
-    classes: int = 1
-    #: EWMA weight for the observed service latency feeding the
-    #: queue-wait estimate.
-    latency_alpha: float = 0.2
 
     def __post_init__(self) -> None:
         if self.max_inflight is not None and self.max_inflight < 1:
@@ -70,10 +66,6 @@ class AdmissionConfig:
             raise ValueError(f"queue_slots must be >= 0, got {self.queue_slots}")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError(f"deadline_s must be positive, got {self.deadline_s}")
-        if self.classes < 1:
-            raise ValueError(f"classes must be >= 1, got {self.classes}")
-        if not 0.0 < self.latency_alpha <= 1.0:
-            raise ValueError("latency_alpha must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -126,14 +118,12 @@ class AdmissionController:
         self.shed_by_reason[reason] = self.shed_by_reason.get(reason, 0) + 1
         return AdmissionDecision(False, reason)
 
-    def try_admit(
-        self, now: float, priority: int = 0, capacity_ok: bool = True
-    ) -> AdmissionDecision:
+    def try_admit(self, now: float, capacity_ok: bool = True) -> AdmissionDecision:
         """Admit or shed one arriving request.
 
         ``capacity_ok=False`` is the substrate saying the cluster cannot
         serve anything useful right now (the live front-end passes its
-        ``min_healthy`` health check here) — the request is shed with
+        ``MIN_HEALTHY`` health check here) — the request is shed with
         reason "unhealthy" so all shedding flows through one set of
         books on both substrates.
         """
@@ -146,10 +136,7 @@ class AdmissionController:
             return _ADMITTED
         backlog = self.inflight - limit
         cfg = self.config
-        p = min(max(0, priority), cfg.classes - 1)
-        slots = min(cfg.queue_slots, limit)
-        allowed = (slots * (cfg.classes - p)) // cfg.classes
-        if backlog >= allowed:
+        if backlog >= min(cfg.queue_slots, limit):
             return self._shed("queue_full")
         if cfg.deadline_s is not None and self._ewma_latency is not None:
             est_wait = (backlog + 1) * self._ewma_latency / max(1, limit)
@@ -173,7 +160,7 @@ class AdmissionController:
             if self._ewma_latency is None:
                 self._ewma_latency = latency_s
             else:
-                self._ewma_latency += self.config.latency_alpha * (
+                self._ewma_latency += _LATENCY_ALPHA * (
                     latency_s - self._ewma_latency
                 )
             if self.limiter is not None:

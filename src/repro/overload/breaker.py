@@ -13,9 +13,9 @@ Classic three-state machine, one breaker per back-end node:
   lockstep (a thundering herd of probes); the per-node seeded draw
   decorrelates them *deterministically*, so a sim run replays
   byte-identically.
-* **half-open** — up to ``half_open_probes`` requests are let through
-  as probes.  A probe success closes the breaker; a probe failure trips
-  it open again with a fresh jittered cooldown.
+* **half-open** — one request at a time is let through as a probe.  A
+  probe success closes the breaker; a probe failure trips it open again
+  with a fresh jittered cooldown.
 
 Routing consults :meth:`BreakerBoard.routable` (pure, no state change)
 so redispatch steers around open breakers without consuming probe
@@ -38,6 +38,9 @@ CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
 
+#: Concurrent probe requests allowed in the half-open state.
+_HALF_OPEN_PROBES = 1
+
 
 @dataclass(frozen=True)
 class BreakerConfig:
@@ -47,8 +50,6 @@ class BreakerConfig:
     failure_threshold: int = 5
     #: Base open duration before a probe is allowed.
     cooldown_s: float = 0.5
-    #: Concurrent probe requests allowed in the half-open state.
-    half_open_probes: int = 1
     #: Cooldown jitter as a fraction (each trip draws uniformly from
     #: ``cooldown_s * [1 - jitter, 1 + jitter]``), seeded per node.
     jitter: float = 0.2
@@ -62,10 +63,6 @@ class BreakerConfig:
             )
         if self.cooldown_s <= 0:
             raise ValueError(f"cooldown_s must be positive, got {self.cooldown_s}")
-        if self.half_open_probes < 1:
-            raise ValueError(
-                f"half_open_probes must be >= 1, got {self.half_open_probes}"
-            )
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
 
@@ -100,7 +97,7 @@ class CircuitBreaker:
         if self.state == OPEN:
             return now >= self._probe_at
         return (
-            self._probes < self.config.half_open_probes
+            self._probes < _HALF_OPEN_PROBES
             or now >= self._probe_at + self.config.cooldown_s
         )
 
@@ -119,7 +116,7 @@ class CircuitBreaker:
                 return False
             self.state = HALF_OPEN
             self._probes = 0
-        if self._probes >= self.config.half_open_probes:
+        if self._probes >= _HALF_OPEN_PROBES:
             if now < self._probe_at + self.config.cooldown_s:
                 return False
             self._probes = 0

@@ -5,7 +5,8 @@ Simulation` and the live :class:`~repro.live.frontend.FrontEnd` accept —
 a fresh instance per run (like policy objects, binding is one-shot).
 Either half may be ``None``: admission-only runs study shedding,
 breaker-only runs study redispatch, and the default factory builds the
-full stack with an AIMD limiter feeding the admission cap.
+full stack: a static or AIMD-limited admission cap plus one breaker per
+node.
 """
 
 from __future__ import annotations
@@ -42,36 +43,25 @@ class OverloadControl:
         max_inflight: Optional[int] = None,
         queue_slots: int = 64,
         deadline_s: Optional[float] = None,
-        classes: int = 1,
-        limiter_mode: Optional[str] = "aimd",
         target_latency_s: float = 0.05,
         seed: int = 0,
     ) -> "OverloadControl":
         """The full stack: admission (+ limiter) and one breaker per node.
 
-        ``limiter_mode=None`` pins the cap statically at ``max_inflight``
-        (which is then required); otherwise the cap adapts from observed
-        latency and ``max_inflight`` merely seeds the limiter's initial
-        value when given.
+        A given ``max_inflight`` pins the cap statically; without one the
+        cap is an AIMD limit that starts at 64 and adapts from observed
+        latency toward ``target_latency_s``.
         """
         limiter = None
-        if limiter_mode is not None:
-            initial = max_inflight if max_inflight is not None else 64
+        if max_inflight is None:
             limiter = AdaptiveConcurrencyLimit(
-                LimitConfig(
-                    mode=limiter_mode,
-                    initial=initial,
-                    max_limit=max(4096, initial),
-                    target_latency_s=target_latency_s,
-                )
+                LimitConfig(target_latency_s=target_latency_s)
             )
-            max_inflight = None
         admission = AdmissionController(
             AdmissionConfig(
                 max_inflight=max_inflight,
                 queue_slots=queue_slots,
                 deadline_s=deadline_s,
-                classes=classes,
             ),
             limiter=limiter,
         )

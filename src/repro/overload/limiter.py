@@ -1,77 +1,58 @@
 """Adaptive concurrency limiting: latency-driven backpressure.
 
 The limit is the front door's concurrency cap (how many admitted
-requests may be in flight at once).  Two estimators:
+requests may be in flight at once), driven by TCP-style
+additive-increase/multiplicative-decrease on a short-term EWMA of the
+service latency: while the smoothed latency sits at or under the
+target, every observation grows the limit by ``1 / limit`` (one full
+step per limit's worth of good requests); when it rises over the target
+the limit is cut by ``decrease`` — **at most once per congestion
+window**.  Two details both matter for stability.  The signal is the
+EWMA, not the raw sample: real service-time distributions have fat
+tails (a locality policy serializes its hot files), so a fixed fraction
+of individual samples exceed any sane target even with no overload at
+all, and an AIMD fed raw samples equilibrates far below capacity.  And
+after a cut, further decreases are suppressed until ``now`` passes the
+latency horizon of the cut: the requests already in flight when the
+limit dropped will finish slow regardless, and punishing the new limit
+for them drives it to the floor and holds it there — exactly TCP's
+rationale for one halving per window.
 
-* **aimd** — TCP-style additive-increase/multiplicative-decrease on a
-  short-term EWMA of the service latency: while the smoothed latency
-  sits at or under the target, every observation grows the limit by
-  ``increase / limit`` (one full step per limit's worth of good
-  requests); when it rises over the target the limit is cut by
-  ``decrease`` — **at most once per congestion window**.  Two details
-  both matter for stability.  The signal is the EWMA, not the raw
-  sample: real service-time distributions have fat tails (a locality
-  policy serializes its hot files), so a fixed fraction of individual
-  samples exceed any sane target even with no overload at all, and an
-  AIMD fed raw samples equilibrates far below capacity.  And after a
-  cut, further decreases are suppressed until ``now`` passes the
-  latency horizon of the cut: the requests already in flight when the
-  limit dropped will finish slow regardless, and punishing the new
-  limit for them drives it to the floor and holds it there — exactly
-  TCP's rationale for one halving per window.
-* **gradient** — the limit tracks the ratio of a long-term to a
-  short-term latency EWMA (the "gradient").  When the short-term
-  latency rises above trend the gradient drops below 1 and the limit
-  contracts; a small ``sqrt(limit)`` headroom term keeps it probing
-  upward when latencies are flat.  Reacts faster than AIMD to queue
-  buildup and recovers without overshooting.
-
-No clock, no RNG: ``observe`` takes latency (and the caller's ``now``,
-unused but part of the substrate-neutral signature) and the state is a
-pure fold over the observation stream — the same inputs always produce
-the same limit trajectory on either substrate.
+No clock, no RNG: ``observe`` takes the latency and the caller's
+``now`` as arguments, and the state is a pure fold over the observation
+stream — the same inputs always produce the same limit trajectory on
+either substrate.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 __all__ = ["LimitConfig", "AdaptiveConcurrencyLimit"]
 
-_MODES = ("aimd", "gradient")
+#: Additive step credited per limit's worth of good requests.
+_INCREASE = 1.0
 
 
 @dataclass(frozen=True)
 class LimitConfig:
     """Knobs for one adaptive limit instance."""
 
-    #: Estimator: "aimd" or "gradient".
-    mode: str = "aimd"
     #: Hard floor — the limit never starves the cluster entirely.
     min_limit: int = 4
     #: Hard ceiling — bounds the accept queue the limit can imply.
     max_limit: int = 4096
     #: Starting limit before any latency has been observed.
     initial: int = 64
-    #: aimd: smoothed latency at or under this grows the limit, over it
+    #: Smoothed latency at or under this grows the limit, over it
     #: shrinks.
     target_latency_s: float = 0.05
-    #: aimd: additive step credited per limit's worth of good requests.
-    increase: float = 1.0
-    #: aimd: multiplicative backoff factor on a slow request.
+    #: Multiplicative backoff factor on a slow request.
     decrease: float = 0.7
-    #: EWMA weight of the short-term latency estimate (both modes).
+    #: EWMA weight of the short-term latency estimate.
     short_alpha: float = 0.3
-    #: gradient: EWMA weight of the long-term latency estimate.
-    long_alpha: float = 0.05
-    #: gradient: smoothing applied when moving toward the new limit.
-    smoothing: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.mode not in _MODES:
-            raise ValueError(f"unknown limiter mode {self.mode!r}; "
-                             f"expected one of {_MODES}")
         if self.min_limit < 1:
             raise ValueError(f"min_limit must be >= 1, got {self.min_limit}")
         if self.max_limit < self.min_limit:
@@ -85,21 +66,20 @@ class LimitConfig:
             raise ValueError("target_latency_s must be positive")
         if not 0.0 < self.decrease < 1.0:
             raise ValueError("decrease must be in (0, 1)")
-        for name in ("short_alpha", "long_alpha", "smoothing"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {v!r}")
+        if not 0.0 < self.short_alpha <= 1.0:
+            raise ValueError(
+                f"short_alpha must be in (0, 1], got {self.short_alpha!r}"
+            )
 
 
 class AdaptiveConcurrencyLimit:
-    """Latency-fed concurrency cap (see module docstring for the modes)."""
+    """Latency-fed AIMD concurrency cap (see module docstring)."""
 
     def __init__(self, config: LimitConfig | None = None):
         self.config = config or LimitConfig()
         self._limit = float(self.config.initial)
         self._short: float | None = None
-        self._long: float | None = None
-        #: aimd: no further multiplicative decrease before this time.
+        #: No further multiplicative decrease before this time.
         self._hold_until = float("-inf")
         #: Observation count (reporting).
         self.observations = 0
@@ -116,29 +96,22 @@ class AdaptiveConcurrencyLimit:
         self.observations += 1
         cfg = self.config
         if self._short is None:
-            self._short = self._long = latency_s
+            self._short = latency_s
         else:
             self._short += cfg.short_alpha * (latency_s - self._short)
-            self._long += cfg.long_alpha * (latency_s - self._long)
-        if cfg.mode == "aimd":
-            if self._short <= cfg.target_latency_s:
-                self._limit += cfg.increase / max(1.0, self._limit)
-            elif now >= self._hold_until:
-                self._limit *= cfg.decrease
-                # One decrease per congestion window: requests admitted
-                # before the cut drain over roughly the latency that
-                # triggered it; their slowness is stale evidence.
-                self._hold_until = now + max(latency_s, self._short)
-        else:  # gradient
-            gradient = max(0.5, min(1.1, self._long / max(self._short, 1e-12)))
-            proposed = self._limit * gradient + math.sqrt(self._limit)
-            self._limit += cfg.smoothing * (proposed - self._limit)
+        if self._short <= cfg.target_latency_s:
+            self._limit += _INCREASE / max(1.0, self._limit)
+        elif now >= self._hold_until:
+            self._limit *= cfg.decrease
+            # One decrease per congestion window: requests admitted
+            # before the cut drain over roughly the latency that
+            # triggered it; their slowness is stale evidence.
+            self._hold_until = now + max(latency_s, self._short)
         self._limit = min(float(cfg.max_limit),
                           max(float(cfg.min_limit), self._limit))
 
     def snapshot(self) -> dict:
         return {
-            "mode": self.config.mode,
             "limit": self.limit,
             "observations": self.observations,
         }

@@ -149,6 +149,10 @@ class DistributionPolicy(ABC):
     #: simulator then calls ``decide_cb(initial, file_id, done, failed)``
     #: instead of :meth:`decide` (lard-ng's dispatcher round-trip).
     async_decide: bool = False
+    #: True for strictly-local policies, where every node's cache sees
+    #: the whole request stream: both substrates then warm every cache
+    #: with one zero-time replay of the trace before the run.
+    local_prewarm: bool = False
 
     def __init__(self) -> None:
         self.cluster: Optional[Cluster] = None

@@ -317,21 +317,13 @@ class L2SPolicy(DistributionPolicy):
     def _broadcast_set_change(self, src: int) -> None:
         """Charge the (rare) server-set modification broadcast.
 
-        Set updates are hard state compared to load samples, so they opt
-        into the ack/retry protocol when one is active; load broadcasts
-        never do — staleness detection (``view_max_age_s``) is the
-        defense there.
+        Set updates are hard state compared to load samples, so the
+        interconnect sends ``l2s_set`` through the ack/retry protocol
+        when one is active; load broadcasts never ride it — staleness
+        detection (``view_max_age_s``) is the defense there.
         """
         self.set_broadcasts += 1
-        cluster = self._require_cluster()
-        net = cluster.net
-        proto = net.protocol
-        if proto is not None and proto.covers("l2s_set"):
-            for other in range(cluster.num_nodes):
-                if other != src:
-                    proto.send_control_cb(src, other, "l2s_set")
-        else:
-            net.broadcast_control(src, kind="l2s_set")
+        self._require_cluster().net.broadcast_control(src, kind="l2s_set")
 
     def on_handoff_failed(self, initial: int, target: int) -> None:
         """Roll back the optimistic view charge of an abandoned hand-off."""

@@ -240,7 +240,8 @@ class LARDPolicy(DistributionPolicy):
         A fire-and-forget message chain (no per-notice process).  An
         elected lard-ng dispatcher also serves; its own notices are a
         local table update, not a network message — ``send_control_cb``'s
-        ``src == dst`` shortcut applies the update synchronously.
+        ``src == dst`` shortcut applies it at an urgent zero-delay event
+        (synchronously on the live control plane) and sends nothing.
         """
         cluster = self._require_cluster()
         gen = self._table_gen
@@ -265,19 +266,13 @@ class LARDPolicy(DistributionPolicy):
             view[back_end] -= debit
             self.completion_notices += 1
 
-        proto = cluster.net.protocol
-        if proto is not None and proto.covers("lard_done"):
-            # A lost notice permanently inflates the front-end's view of
-            # this back-end, so notices ride the ack/retry protocol on an
-            # unreliable fabric (the view still updates at first delivery
-            # only — at-most-once).
-            proto.send_control_cb(
-                back_end, self.front_end, "lard_done", deliver=apply
-            )
-        else:
-            cluster.net.send_control_cb(
-                back_end, self.front_end, kind="lard_done", done=apply
-            )
+        # A lost notice permanently inflates the front-end's view of this
+        # back-end, so on an unreliable fabric the interconnect sends
+        # ``lard_done`` through the ack/retry protocol (the view still
+        # updates at first delivery only — at-most-once).
+        cluster.net.send_control_cb(
+            back_end, self.front_end, kind="lard_done", done=apply
+        )
 
     def on_handoff_failed(self, initial: int, target: int) -> None:
         """Roll back the view charge of a hand-off that never opened a

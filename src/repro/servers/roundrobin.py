@@ -19,6 +19,7 @@ class RoundRobinPolicy(DistributionPolicy):
     """Cyclic (block-shuffled) assignment, strictly local service."""
 
     name = "round-robin"
+    local_prewarm = True
 
     def _setup(self) -> None:
         self._rr = ShuffledRoundRobin(self._require_cluster().num_nodes)

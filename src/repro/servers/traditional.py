@@ -24,6 +24,7 @@ class TraditionalPolicy(DistributionPolicy):
     """Fewest-connections dispatch, strictly local service."""
 
     name = "traditional"
+    local_prewarm = True
 
     def _setup(self) -> None:
         n = self._require_cluster().num_nodes

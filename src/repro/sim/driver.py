@@ -49,7 +49,6 @@ class Simulation:
         config: ClusterConfig,
         warmup_fraction: float = 0.3,
         passes: int = 1,
-        prewarm_local_caches: Optional[bool] = None,
         record_timeline: bool = False,
         arrival_rate: Optional[float] = None,
         record_latencies: bool = False,
@@ -80,11 +79,6 @@ class Simulation:
         #: ``passes == 1`` the first ``warmup_fraction`` of completions is
         #: the warmup instead.
         self.passes = passes
-        if prewarm_local_caches is None:
-            # Zero-time pre-warm is exactly right only for strictly-local
-            # policies, where each cache sees the whole request stream.
-            prewarm_local_caches = policy.name in ("traditional", "round-robin")
-        self.prewarm_local_caches = prewarm_local_caches
 
         self.env = Environment(sanitize=sanitize)
         self.cluster = Cluster(self.env, config)
@@ -393,7 +387,7 @@ class Simulation:
 
     def run(self) -> SimResult:
         """Execute the whole trace and return the measured results."""
-        if self.prewarm_local_caches:
+        if self.policy.local_prewarm:
             self._prewarm()
         if self._injector is not None:
             self._injector.start()

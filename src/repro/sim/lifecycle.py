@@ -349,16 +349,12 @@ class _FastRequest:
             _breaker_failure(self.cluster, target)
             self._abort()
             return
-        threshold = self.cluster.config.admission_threshold
-        if (
-            threshold is not None and node.open_connections >= threshold
-        ) or not _breaker_allows(self.cluster, target):
-            # Admission control (the connection queue is full) or an open
-            # circuit breaker (or a spent half-open probe budget, checked
-            # second so a queue shed never wastes a probe slot): the node
-            # sheds the request and the client backs off and retries
-            # (the driver's RetryPolicy is the retry-after).  A shed
-            # connection never opens, so the view charge rolls back too.
+        if not _breaker_allows(self.cluster, target):
+            # An open circuit breaker (or a spent half-open probe
+            # budget): the node sheds the request and the client backs
+            # off and retries (the driver's RetryPolicy is the
+            # retry-after).  A shed connection never opens, so the view
+            # charge rolls back too.
             # Sheds never feed the breakers: counting them as failures
             # would let an overloaded-but-healthy node's breaker trip and
             # then stay open on its own rejections.

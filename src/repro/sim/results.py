@@ -53,8 +53,8 @@ class SimResult:
     #: "router" plus per-node-averaged "cpu", "disk", "ni_in", "ni_out".
     station_utilizations: Dict[str, float] = field(default_factory=dict)
     #: Requests rejected by admission control — node-level
-    #: ``admission_threshold`` sheds, circuit-breaker sheds, and
-    #: front-door :class:`~repro.overload.AdmissionController` sheds.
+    #: circuit-breaker sheds and front-door
+    #: :class:`~repro.overload.AdmissionController` sheds.
     requests_shed: int = 0
     #: Per-message-kind delivery accounting, populated on runs with an
     #: active netfault layer.  Each kind maps to sent / delivered /

@@ -3,17 +3,20 @@
 import pytest
 
 from repro.experiments import scaling_experiment
-from repro.experiments.figures import bench_workers
+from repro.farm.runner import farm_workers
 
 
 def test_bench_workers_env(monkeypatch):
-    monkeypatch.delenv("REPRO_BENCH_WORKERS", raising=False)
-    assert bench_workers() == 1
-    assert bench_workers(3) == 3
-    monkeypatch.setenv("REPRO_BENCH_WORKERS", "4")
-    assert bench_workers() == 4
-    monkeypatch.setenv("REPRO_BENCH_WORKERS", "0")
-    assert bench_workers() == 1  # clamped
+    # The scaling experiments default through the farm's worker count.
+    monkeypatch.delenv("REPRO_FARM_WORKERS", raising=False)
+    assert farm_workers() == 1
+    assert farm_workers(3) == 3
+    monkeypatch.setenv("REPRO_FARM_WORKERS", "4")
+    assert farm_workers() == 4
+    assert farm_workers(2) == 2  # an explicit count wins
+    monkeypatch.setenv("REPRO_FARM_WORKERS", "0")
+    assert farm_workers() == 1  # clamped
+    assert farm_workers(-2) == 1
 
 
 def test_parallel_matches_serial():

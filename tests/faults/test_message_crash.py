@@ -8,12 +8,14 @@ sender that waits, a fire-and-forget one) report the drop
 drops into a give-up.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.des import Environment
 from repro.model import MB
-from repro.netfaults import NetFaultConfig, RetrySpec
+from repro.netfaults import ARQ_RETRY, NetFaultConfig
 
 
 def make_cluster(nodes=2, net_faults=None):
@@ -89,7 +91,9 @@ def test_callback_crash_mid_flight():
 
 
 def test_protocol_gives_up_on_a_crashed_receiver():
-    spec = RetrySpec(timeout_s=1e-3, max_retries=2, base_backoff_s=0.0, cap_s=0.0)
+    spec = replace(
+        ARQ_RETRY, timeout_s=1e-3, max_retries=2, base_backoff_s=0.0, cap_s=0.0
+    )
     env, cluster = make_cluster(
         net_faults=NetFaultConfig(always_on=True, default_spec=spec)
     )
@@ -102,7 +106,9 @@ def test_protocol_gives_up_on_a_crashed_receiver():
 
 
 def test_protocol_rides_out_a_crash_recover_cycle():
-    spec = RetrySpec(timeout_s=1e-3, max_retries=5, base_backoff_s=0.0, cap_s=0.0)
+    spec = replace(
+        ARQ_RETRY, timeout_s=1e-3, max_retries=5, base_backoff_s=0.0, cap_s=0.0
+    )
     env, cluster = make_cluster(
         net_faults=NetFaultConfig(always_on=True, default_spec=spec)
     )

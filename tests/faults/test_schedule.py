@@ -134,7 +134,7 @@ def test_retry_validation():
     with pytest.raises(ValueError):
         RetryPolicy(max_retries=-1)
     with pytest.raises(ValueError):
-        RetryPolicy(base_backoff_s=0.0)
+        RetryPolicy(base_backoff_s=-0.01)
     with pytest.raises(ValueError):
         RetryPolicy(multiplier=0.5)
     with pytest.raises(ValueError):

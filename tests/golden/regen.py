@@ -216,7 +216,7 @@ def simulate(policy: str, mode: str, seed: int) -> SimResult:
     elif mode == "admission":
         kwargs["arrival_rate"] = 3000.0
         kwargs["overload"] = OverloadControl.default(
-            NODES, max_inflight=8, limiter_mode=None, deadline_s=0.05, seed=seed
+            NODES, max_inflight=8, deadline_s=0.05, seed=seed
         )
     elif mode != "plain" and mode not in TRACE_MODES:
         raise ValueError(f"unknown golden mode {mode!r}")

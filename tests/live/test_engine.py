@@ -138,7 +138,6 @@ def test_engine_control_plane_counts_and_delivers():
     assert seen == [1]  # synchronous delivery
     assert engine.net.messages_sent == 1 + 3  # point-to-point + n-1
     assert engine.net.messages_by_kind == {"test_kind": 1, "bcast": 3}
-    assert engine.net.protocol is None
 
 
 def test_engine_reset_meters_keeps_policy_state():

@@ -1,13 +1,15 @@
 """Tests for the declarative netfault model: events, schedules, configs."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.netfaults import (
+    ARQ_RETRY,
     DEFAULT_RELIABLE_KINDS,
     NetFaultConfig,
     NetFaultEvent,
     NetFaultSchedule,
-    RetrySpec,
 )
 
 
@@ -105,38 +107,36 @@ def test_partition_helper():
     assert [e.kind for e in open_ended.events] == ["partition"]
 
 
-def test_stochastic_links_deterministic_and_per_link_independent():
-    a = NetFaultSchedule.stochastic_links(4, 50.0, mtbf_s=10.0, mttr_s=1.0, seed=3)
-    b = NetFaultSchedule.stochastic_links(4, 50.0, mtbf_s=10.0, mttr_s=1.0, seed=3)
-    assert a.events == b.events
-    assert a.events  # the horizon is long enough to produce cycles
-    # Growing the cluster must not perturb the existing links' samples.
-    big = NetFaultSchedule.stochastic_links(6, 50.0, mtbf_s=10.0, mttr_s=1.0, seed=3)
-
-    def link01(sched):
-        return [e for e in sched.events if (e.src, e.dst) == (0, 1)]
-
-    assert link01(a) == link01(big)
-    with pytest.raises(ValueError):
-        NetFaultSchedule.stochastic_links(4, 50.0, mtbf_s=0.0, mttr_s=1.0)
-
-
-# -- RetrySpec --------------------------------------------------------------
+# -- ARQ retry parameters --------------------------------------------------
 
 
 def test_retry_spec_validation():
     with pytest.raises(ValueError):
-        RetrySpec(timeout_s=0.0)
+        replace(ARQ_RETRY, timeout_s=0.0)
     with pytest.raises(ValueError):
-        RetrySpec(max_retries=-1)
+        replace(ARQ_RETRY, max_retries=-1)
     with pytest.raises(ValueError):
-        RetrySpec(base_backoff_s=-1.0)
+        replace(ARQ_RETRY, base_backoff_s=-1.0)
     with pytest.raises(ValueError):
-        RetrySpec(multiplier=0.5)
+        replace(ARQ_RETRY, multiplier=0.5)
+
+
+def test_arq_retry_is_the_default_spec():
+    assert NetFaultConfig().default_spec is ARQ_RETRY
+    # 10 ms ack deadline, 3 retries, 5 ms base backoff doubling to a
+    # 50 ms cap.
+    assert ARQ_RETRY == replace(
+        ARQ_RETRY,
+        timeout_s=10e-3,
+        max_retries=3,
+        base_backoff_s=5e-3,
+        multiplier=2.0,
+        cap_s=50e-3,
+    )
 
 
 def test_retry_spec_backoff_is_capped_exponential():
-    spec = RetrySpec(base_backoff_s=1e-3, multiplier=2.0, cap_s=3e-3)
+    spec = replace(ARQ_RETRY, base_backoff_s=1e-3, multiplier=2.0, cap_s=3e-3)
     assert spec.backoff(1) == pytest.approx(1e-3)
     assert spec.backoff(2) == pytest.approx(2e-3)
     assert spec.backoff(3) == pytest.approx(3e-3)  # capped, not 4 ms
@@ -161,6 +161,9 @@ def test_config_validation():
         NetFaultConfig(link_loss=((0, 1, 1.5),))
     with pytest.raises(ValueError):
         NetFaultConfig(handoff_redispatch=-1)
+    with pytest.raises(ValueError):
+        # The ARQ needs an ack deadline.
+        NetFaultConfig(default_spec=replace(ARQ_RETRY, timeout_s=None))
 
 
 def test_config_active_flags_each_knob():
@@ -173,13 +176,6 @@ def test_config_active_flags_each_knob():
     assert NetFaultConfig(link_loss=((0, 1, 0.1),)).active
     assert NetFaultConfig(schedule=NetFaultSchedule.parse("down:0-1@1")).active
     assert NetFaultConfig(always_on=True).active
-
-
-def test_config_spec_for_per_kind_override():
-    custom = RetrySpec(timeout_s=1e-3, max_retries=1)
-    cfg = NetFaultConfig(protocol=(("handoff", custom),))
-    assert cfg.spec_for("handoff") is custom
-    assert cfg.spec_for("dfs_req") is cfg.default_spec
 
 
 def test_default_reliable_kinds_cover_stateful_traffic():

@@ -1,11 +1,13 @@
 """Tests for the ack/retry/dedup reliability protocol."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.des import Environment
 from repro.model import MB
-from repro.netfaults import NetFaultConfig, RetrySpec
+from repro.netfaults import ARQ_RETRY, NetFaultConfig
 
 
 def make_cluster(nodes=2, **nf_kwargs):
@@ -63,7 +65,7 @@ def test_request_cb_same_node_shortcut():
 
 
 def test_request_cb_gives_up_after_retries_on_a_dead_link():
-    spec = RetrySpec(
+    spec = replace(ARQ_RETRY, 
         timeout_s=1e-3, max_retries=2, base_backoff_s=1e-3, multiplier=2.0,
         cap_s=1e-2,
     )
@@ -81,7 +83,9 @@ def test_request_cb_gives_up_after_retries_on_a_dead_link():
 
 
 def test_request_cb_succeeds_once_the_link_heals():
-    spec = RetrySpec(timeout_s=1e-3, max_retries=5, base_backoff_s=0.0, cap_s=0.0)
+    spec = replace(
+        ARQ_RETRY, timeout_s=1e-3, max_retries=5, base_backoff_s=0.0, cap_s=0.0
+    )
     env, cluster = make_cluster(default_spec=spec)
     proto = cluster.net.protocol
     cluster.net.netfaults.link_down(0, 1)
@@ -105,7 +109,9 @@ def test_send_cb_perfect_fabric_delivers_once():
 
 
 def test_send_cb_failure_callback_after_retries_exhaust():
-    spec = RetrySpec(timeout_s=1e-3, max_retries=1, base_backoff_s=0.0, cap_s=0.0)
+    spec = replace(
+        ARQ_RETRY, timeout_s=1e-3, max_retries=1, base_backoff_s=0.0, cap_s=0.0
+    )
     env, cluster = make_cluster(default_spec=spec)
     proto = cluster.net.protocol
     cluster.net.netfaults.link_down(0, 1)
@@ -137,7 +143,7 @@ def test_lossy_protocol_is_deterministic_and_dedups():
             loss_rate=0.4,
             seed=seed,
             always_on=False,
-            default_spec=RetrySpec(
+            default_spec=replace(ARQ_RETRY, 
                 timeout_s=1e-3, max_retries=6, base_backoff_s=1e-4,
                 multiplier=2.0, cap_s=1e-3,
             ),
@@ -174,11 +180,49 @@ def test_send_control_cb_uses_control_sizing():
     env, cluster = make_cluster()
     proto = cluster.net.protocol
     seen = []
-    proto.send_control_cb(0, 1, "l2s_set", deliver=lambda: seen.append(env.now))
+    cluster.net.send_control_cb(0, 1, "l2s_set", done=lambda: seen.append(env.now))
     env.run()
     assert len(seen) == 1
+    assert proto.acks == {"l2s_set": 1}
     # One-way control latency matches the bare fabric's 19 us budget.
     assert seen[0] == pytest.approx(cluster.config.one_way_message_latency(), rel=1e-6)
+
+
+def test_interconnect_decides_which_control_messages_are_reliable():
+    env, cluster = make_cluster(nodes=3)
+    net = cluster.net
+    seen = []
+    net.send_control_cb(0, 1, "lard_done", done=lambda: seen.append("lard_done"))
+    net.broadcast_control(0, kind="l2s_set")
+    net.send_control_cb(0, 1, "l2s_load", done=lambda: seen.append("l2s_load"))
+    net.broadcast_control(0, kind="lardng_elect")
+    env.run()
+    assert sorted(seen) == ["l2s_load", "lard_done"]
+    # Covered kinds are acked through the messenger; load broadcasts and
+    # dispatcher elections stay best-effort.
+    assert net.protocol.acks == {"lard_done": 1, "l2s_set": 2}
+    assert net.message_counts == {
+        "lard_done": 1, "lard_done_ack": 1,
+        "l2s_set": 2, "l2s_set_ack": 2,
+        "l2s_load": 1, "lardng_elect": 2,
+    }
+
+
+def test_covered_control_message_drops_only_after_retries_exhaust():
+    spec = replace(
+        ARQ_RETRY, timeout_s=1e-3, max_retries=1, base_backoff_s=0.0, cap_s=0.0
+    )
+    env, cluster = make_cluster(default_spec=spec)
+    net = cluster.net
+    net.netfaults.link_down(0, 1)
+    dropped = []
+    net.send_control_cb(0, 1, "lard_done", on_drop=lambda: dropped.append("lard_done"))
+    net.send_control_cb(0, 1, "l2s_load", on_drop=lambda: dropped.append("l2s_load"))
+    env.run()
+    assert dropped == ["l2s_load", "lard_done"]
+    assert net.protocol.retries == {"lard_done": 1}
+    assert net.protocol.failures == {"lard_done": 1}
+    assert net.dropped_counts == {"lard_done": 2, "l2s_load": 1}
 
 
 def test_reset_accounting_clears_protocol_counters():

@@ -1,5 +1,5 @@
-"""AdmissionController unit contracts: caps, queue bound, priorities,
-deadline drops, and the release bookkeeping both substrates share."""
+"""AdmissionController unit contracts: caps, queue bound, deadline
+drops, and the release bookkeeping both substrates share."""
 
 import pytest
 
@@ -7,8 +7,8 @@ from repro.overload.admission import AdmissionConfig, AdmissionController
 from repro.overload.limiter import AdaptiveConcurrencyLimit, LimitConfig
 
 
-def admit_n(ctrl, n, now=0.0, priority=0):
-    return [ctrl.try_admit(now, priority=priority) for _ in range(n)]
+def admit_n(ctrl, n, now=0.0):
+    return [ctrl.try_admit(now) for _ in range(n)]
 
 
 def test_admits_up_to_limit_then_queues_then_sheds():
@@ -48,19 +48,6 @@ def test_queue_bound_is_min_of_slots_and_limit():
     assert ctrl.shed_by_reason["queue_full"] == 2
 
 
-def test_low_priority_sheds_before_high_priority():
-    ctrl = AdmissionController(
-        AdmissionConfig(max_inflight=2, queue_slots=2, classes=2)
-    )
-    admit_n(ctrl, 2)  # fill the in-service slots
-    # Class 1 may only occupy the first half of the queue.
-    assert ctrl.try_admit(0.0, priority=1).admitted
-    low = ctrl.try_admit(0.0, priority=1)
-    assert not low.admitted and low.reason == "queue_full"
-    # Class 0 still has the full queue allowance.
-    assert ctrl.try_admit(0.0, priority=0).admitted
-
-
 def test_deadline_drop_uses_the_latency_ewma():
     ctrl = AdmissionController(
         AdmissionConfig(max_inflight=1, queue_slots=8, deadline_s=0.5)
@@ -96,8 +83,6 @@ def test_config_validation():
         AdmissionConfig(max_inflight=0)
     with pytest.raises(ValueError):
         AdmissionConfig(max_inflight=4, deadline_s=0.0)
-    with pytest.raises(ValueError):
-        AdmissionConfig(max_inflight=4, classes=0)
     with pytest.raises(ValueError):
         AdmissionController(AdmissionConfig())  # no cap and no limiter
 

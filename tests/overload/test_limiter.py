@@ -1,5 +1,5 @@
-"""AdaptiveConcurrencyLimit unit contracts: AIMD growth, the EWMA-gated
-decrease with its one-per-window cooldown, and gradient-mode shape."""
+"""AdaptiveConcurrencyLimit unit contracts: AIMD growth and the
+EWMA-gated decrease with its one-per-window cooldown."""
 
 import pytest
 
@@ -65,22 +65,6 @@ def test_floor_and_ceiling_clamp():
     assert lim.limit == 8
 
 
-def test_gradient_contracts_on_latency_spike_and_recovers():
-    lim = AdaptiveConcurrencyLimit(
-        LimitConfig(mode="gradient", initial=64)
-    )
-    for i in range(50):
-        lim.observe(0.01, now=i * 0.01)
-    calm = lim.limit
-    for i in range(50):
-        lim.observe(0.5, now=1.0 + i * 0.01)
-    assert lim.limit < calm
-    spiked = lim.limit
-    for i in range(200):
-        lim.observe(0.01, now=2.0 + i * 0.01)
-    assert lim.limit > spiked
-
-
 def test_determinism_same_stream_same_trajectory():
     def run():
         lim = AdaptiveConcurrencyLimit(LimitConfig(target_latency_s=0.05))
@@ -94,8 +78,6 @@ def test_determinism_same_stream_same_trajectory():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        LimitConfig(mode="pid")
     with pytest.raises(ValueError):
         LimitConfig(min_limit=0)
     with pytest.raises(ValueError):

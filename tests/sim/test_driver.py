@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import ClusterConfig
 from repro.model import MB
-from repro.servers import make_policy
+from repro.servers import POLICIES, make_policy
 from repro.sim import Simulation, model_bound_for_trace, run_simulation
 from repro.workload import FileSet, Trace, generate_trace, build_fileset
 
@@ -86,13 +86,17 @@ def test_warmup_fraction_mode():
     assert result.requests_measured == 1000
 
 
-def test_prewarm_enabled_for_local_policies_only():
-    trace = small_trace()
-    cfg = small_config()
-    assert Simulation(trace, make_policy("round-robin"), cfg).prewarm_local_caches
-    assert Simulation(trace, make_policy("traditional"), cfg).prewarm_local_caches
-    assert not Simulation(trace, make_policy("l2s"), cfg).prewarm_local_caches
-    assert not Simulation(trace, make_policy("lard"), cfg).prewarm_local_caches
+def test_prewarm_enabled_for_local_policies_only(monkeypatch):
+    local = {name for name, cls in POLICIES.items() if cls.local_prewarm}
+    assert local == {"round-robin", "traditional"}
+    warmed = []
+    monkeypatch.setattr(
+        Simulation, "_prewarm", lambda self: warmed.append(self.policy.name)
+    )
+    trace = small_trace(requests=200)
+    for name in ("traditional", "lard"):
+        Simulation(trace, make_policy(name), small_config()).run()
+    assert warmed == ["traditional"]
 
 
 def test_result_metrics_sane():

@@ -1,13 +1,17 @@
 """Full-simulation behaviour on an unreliable interconnect."""
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
 from repro.cluster import ClusterConfig
 from repro.experiments import run_netfault_simulation
+from repro.faults import RetryPolicy
 from repro.model import MB
-from repro.netfaults import NetFaultConfig, NetFaultSchedule, RetrySpec
+from repro.netfaults import ARQ_RETRY, NetFaultConfig, NetFaultSchedule
+from repro.overload import BreakerBoard, BreakerConfig, OverloadControl
+from repro.servers import make_policy
+from repro.sim import Simulation
 from repro.workload import build_fileset, generate_trace
 
 
@@ -83,13 +87,29 @@ def test_partition_heal_triggers_l2s_reannounce(trace):
     assert summary["drop_causes"].get("partition", 0) > 0
 
 
-def test_admission_control_sheds_under_netfaults(trace):
-    config = cfg(
-        net_faults=NetFaultConfig(always_on=True),
-        admission_threshold=1,
-        multiprogramming_per_node=16,
+def test_breaker_sheds_under_netfaults(trace):
+    # Every breaker trips open at once, inside the measured window: with
+    # no routable node left, routing falls back to all of them and each
+    # node sheds at service entry until its half-open probe succeeds.
+    board = BreakerBoard(4, BreakerConfig(failure_threshold=1))
+    sim = Simulation(
+        trace,
+        make_policy("l2s"),
+        cfg(net_faults=NetFaultConfig(always_on=True)),
+        passes=2,
+        retry=RetryPolicy(),
+        overload=OverloadControl(breakers=board),
     )
-    sim, r = result_of(trace, "l2s", config)
+    trip_at = 4.5
+
+    def trip_all():
+        for node in range(4):
+            board.record_failure(node, sim.env.now)
+
+    sim.env.call_later(trip_at, trip_all)
+    r = sim.run()
+    assert sim._measure_start < trip_at
+    assert board.trips == 4
     assert r.requests_shed > 0
     assert r.requests_shed == sum(n.shed for n in sim.cluster.nodes)
 
@@ -98,7 +118,7 @@ def test_partitioned_dfs_falls_back_to_local_replica(trace):
     nf = NetFaultConfig(
         loss_rate=0.3,
         seed=2,
-        default_spec=RetrySpec(
+        default_spec=replace(ARQ_RETRY, 
             timeout_s=1e-3, max_retries=1, base_backoff_s=0.0, cap_s=0.0
         ),
     )
@@ -116,7 +136,7 @@ def test_partitioned_dfs_without_fallback_fails_requests(trace):
         loss_rate=0.3,
         seed=2,
         dfs_local_fallback=False,
-        default_spec=RetrySpec(
+        default_spec=replace(ARQ_RETRY, 
             timeout_s=1e-3, max_retries=1, base_backoff_s=0.0, cap_s=0.0
         ),
     )

@@ -87,7 +87,7 @@ def check_conservation(sim, result, trace):
 def test_conservation_under_static_admission(sanitize, seed, cap, rate_x):
     trace = make_trace(seed)
     overload = OverloadControl.default(
-        3, max_inflight=cap, limiter_mode=None, deadline_s=0.05, seed=seed
+        3, max_inflight=cap, deadline_s=0.05, seed=seed
     )
     sim, result = run_variant(
         sanitize, trace, 800.0 * rate_x, overload, "round-robin"
@@ -103,16 +103,14 @@ def test_conservation_under_static_admission(sanitize, seed, cap, rate_x):
 )
 @given(
     seed=st.integers(min_value=0, max_value=40),
-    mode=st.sampled_from(["aimd", "gradient"]),
     target_ms=st.floats(min_value=1.0, max_value=100.0),
 )
 def test_conservation_under_adaptive_limit_and_breakers(
-    sanitize, seed, mode, target_ms
+    sanitize, seed, target_ms
 ):
     trace = make_trace(seed)
     overload = OverloadControl.default(
         3,
-        limiter_mode=mode,
         target_latency_s=target_ms / 1000.0,
         deadline_s=0.1,
         seed=seed,
@@ -132,7 +130,7 @@ def test_variants_agree_on_the_books(sanitize):
     totals (the kernel variant must be invisible to the books)."""
     trace = make_trace(9)
     overload = OverloadControl.default(
-        3, max_inflight=8, limiter_mode=None, deadline_s=0.05, seed=9
+        3, max_inflight=8, deadline_s=0.05, seed=9
     )
     sim, result = run_variant(
         sanitize, trace, 3000.0, overload, "round-robin"

@@ -77,6 +77,7 @@ UNRESOLVED = {
     "repro.live.chaos.AVAILABILITY_THRESHOLD": ("repro.live.cli",),
     "repro.live.cluster.MB": ("repro.live.chaos",),
     "repro.live.compare.HANDOFF_THRESHOLD": ("repro.live.cli",),
+    "repro.live.faultproxy.MIN_HEALTHY": ("repro.live.frontend",),
     "repro.live.compare.HIT_RATIO_THRESHOLD": ("repro.live.cli",),
     "repro.model.parameters.DEFAULT_PARAMETERS": ("repro.model",),
     "repro.model.parameters.KB": ("repro.model",),
@@ -87,7 +88,10 @@ UNRESOLVED = {
     ),
     "repro.model.surfaces.DEFAULT_HIT_RATES": ("repro.model",),
     "repro.model.surfaces.DEFAULT_SIZES_KB": ("repro.model",),
-    "repro.netfaults.model.DEFAULT_RELIABLE_KINDS": ("repro.netfaults",),
+    "repro.netfaults.model.ARQ_RETRY": ("repro.netfaults",),
+    "repro.netfaults.model.DEFAULT_RELIABLE_KINDS": (
+        "repro.netfaults", "repro.netfaults.protocol",
+    ),
     "repro.netfaults.model.NETFAULT_KINDS": ("repro.netfaults",),
     "repro.servers.POLICIES": ("repro.cli",),
     "repro.sim.runner.DEFAULT_SIM_CACHE_BYTES": (

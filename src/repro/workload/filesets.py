@@ -10,6 +10,13 @@ to be small).  :func:`build_fileset` reproduces both moments: sizes are
 drawn from a bounded lognormal matching the per-file mean, then assigned
 to popularity ranks with a tilt chosen by bisection so that the
 Zipf-weighted mean matches the requested-size target.
+
+Each bisection step ranks every file by its tilted score.  Once the
+bracket is narrow, a step starts from the last step's order, which is
+nearly sorted already.  Exactly equal scores are ranked in file-index
+order, as a stable sort would.  Ties are the rule, not an exception, at
+the end of the search: it converges onto the tilt where two scores cross,
+and the final bracket holds the two orders on either side of that tie.
 """
 
 from __future__ import annotations
@@ -110,23 +117,22 @@ def lognormal_sizes(
     return np.maximum(1, np.round(sizes)).astype(np.int64)
 
 
-def _tilted_assignment(
-    sizes_sorted: np.ndarray,
-    theta: float,
-    noise: np.ndarray,
-) -> np.ndarray:
-    """Assign sorted sizes to popularity ranks with tilt ``theta``.
+def _rank(scores: np.ndarray, hint: Optional[np.ndarray] = None) -> np.ndarray:
+    """``np.argsort(scores, kind="stable")``, from a warm start if given.
 
-    Each file gets a score ``theta * log(size) + noise``; files are ranked
-    by ascending score, so positive ``theta`` puts *small* files at hot
-    ranks (low scores → low ranks) and negative ``theta`` puts big files
-    there.  ``theta = 0`` is a random assignment.
+    A plain argsort, or with ``hint`` (the last step's order) a stable
+    sort of the nearly sorted ``scores[hint]``, gives that order when all
+    scores differ.  An exact tie falls back to the stable sort, which keeps
+    tied files in index order: the search's final bracket sits on a tie.
     """
-    scores = theta * np.log(sizes_sorted) + noise
-    order = np.argsort(scores, kind="stable")
-    ranked = np.empty_like(sizes_sorted)
-    ranked[:] = sizes_sorted[order]
-    return ranked
+    if hint is None:
+        order = np.argsort(scores)
+    else:
+        order = hint[np.argsort(scores[hint], kind="stable")]
+    ranked = scores[order]
+    if (ranked[1:] == ranked[:-1]).any():
+        order = np.argsort(scores, kind="stable")
+    return order
 
 
 def build_fileset(
@@ -149,12 +155,20 @@ def build_fileset(
     rng = np.random.default_rng(seed)
     sizes = np.sort(lognormal_sizes(num_files, mean_file_bytes, sigma, rng))
     noise = rng.standard_normal(num_files) * 1.0
-    zipf = ZipfDistribution(num_files, alpha)
-    pmf = zipf.pmf
+    log_sizes = np.log(sizes)
+    pmf = ZipfDistribution(num_files, alpha).pmf
+    order: Optional[np.ndarray] = None
+
+    def tilted(theta: float) -> np.ndarray:
+        # Ascending scores take the hot ranks, so positive theta puts small
+        # files hot; in a narrow bracket the last order is nearly sorted.
+        nonlocal order
+        hint = order if hi - lo < 1e-3 else None
+        order = _rank(theta * log_sizes + noise, hint)
+        return sizes[order]
 
     def weighted_mean(theta: float) -> float:
-        ranked = _tilted_assignment(sizes, theta, noise)
-        return float(pmf @ ranked)
+        return float(pmf @ tilted(theta))
 
     target = float(mean_request_bytes)
     # weighted_mean is monotone non-increasing in theta: positive theta
@@ -179,8 +193,8 @@ def build_fileset(
     # bracket assignments interpolates the weighted mean *exactly* while
     # preserving the total byte count (both are permutations of the same
     # multiset) and keeping every size positive.
-    r_lo = _tilted_assignment(sizes, lo, noise).astype(np.float64)
-    r_hi = _tilted_assignment(sizes, hi, noise).astype(np.float64)
+    r_lo = tilted(lo).astype(np.float64)
+    r_hi = tilted(hi).astype(np.float64)
     m_lo, m_hi = float(pmf @ r_lo), float(pmf @ r_hi)
     if abs(m_lo - m_hi) < 1e-12:
         w = 0.0

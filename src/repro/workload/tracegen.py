@@ -33,6 +33,9 @@ __all__ = [
     "popularity_churn_trace",
 ]
 
+#: Requests the locality rewrite copies to lists at a time (bounds memory).
+_CHUNK = 1 << 16
+
 
 def poisson_timestamps(
     num_requests: int,
@@ -236,24 +239,27 @@ def generate_trace(
     base = zipf.sample(num_requests, rng)
 
     if locality > 0.0 and num_requests > 0:
-        # LRU-stack rewrite: replace a fraction of draws with recent refs.
+        # LRU-stack rewrite: replace a fraction of draws with recent refs,
+        # on lists a chunk at a time (numpy scalars are slow to loop over).
         take_recent = rng.random(num_requests) < locality
         stack_pick = rng.random(num_requests)  # position within the stack
         recent: "OrderedDict[int, None]" = OrderedDict()
-        out = base.copy()
-        for k in range(num_requests):
-            fid = int(out[k])
-            if take_recent[k] and recent:
-                keys = list(recent)
-                # Bias towards the top of the stack (most recent first).
-                idx = int(len(keys) * stack_pick[k] ** 2)
-                fid = keys[len(keys) - 1 - min(idx, len(keys) - 1)]
-                out[k] = fid
-            recent.pop(fid, None)
-            recent[fid] = None
-            if len(recent) > locality_depth:
-                recent.popitem(last=False)
-        base = out
+        for at in range(0, num_requests, _CHUNK):
+            span = slice(at, at + _CHUNK)
+            chunk = (base[span], take_recent[span], stack_pick[span])
+            rewritten = []
+            for fid, take, pick in zip(*(a.tolist() for a in chunk)):
+                if take and recent:
+                    keys = list(recent)
+                    # Bias towards the top of the stack (most recent first).
+                    idx = int(len(keys) * pick ** 2)
+                    fid = keys[len(keys) - 1 - min(idx, len(keys) - 1)]
+                rewritten.append(fid)
+                recent.pop(fid, None)
+                recent[fid] = None
+                if len(recent) > locality_depth:
+                    recent.popitem(last=False)
+            base[span] = rewritten
 
     timestamps = None
     if arrival_rate is not None:

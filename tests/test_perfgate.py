@@ -14,20 +14,28 @@ spec.loader.exec_module(perfgate)
 W = "sim-calgary-lard"
 
 
-def _run(value, correct=True, failed=0):
+def _run(value, correct=True, failed=0, setup=None):
+    metrics = {"requests_per_s": {"value": value, "unit": "1/s"}}
+    if setup is not None:
+        metrics["setup_s"] = {"value": setup, "unit": "s"}
     return {
         "correct": correct,
         "attempted": 100,
         "failed": failed,
-        "metrics": {"requests_per_s": {"value": value, "unit": "1/s"}},
+        "metrics": metrics,
     }
 
 
-def _entry(workload, by_seed, median=None):
+def _entry(workload, by_seed, median=None, setup_by_seed=None):
     values = {"by_seed": {str(seed): v for seed, v in by_seed.items()}}
     if median is not None:
         values["median"] = median
-    return {"workload": workload, "change": {"requests_per_s": values}}
+    change = {"requests_per_s": values}
+    if setup_by_seed is not None:
+        change["setup_s"] = {
+            "by_seed": {str(seed): v for seed, v in setup_by_seed.items()}
+        }
+    return {"workload": workload, "change": change}
 
 
 def _seeds(value):
@@ -125,6 +133,40 @@ def test_newest_entry_without_per_seed_values_counts_as_uncommitted():
     passed, (row,) = perfgate.verdict(committed, {W: [_run(1000.0)]}, gated=(W,))
     assert not passed
     assert row["problems"] == ["no committed per-seed BENCH_perf.json values"]
+
+
+def test_setup_regression_is_reported_but_cannot_fail():
+    runs = {W: [_run(1000.0, setup=s) for s in (0.9, 1.2, 1.0)]}
+    passed, (row,) = perfgate.verdict(
+        {W: 1000.0}, runs, gated=(W,), committed_setup={W: 0.1}
+    )
+    assert passed and row["problems"] == []
+    assert row["setup_s"] == {
+        "median": 1.0, "committed": 0.1, "values": [0.9, 1.2, 1.0]
+    }
+
+
+def test_committed_setup_is_the_median_of_the_gates_own_seeds():
+    entries = [
+        _entry(W, _seeds(1000.0), setup_by_seed={1: 0.4, 2: 0.1, 3: 0.2, 4: 9.0}),
+        # The older entry shape: setup_s without per-seed values.
+        _entry("live-lard", _seeds(900.0)),
+    ]
+    assert perfgate.committed_medians(entries, "setup_s") == {W: 0.2}
+    runs = {w: [_run(1000.0, setup=0.3)] for w in (W, "live-lard")}
+    passed, rows = perfgate.verdict(
+        perfgate.committed_medians(entries), runs, gated=(W,),
+        committed_setup=perfgate.committed_medians(entries, "setup_s"),
+    )
+    assert passed
+    assert [row["setup_s"]["committed"] for row in rows] == [0.2, None]
+    assert [row["setup_s"]["median"] for row in rows] == [0.3, 0.3]
+
+
+def test_run_without_setup_reports_none():
+    passed, (row,) = _judge([1000.0])
+    assert passed
+    assert row["setup_s"] == {"median": None, "committed": None, "values": []}
 
 
 def test_committed_trajectory_covers_every_gated_workload():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.workload import FileSet, build_fileset, lognormal_sizes
+from repro.workload import FileSet, build_fileset, filesets, lognormal_sizes
+from repro.workload.presets import PRESETS
 
 
 def test_lognormal_sizes_hits_mean():
@@ -107,6 +108,70 @@ def test_build_fileset_seed_changes_population():
     a = build_fileset(1000, 20 * 1024, 15 * 1024, 0.9, seed=5)
     b = build_fileset(1000, 20 * 1024, 15 * 1024, 0.9, seed=6)
     assert not (a.sizes == b.sizes).all()
+
+
+def _tied_scores(rng, n=2_000):
+    """Scores with many planted exact ties, at runs and scattered."""
+    scores = rng.standard_normal(n)
+    scores[rng.integers(0, n, n // 4)] = scores[rng.integers(0, n, n // 4)]
+    scores[100:140] = 0.5
+    scores[-7:] = scores[0]
+    return scores
+
+
+def _hints(rng, n):
+    yield None
+    yield np.arange(n)
+    yield np.arange(n)[::-1].copy()
+    for _ in range(5):
+        yield rng.permutation(n)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rank_is_the_stable_argsort_under_planted_ties(seed):
+    rng = np.random.default_rng(seed)
+    scores = _tied_scores(rng)
+    assert len(np.unique(scores)) < len(scores)
+    stable = np.argsort(scores, kind="stable")
+    for hint in _hints(rng, len(scores)):
+        assert np.array_equal(filesets._rank(scores, hint), stable)
+
+
+def test_rank_is_the_stable_argsort_without_ties():
+    rng = np.random.default_rng(3)
+    scores = rng.standard_normal(5_000)
+    stable = np.argsort(scores, kind="stable")
+    # A nearly sorted hint, as the tilt search passes once its bracket
+    # is narrow, as well as the general ones.
+    nearly = np.argsort(scores + 1e-3 * rng.standard_normal(5_000))
+    for hint in [nearly, *_hints(rng, len(scores))]:
+        assert np.array_equal(filesets._rank(scores, hint), stable)
+
+
+@pytest.mark.parametrize("name", ["calgary", "clarknet"])
+def test_preset_build_reaches_the_tie_fallback(name, monkeypatch):
+    """The tilt search converges onto a theta where two scores are exactly
+    equal, so a real build needs the stable tie order to pick its final
+    bracket, not just planted inputs."""
+    rank = filesets._rank
+    tied = []
+
+    def spy(scores, hint=None):
+        ranked = np.sort(scores)
+        if (ranked[1:] == ranked[:-1]).any():
+            tied.append(hint is not None)
+        order = rank(scores, hint)
+        assert np.array_equal(order, np.argsort(scores, kind="stable"))
+        return order
+
+    monkeypatch.setattr(filesets, "_rank", spy)
+    p = PRESETS[name]
+    build_fileset(
+        p.num_files, p.avg_file_kb * 1024.0, p.avg_request_kb * 1024.0,
+        p.alpha, seed=0,
+    )
+    assert tied, "no exact tie reached the ranking helper"
+    assert any(tied), "no exact tie on the warm-started (narrow) path"
 
 
 @given(

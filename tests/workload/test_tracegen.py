@@ -64,6 +64,43 @@ def test_generate_trace_locality_increases_rereference():
     assert rereference_rate(loc) > rereference_rate(iid) + 0.05
 
 
+def _locality_reference(fileset, num_requests, seed, locality, depth=64):
+    """The per-element locality rewrite, as written before it ran on lists."""
+    from collections import OrderedDict
+
+    rng = np.random.default_rng(seed)
+    out = fileset.popularity().sample(num_requests, rng)
+    take_recent = rng.random(num_requests) < locality
+    stack_pick = rng.random(num_requests)
+    recent = OrderedDict()
+    for k in range(num_requests):
+        fid = int(out[k])
+        if take_recent[k] and recent:
+            keys = list(recent)
+            idx = int(len(keys) * stack_pick[k] ** 2)
+            fid = keys[len(keys) - 1 - min(idx, len(keys) - 1)]
+            out[k] = fid
+        recent.pop(fid, None)
+        recent[fid] = None
+        if len(recent) > depth:
+            recent.popitem(last=False)
+    return out
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 97])
+def test_locality_rewrite_matches_the_per_element_reference(chunk, monkeypatch):
+    # The LRU stack carries across chunk boundaries: small chunks put
+    # thousands of boundaries inside one trace.
+    from repro.workload import tracegen
+
+    if chunk is not None:
+        monkeypatch.setattr(tracegen, "_CHUNK", chunk)
+    fs = small_fileset()
+    trace = generate_trace(fs, 3000, seed=5, locality=0.4)
+    assert trace.file_ids.dtype == np.int64
+    assert np.array_equal(trace.file_ids, _locality_reference(fs, 3000, 5, 0.4))
+
+
 def test_generate_trace_validation():
     fs = small_fileset(10)
     with pytest.raises(ValueError):

@@ -21,6 +21,11 @@ The gate fails when
 * a workload in ``GATED`` has no committed entry, or its newest entry
   lacks a value for one of ``SEEDS``.
 
+Every workload's median ``setup_s`` (trace synthesis and simulator
+set-up) is printed and reported next to the committed one, computed the
+same way, but no workload can fail on it: it is there so that a set-up
+regression shows in the report.
+
 Workloads outside ``GATED`` are measured and reported but cannot fail on
 speed: the live cluster drifts between sessions by more than the
 threshold on unchanged code (see CHANGES.md).  One live run on the first
@@ -39,7 +44,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 REPORT = ROOT / "perfgate-report.json"
@@ -53,15 +58,22 @@ GATED = ("sim-calgary-lard", "sim-clarknet-l2s", "sim-nasa-traditional")
 #: Workloads that get one discarded run before the measured ones.
 WARM_UP = ("live-lard",)
 METRIC = "requests_per_s"
+#: Reported next to ``METRIC`` for every workload; never gated.
+SETUP = "setup_s"
 
 
-def committed_medians(entries: Sequence[Mapping]) -> Dict[str, float]:
-    """The newest entry's change median over ``SEEDS``, per workload.
+def committed_medians(
+    entries: Sequence[Mapping], metric: str = METRIC
+) -> Dict[str, float]:
+    """The newest entry's change median of ``metric`` over ``SEEDS``.
 
     File order is age.  A workload whose newest entry lacks a value for
     one of ``SEEDS`` is left out, so the gate reports it uncommitted.
     """
-    newest = {e["workload"]: e["change"][METRIC].get("by_seed", {}) for e in entries}
+    newest = {
+        e["workload"]: e["change"].get(metric, {}).get("by_seed", {})
+        for e in entries
+    }
     return {
         workload: statistics.median(by_seed[str(seed)] for seed in SEEDS)
         for workload, by_seed in newest.items()
@@ -74,17 +86,21 @@ def verdict(
     runs: Mapping[str, Sequence[Mapping]],
     gated: Sequence[str] = GATED,
     threshold: float = THRESHOLD,
+    committed_setup: Optional[Mapping[str, float]] = None,
 ) -> Tuple[bool, List[dict]]:
     """Judge ``runs`` (perfbench payloads per workload) against ``committed``.
 
     Returns ``(passed, rows)``, one row per workload in ``runs`` plus one
-    per gated workload that was not run.  Pure: runs nothing.
+    per gated workload that was not run.  Each row also carries the
+    ``SETUP`` median next to ``committed_setup``, for the report only.
+    Pure: runs nothing.
     """
     rows = []
     for workload in list(runs) + [w for w in gated if w not in runs]:
         payloads = runs.get(workload, ())
-        values = [p["metrics"][METRIC]["value"] for p in payloads if "metrics" in p]
+        values = _values(payloads, METRIC)
         median = statistics.median(values) if values else None
+        setups = _values(payloads, SETUP)
         base = committed.get(workload)
         problems = [
             f"seed {p.get('seed')}: {why}"
@@ -109,10 +125,23 @@ def verdict(
                 "median": median,
                 "ratio": median / base if median is not None and base else None,
                 "values": values,
+                SETUP: {
+                    "median": statistics.median(setups) if setups else None,
+                    "committed": (committed_setup or {}).get(workload),
+                    "values": setups,
+                },
                 "problems": problems,
             }
         )
     return all(not row["problems"] for row in rows), rows
+
+
+def _values(payloads: Sequence[Mapping], metric: str) -> List[float]:
+    return [
+        p["metrics"][metric]["value"]
+        for p in payloads
+        if metric in p.get("metrics", {})
+    ]
 
 
 def _run_problems(payload: Mapping) -> List[str]:
@@ -161,12 +190,17 @@ def main() -> int:
                 warm_up[workload] = value
             note = "" if measured else " (warm-up, discarded)"
             print(f"{workload} seed {seed}: {METRIC} {value}{note}", flush=True)
-    passed, rows = verdict(committed_medians(entries), runs)
+    passed, rows = verdict(
+        committed_medians(entries), runs,
+        committed_setup=committed_medians(entries, SETUP),
+    )
     for row in rows:
         ratio = "-" if row["ratio"] is None else f"{row['ratio']:.3f}"
         kind = "gated" if row["gated"] else "report-only"
+        setup = row[SETUP]
         print(f"{row['workload']:<22} {kind:<11} median {row['median']} "
-              f"committed {row['committed']} ratio {ratio}")
+              f"committed {row['committed']} ratio {ratio}; {SETUP} median "
+              f"{setup['median']} committed {setup['committed']} (report-only)")
         for problem in row["problems"]:
             print(f"  FAIL: {problem}")
     REPORT.write_text(

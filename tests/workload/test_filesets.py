@@ -170,7 +170,6 @@ def test_preset_build_reaches_the_tie_fallback(name, monkeypatch):
         p.num_files, p.avg_file_kb * 1024.0, p.avg_request_kb * 1024.0,
         p.alpha, seed=0,
     )
-    assert tied, "no exact tie reached the ranking helper"
     assert any(tied), "no exact tie on the warm-started (narrow) path"
 
 

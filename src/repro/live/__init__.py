@@ -3,7 +3,7 @@
 The simulator's distribution policies (:mod:`repro.servers`) are pure
 logic behind the :class:`~repro.servers.Clock` / cluster-surface
 interface.  This package is the second execution substrate for that
-logic: an HTTP/1.1 front-end (hand-rolled over ``asyncio.start_server``,
+logic: an HTTP/1.1 front-end (hand-rolled over ``asyncio.Protocol``,
 like the paper's event-driven servers) that admits real TCP requests and
 consults the *same policy objects* the DES runs, dispatching to back-end
 worker processes that serve a materialized file set from disk through

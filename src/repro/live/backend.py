@@ -22,11 +22,15 @@ parent reads the ``REPRO-LIVE-BACKEND node=<id> port=<port>`` handshake
 line from stdout.  :class:`LiveCluster` also supports in-process mode
 for hermetic tests.
 
-Connections: a request carrying ``Connection: keep-alive`` (the
-front-end's and other back-ends' pooled hops) is answered in kind and
-the connection stays open for the next request, until EOF or a request
-without keep-alive.  Admin calls, probes and clients get one response
-and a close.
+Connections: a back-end is an :class:`~repro.live.http11.Server`.  A
+request carrying ``Connection: keep-alive`` (the front-end's and other
+back-ends' pooled hops) is answered in kind and the connection stays
+open for the next request, until EOF or a request without keep-alive.
+Admin calls, probes and clients get one response and a close.  A cache
+hit is answered straight from ``data_received``, with no task; a miss
+(a disk read) or a relay finishes in a task.  Responses go out with
+``transport.write`` and no ``drain()``: each connection runs
+request/response in lockstep, so at most one response is buffered.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import asyncio
 import json
 import sys
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Awaitable, Dict, Optional, Union
 
 from ..cluster.cache import LRUFileCache
 from . import http11
@@ -47,7 +51,7 @@ __all__ = ["BackendServer", "main"]
 _JSON = {"Content-Type": "application/json"}
 
 
-class BackendServer:
+class BackendServer(http11.Server):
     """Serves ``GET /f/<fid>`` from an LRU byte cache over disk."""
 
     def __init__(
@@ -78,22 +82,9 @@ class BackendServer:
         self.connections = 0
         #: Keep-alive hops to other back-ends (hand-off relays).
         self.pool = http11.ConnectionPool(host)
-        self._server: Optional[asyncio.base_events.Server] = None
         self._closing = asyncio.Event()
-        #: Writers of connections waiting for their next request (a
-        #: dict for its deterministic order).
-        self._idle: Dict[asyncio.StreamWriter, None] = {}
-
-    @property
-    def port(self) -> int:
-        assert self._server is not None, "backend not started"
-        return self._server.sockets[0].getsockname()[1]
-
-    async def start(self, port: int = 0) -> int:
-        self._server = await asyncio.start_server(
-            self._handle, host=self.host, port=port
-        )
-        return self.port
+        #: Open connections (a dict for its deterministic order).
+        self._connections: Dict[http11.ServerConnection, None] = {}
 
     async def serve_until_shutdown(self) -> None:
         assert self._server is not None
@@ -101,60 +92,66 @@ class BackendServer:
         await self.stop()
 
     async def stop(self) -> None:
-        """Stop accepting, close the relay pool and end idle handlers.
+        """Stop accepting, close the relay pool and idle connections.
 
         ``Server.wait_closed`` waits for open connections on Python
-        3.12+, so idle keep-alive connections are closed here; a handler
-        busy with a request closes its connection after the response.
+        3.12+, so idle keep-alive connections are closed here; a
+        connection busy with a request closes after the response.
         """
         self._closing.set()
         self.pool.close()
         self.close_idle()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await self._stop_listening()
 
     def close_idle(self) -> None:
         """Close every connection waiting for its next request."""
-        for writer in self._idle:
-            writer.close()
-        self._idle.clear()
+        for connection in self._connections:
+            if not connection.busy:
+                connection.transport.close()
 
     # -- request handling --------------------------------------------------
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def opened(self, connection: http11.ServerConnection) -> None:
         self.connections += 1
-        try:
-            while not self._closing.is_set():
-                self._idle[writer] = None
-                try:
-                    request = await http11.read_request(reader)
-                finally:
-                    self._idle.pop(writer, None)
-                if request is None:
-                    return
-                keep_alive = request.keep_alive and not self._closing.is_set()
-                response = await self._dispatch(request)
-                writer.write(
-                    http11.render_response(
-                        response.status, response.body, response.headers,
-                        keep_alive=keep_alive,
-                    )
-                )
-                await writer.drain()
-                if not keep_alive:
-                    return
-        except (http11.HTTPError, ConnectionError, asyncio.IncompleteReadError):
-            self.errors += 1
-        finally:
-            await http11.close_quietly(writer)
+        self._connections[connection] = None
 
-    async def _dispatch(self, request: http11.Request) -> http11.Response:
+    def closed(self, connection: http11.ServerConnection) -> None:
+        del self._connections[connection]
+        if connection.failed:
+            self.errors += 1
+
+    def received(
+        self, connection: http11.ServerConnection, request: http11.Request
+    ) -> None:
+        keep_alive = request.keep_alive and not self._closing.is_set()
+        answer = self._dispatch(request)
+        if isinstance(answer, http11.Response):
+            connection.reply(_render(answer, keep_alive), keep_alive)
+        else:
+            connection.spawn(self._finish(connection, answer, keep_alive))
+
+    async def _finish(
+        self,
+        connection: http11.ServerConnection,
+        answer: Awaitable[http11.Response],
+        keep_alive: bool,
+    ) -> None:
+        try:
+            response = await answer
+        except (http11.HTTPError, OSError):
+            # A failed relay closes the connection with no response, so
+            # the caller sees a transport failure, not a status.
+            connection.fail()
+            return
+        connection.reply(_render(response, keep_alive), keep_alive)
+
+    def _dispatch(
+        self, request: http11.Request
+    ) -> Union[http11.Response, Awaitable[http11.Response]]:
+        """The response, or an awaitable of it for a miss or a relay."""
         path = request.path
         if request.method == "GET" and path.startswith("/f/"):
-            return await self._serve_file(request)
+            return self._serve_file(request)
         if request.method == "GET" and path == "/health":
             body = json.dumps(
                 {"node": self.node_id, "incarnation": self.incarnation}
@@ -174,27 +171,32 @@ class BackendServer:
             return http11.Response(200, body=b"bye")
         return http11.Response(404, body=b"not found")
 
-    async def _serve_file(self, request: http11.Request) -> http11.Response:
+    def _serve_file(
+        self, request: http11.Request
+    ) -> Union[http11.Response, Awaitable[http11.Response]]:
         try:
             fid = int(request.path[len("/f/"):])
         except ValueError:
             return http11.Response(400, body=b"bad file id")
         forward_port = request.headers.get("x-forward-port")
         if forward_port is not None:
-            return await self._relay(fid, int(forward_port))
+            return self._relay(fid, int(forward_port))
         size = self.sizes.get(fid)
         if size is None:
             return http11.Response(404, body=b"no such file")
         if self.cache.lookup(fid):
-            body = self._content[fid]
-            cached = "HIT"
-        else:
-            body = await self._read_from_disk(fid, size)
-            for evicted in self.cache.insert(fid, max(1, size)):
-                self._content.pop(evicted, None)
-            if fid in self.cache:
-                self._content[fid] = body
-            cached = "MISS"
+            return self._served(self._content[fid], "HIT")
+        return self._miss(fid, size)
+
+    async def _miss(self, fid: int, size: int) -> http11.Response:
+        body = await self._read_from_disk(fid, size)
+        for evicted in self.cache.insert(fid, max(1, size)):
+            self._content.pop(evicted, None)
+        if fid in self.cache:
+            self._content[fid] = body
+        return self._served(body, "MISS")
+
+    def _served(self, body: bytes, cached: str) -> http11.Response:
         self.served += 1
         return http11.Response(
             200, {"X-Cache": cached, "X-Node": str(self.node_id)}, body
@@ -231,7 +233,9 @@ class BackendServer:
         The initial node does NOT cache relayed content (the simulator's
         handed-off requests likewise only touch the target's cache).
         """
-        response = await self.pool.request(target_port, "GET", f"/f/{fid}")
+        response = await self.pool.request(
+            target_port, http11.render_request("GET", f"/f/{fid}", keep_alive=True)
+        )
         self.relayed += 1
         headers = {
             "X-Cache": response.headers.get("x-cache", "MISS"),
@@ -264,6 +268,12 @@ class BackendServer:
         self.errors = 0
         self.connections = 0
         self.cache.reset_stats()
+
+
+def _render(response: http11.Response, keep_alive: bool) -> bytes:
+    return http11.render_response(
+        response.status, response.body, response.headers, keep_alive=keep_alive
+    )
 
 
 async def _run(args: argparse.Namespace) -> None:

@@ -90,21 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument(
         "--trace", required=True, help="preset name or .npz trace"
     )
-    p_cmp.add_argument("--policy", default="lard")
-    p_cmp.add_argument("--nodes", type=int, default=4)
-    p_cmp.add_argument("--memory", type=int, default=32, help="MB per node")
-    p_cmp.add_argument("--requests", type=int, default=2000)
-    p_cmp.add_argument("--seed", type=int, default=0)
+    common(p_cmp, default_requests=2000)
     p_cmp.add_argument("--concurrency", type=int, default=16)
     p_cmp.add_argument("--passes", type=int, default=2)
-    p_cmp.add_argument(
-        "--backend-mode", choices=("process", "inline"), default="process"
-    )
-    p_cmp.add_argument(
-        "--root", default=None,
-        help="directory for the materialized file set "
-        "(default: a temporary directory)",
-    )
     p_cmp.add_argument(
         "--hit-threshold", type=float, default=None,
         help="max |live - sim| cache hit ratio (default 0.12)",

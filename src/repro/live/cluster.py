@@ -42,6 +42,7 @@ from ..servers import DistributionPolicy
 from ..workload.traces import Trace
 from . import http11
 from .backend import BackendServer
+from .clock import Deadline
 from .engine import PolicyEngine
 from .faultproxy import ChaosProxy, HealthMonitor, ResilienceConfig
 from .fileset import materialize_fileset
@@ -235,14 +236,7 @@ class LiveCluster:
         if self.frontend is not None:
             await self.frontend.stop()
         for port in self.real_ports:
-            try:
-                await asyncio.wait_for(
-                    self._post(port, "/shutdown"),
-                    timeout=SHUTDOWN_POST_TIMEOUT_S,
-                )
-            except (ConnectionError, OSError, http11.HTTPError,
-                    asyncio.TimeoutError, asyncio.IncompleteReadError):
-                pass
+            await self._admin(port, "POST", "/shutdown", SHUTDOWN_POST_TIMEOUT_S)
         for proxy in self.proxies:
             await proxy.stop()
         for server in self._inline:
@@ -342,9 +336,10 @@ class LiveCluster:
         )
         self._procs.append(proc)
         self._proc_by_node[node_id] = proc
-        port = await asyncio.wait_for(
-            self._read_handshake(proc, node_id), timeout=BACKEND_BOOT_TIMEOUT_S
-        )
+        # A deadline, not ``wait_for``, so that cancelling a respawn (the
+        # injector's ``stop()``) is never dropped as the handshake lands.
+        with Deadline(BACKEND_BOOT_TIMEOUT_S):
+            port = await self._read_handshake(proc, node_id)
         return proc, port
 
     @staticmethod
@@ -425,13 +420,10 @@ class LiveCluster:
         """
         stats = []
         for node_id, port in enumerate(self.real_ports):
-            try:
-                response = await asyncio.wait_for(
-                    self._get(port, "/stats"), timeout=ADMIN_TIMEOUT_S
-                )
+            response = await self._admin(port, "GET", "/stats")
+            if response is not None:
                 stats.append(json.loads(response.body))
-            except (ConnectionError, OSError, http11.HTTPError,
-                    asyncio.TimeoutError, asyncio.IncompleteReadError):
+            else:
                 stats.append({
                     "node": node_id, "served": 0, "relayed": 0, "errors": 0,
                     "cache_hits": 0, "cache_misses": 0, "cache_insertions": 0,
@@ -446,13 +438,7 @@ class LiveCluster:
         if self.frontend is not None:
             self.frontend.reset_meters()
         for port in self.real_ports:
-            try:
-                await asyncio.wait_for(
-                    self._post(port, "/reset"), timeout=ADMIN_TIMEOUT_S
-                )
-            except (ConnectionError, OSError, http11.HTTPError,
-                    asyncio.TimeoutError, asyncio.IncompleteReadError):
-                pass
+            await self._admin(port, "POST", "/reset")
 
     async def prewarm(self, file_ids) -> None:
         """Replay a fid sequence into *every* back-end's cache.
@@ -463,13 +449,7 @@ class LiveCluster:
         """
         body = json.dumps([int(fid) for fid in file_ids]).encode()
         for port in self.real_ports:
-            try:
-                await asyncio.wait_for(
-                    self._post(port, "/warm", body), timeout=ADMIN_TIMEOUT_S
-                )
-            except (ConnectionError, OSError, http11.HTTPError,
-                    asyncio.TimeoutError, asyncio.IncompleteReadError):
-                pass
+            await self._admin(port, "POST", "/warm", body=body)
 
     def live_summary(self) -> Dict[str, Any]:
         """Run-wide fault/resilience bookkeeping for the ``SimResult``."""
@@ -488,12 +468,19 @@ class LiveCluster:
             out["proxies"] = [p.stats() for p in self.proxies]
         return out
 
-    # -- tiny HTTP client helpers -----------------------------------------
-
-    async def _get(self, port: int, path: str) -> http11.Response:
-        return await http11.roundtrip(self.config.host, port, "GET", path)
-
-    async def _post(self, port: int, path: str, body: bytes = b"") -> http11.Response:
-        return await http11.roundtrip(
-            self.config.host, port, "POST", path, body=body
-        )
+    async def _admin(
+        self,
+        port: int,
+        method: str,
+        path: str,
+        timeout_s: float = ADMIN_TIMEOUT_S,
+        body: bytes = b"",
+    ) -> Optional[http11.Response]:
+        """One admin call straight to a worker; ``None`` if it failed."""
+        try:
+            with Deadline(timeout_s):
+                return await http11.roundtrip(
+                    self.config.host, port, method, path, body
+                )
+        except (OSError, http11.HTTPError, asyncio.TimeoutError):
+            return None

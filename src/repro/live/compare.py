@@ -18,6 +18,8 @@ within a multiprogramming window, which perturbs LRU state slightly
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -130,65 +132,38 @@ class CompareReport:
         def row(label: str, s: str, l: str, note: str = "") -> str:
             return f"  {label:<22s} {s:>12s} {l:>12s}  {note}"
 
-        hit_ok = abs(self.hit_ratio_delta) <= self.hit_ratio_threshold
-        fwd_ok = abs(self.handoff_delta) <= self.handoff_threshold
+        def scored(label, s, l, delta, threshold) -> str:
+            verdict = "OK" if abs(delta) <= threshold else "DIVERGED"
+            return row(
+                label, f"{s:.3f}", f"{l:.3f}",
+                f"delta {delta:+.3f} (|x| <= {threshold}) {verdict}",
+            )
+
         lines = [
             f"sim vs live: policy={sim.policy} trace={sim.trace} "
             f"nodes={sim.nodes} cache={sim.cache_bytes // (1024 * 1024)}MB",
             row("metric", "sim", "live"),
-            row(
-                "cache hit ratio",
-                f"{1.0 - sim.miss_rate:.3f}",
-                f"{1.0 - live.miss_rate:.3f}",
-                f"delta {self.hit_ratio_delta:+.3f} "
-                f"(|x| <= {self.hit_ratio_threshold}) "
-                f"{'OK' if hit_ok else 'DIVERGED'}",
+            scored(
+                "cache hit ratio", 1.0 - sim.miss_rate, 1.0 - live.miss_rate,
+                self.hit_ratio_delta, self.hit_ratio_threshold,
             ),
-            row(
-                "hand-off fraction",
-                f"{sim.forwarded_fraction:.3f}",
-                f"{live.forwarded_fraction:.3f}",
-                f"delta {self.handoff_delta:+.3f} "
-                f"(|x| <= {self.handoff_threshold}) "
-                f"{'OK' if fwd_ok else 'DIVERGED'}",
+            scored(
+                "hand-off fraction", sim.forwarded_fraction,
+                live.forwarded_fraction, self.handoff_delta,
+                self.handoff_threshold,
             ),
-            *(
-                [
-                    row(
-                        "availability",
-                        f"{self.sim_availability:.3f}",
-                        f"{self.live_availability:.3f}",
-                        f"delta {self.availability_delta:+.3f} "
-                        f"(|x| <= {self.availability_threshold}) "
-                        + (
-                            "OK"
-                            if abs(self.availability_delta)
-                            <= self.availability_threshold
-                            else "DIVERGED"
-                        ),
-                    )
-                ]
-                if self.availability_threshold is not None
-                else []
-            ),
-            *(
-                [
-                    row(
-                        "shed fraction",
-                        f"{self.sim_shed_fraction:.3f}",
-                        f"{self.live_shed_fraction:.3f}",
-                        f"delta {self.shed_delta:+.3f} "
-                        f"(|x| <= {self.shed_threshold}) "
-                        + (
-                            "OK"
-                            if abs(self.shed_delta) <= self.shed_threshold
-                            else "DIVERGED"
-                        ),
-                    )
-                ]
-                if self.shed_threshold is not None
-                else []
-            ),
+        ]
+        if self.availability_threshold is not None:
+            lines.append(scored(
+                "availability", self.sim_availability, self.live_availability,
+                self.availability_delta, self.availability_threshold,
+            ))
+        if self.shed_threshold is not None:
+            lines.append(scored(
+                "shed fraction", self.sim_shed_fraction,
+                self.live_shed_fraction, self.shed_delta, self.shed_threshold,
+            ))
+        lines += [
             row(
                 "throughput (req/s)",
                 f"{sim.throughput_rps:.1f}",
@@ -291,40 +266,28 @@ def run_compare(
 
 async def _run_live(
     trace, policy, nodes, cache_bytes, passes, concurrency, backend_mode, root
-):
-    import tempfile
-
-    if root is None:
-        with tempfile.TemporaryDirectory(prefix="repro-live-") as tmp:
-            return await _boot_and_replay(
-                trace, policy, nodes, cache_bytes, passes, concurrency,
-                backend_mode, Path(tmp),
-            )
-    return await _boot_and_replay(
-        trace, policy, nodes, cache_bytes, passes, concurrency,
-        backend_mode, Path(root),
-    )
-
-
-async def _boot_and_replay(
-    trace, policy, nodes, cache_bytes, passes, concurrency, backend_mode, root
 ) -> SimResult:
-    cluster = LiveCluster(
-        policy,
-        trace,
-        LiveClusterConfig(
-            nodes=nodes,
-            cache_bytes=cache_bytes,
-            backend_mode=backend_mode,
-            root=root,
-        ),
-    )
-    await cluster.start()
-    try:
-        return await run_loadtest(
-            cluster,
+    with contextlib.ExitStack() as stack:
+        if root is None:
+            root = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="repro-live-")
+            )
+        cluster = LiveCluster(
+            policy,
             trace,
-            LoadTestConfig(concurrency=concurrency, passes=passes),
+            LiveClusterConfig(
+                nodes=nodes,
+                cache_bytes=cache_bytes,
+                backend_mode=backend_mode,
+                root=Path(root),
+            ),
         )
-    finally:
-        await cluster.stop()
+        await cluster.start()
+        try:
+            return await run_loadtest(
+                cluster,
+                trace,
+                LoadTestConfig(concurrency=concurrency, passes=passes),
+            )
+        finally:
+            await cluster.stop()

@@ -50,6 +50,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..faults.schedule import RetryPolicy
 from . import http11
+from .clock import Deadline
 
 __all__ = [
     "ChaosProxy",
@@ -89,7 +90,7 @@ class ResilienceConfig:
             raise ValueError("fail_threshold must be >= 1")
 
 
-class ChaosProxy:
+class ChaosProxy(http11.Server):
     """HTTP proxy in front of one back-end: stable port, injected faults.
 
     The proxy is the node's *address* for the rest of the system; a
@@ -100,10 +101,14 @@ class ChaosProxy:
 
     Faults are judged per *request*, not per connection, so pooled
     keep-alive hops see the same fault rates as one-shot connections:
-    each request is framed with :func:`~repro.live.http11.read_request`,
-    ``loss`` severs the connection before forwarding it, and
-    ``delay``/``jitter`` hold it back.  Setting :attr:`link_down`
-    severs every carried connection and refuses new ones.
+    the proxy is an :class:`~repro.live.http11.Server`, each request is
+    framed by its parser, ``loss`` severs the connection before
+    forwarding it, and ``delay``/``jitter`` hold it back (both draws are
+    made as the request arrives, so they follow arrival order).
+    Requests go upstream over the proxy's own
+    :class:`~repro.live.http11.ConnectionPool`.  Setting
+    :attr:`link_down` severs every carried connection and refuses new
+    ones.
     """
 
     def __init__(
@@ -130,20 +135,14 @@ class ChaosProxy:
         # Seeded per-proxy: fault decisions replay for a fixed seed and
         # request order (REP001 — no unseeded RNG, even live).
         self._rng = random.Random((seed << 8) ^ node_id)
-        self._server: Optional[asyncio.base_events.Server] = None
-        #: Client-side writers of the connections being carried (a dict
-        #: for its deterministic order).
-        self._carried: Dict[asyncio.StreamWriter, None] = {}
+        #: Connections being carried (a dict for its deterministic order).
+        self._carried: Dict[http11.ServerConnection, None] = {}
+        self._upstream = http11.ConnectionPool(host)
         self.connections = 0
         self.requests = 0
         self.refused = 0
         self.dropped = 0
         self.delay_injected_s = 0.0
-
-    @property
-    def port(self) -> int:
-        assert self._server is not None, "proxy not started"
-        return self._server.sockets[0].getsockname()[1]
 
     @property
     def link_down(self) -> bool:
@@ -162,17 +161,10 @@ class ChaosProxy:
     def set_upstream(self, port: int) -> None:
         self.upstream_port = port
 
-    async def start(self, port: int = 0) -> int:
-        self._server = await asyncio.start_server(
-            self._handle, host=self.host, port=port
-        )
-        return self.port
-
     async def stop(self) -> None:
         self._sever()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        self._upstream.close()
+        await self._stop_listening()
 
     def stats(self) -> Dict[str, Any]:
         return {
@@ -185,70 +177,68 @@ class ChaosProxy:
         }
 
     def _sever(self) -> None:
-        """Cut every carried connection; its handler then closes."""
-        for writer in self._carried:
-            writer.transport.abort()
-        self._carried.clear()
+        """Cut every carried connection; :meth:`closed` then drops it."""
+        for connection in self._carried:
+            connection.transport.abort()
 
     # -- connection handling ------------------------------------------------
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def opened(self, connection: http11.ServerConnection) -> None:
         self.connections += 1
         if self._link_down:
             self.refused += 1
-            await http11.close_quietly(writer)
+            connection.transport.close()
+        else:
+            self._carried[connection] = None
+
+    def closed(self, connection: http11.ServerConnection) -> None:
+        self._carried.pop(connection, None)
+        if connection.task is not None:
+            connection.task.cancel()
+
+    def received(
+        self, connection: http11.ServerConnection, request: http11.Request
+    ) -> None:
+        if self._link_down:
+            connection.fail()
             return
-        self._carried[writer] = None
-        up: Optional[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = None
-        up_port = self.upstream_port
+        self.requests += 1
+        if self.loss > 0.0 and self._rng.random() < self.loss:
+            # Sever before the request is forwarded: the client sees the
+            # connection close with no response, the message-loss analog
+            # for a stream.
+            self.dropped += 1
+            connection.fail()
+            return
+        delay = self.delay_s
+        if self.jitter_s > 0.0:
+            delay += self._rng.random() * self.jitter_s
+        self.delay_injected_s += delay
+        connection.spawn(self._forward(connection, request, delay))
+
+    async def _forward(
+        self,
+        connection: http11.ServerConnection,
+        request: http11.Request,
+        delay: float,
+    ) -> None:
+        if delay > 0.0:
+            await asyncio.sleep(delay)
         try:
-            while True:
-                request = await http11.read_request(reader)
-                if request is None or self._link_down:
-                    return
-                self.requests += 1
-                if self.loss > 0.0 and self._rng.random() < self.loss:
-                    # Sever before the request is forwarded: the client
-                    # sees the connection close with no response, the
-                    # message-loss analog for a stream.
-                    self.dropped += 1
-                    return
-                delay = self.delay_s
-                if self.jitter_s > 0.0:
-                    delay += self._rng.random() * self.jitter_s
-                if delay > 0.0:
-                    self.delay_injected_s += delay
-                    await asyncio.sleep(delay)
-                # Reconnect when the worker behind the node died or was
-                # replaced since the last request on this connection.
-                if up is None or up_port != self.upstream_port or (
-                    up[0].at_eof() or up[1].is_closing()
-                ):
-                    if up is not None:
-                        up[1].close()
-                        up = None
-                    up_port = self.upstream_port
-                    try:
-                        up = await asyncio.open_connection(self.host, up_port)
-                    except (ConnectionError, OSError):
-                        self.refused += 1
-                        return
-                up[1].write(request.encode())
-                await up[1].drain()
-                response = await http11.read_response(up[0])
-                writer.write(response.encode())
-                await writer.drain()
-                if not (request.keep_alive and response.keep_alive):
-                    return
-        except (ConnectionError, OSError, http11.HTTPError):
-            pass
-        finally:
-            self._carried.pop(writer, None)
-            if up is not None:
-                up[1].close()
-            await http11.close_quietly(writer)
+            # The worker behind the node now: a respawn repoints it.
+            response = await self._upstream.request(
+                self.upstream_port, request.encode()
+            )
+        except ConnectionRefusedError:
+            self.refused += 1
+            connection.fail()
+            return
+        except (OSError, http11.HTTPError):
+            connection.fail()
+            return
+        connection.reply(
+            response.encode(), request.keep_alive and response.keep_alive
+        )
 
 
 class HealthMonitor:
@@ -373,17 +363,12 @@ class HealthMonitor:
     async def _probe(self, node: int) -> None:
         self.probes += 1
         try:
-            payload = await asyncio.wait_for(
-                self._fetch_health(node), timeout=_PROBE_TIMEOUT_S
-            )
-        except (
-            ConnectionError,
-            OSError,
-            http11.HTTPError,
-            asyncio.IncompleteReadError,
-            asyncio.TimeoutError,
-            ValueError,
-        ):
+            # A deadline, not ``wait_for``: on 3.11 ``wait_for`` drops a
+            # cancellation that lands as the probe completes, and then
+            # :meth:`stop` never returns.
+            with Deadline(_PROBE_TIMEOUT_S):
+                payload = await self._fetch_health(node)
+        except (OSError, http11.HTTPError, asyncio.TimeoutError, ValueError):
             self.probe_failures += 1
             self._fails[node] += 1
             if self._up[node] and self._fails[node] >= self.config.fail_threshold:

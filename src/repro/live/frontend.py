@@ -1,10 +1,13 @@
 """The live front-end: HTTP/1.1 in, PolicyEngine routing, back-ends out.
 
-One ``asyncio.start_server`` accept loop parses each client request
-(``GET /f/<fid>``), assigns it the next arrival index, and asks the
+The front-end is an :class:`~repro.live.http11.Server`: each client
+request (``GET /f/<fid>``) is parsed in ``data_received`` and served by
+one task, which assigns it the next arrival index and asks the
 :class:`~repro.live.engine.PolicyEngine` where it goes — the same
 ``initial_node``/``decide`` calls, in the same order, as the simulator's
-request lifecycle.
+request lifecycle.  The response is written with ``transport.write``
+and no ``drain()``: a client connection carries one request, so at most
+one response is ever buffered on it.
 
 Dispatch mirrors the simulator's hand-off model with real sockets:
 
@@ -26,7 +29,9 @@ fewest-connections and L2S policies feed on.
 
 Resilience (mirrors the sim driver's fault paths — see docs/LIVE.md):
 
-* every back-end fetch runs under a per-attempt timeout;
+* every back-end fetch runs under a per-attempt deadline
+  (:class:`~repro.live.clock.Deadline`: one ``loop.call_at`` timer,
+  no extra task);
 * a transport failure or timeout aborts the attempt through the sim's
   exact hook order (``handoff_failed`` → ``request_aborted``), tells the
   :class:`~repro.live.faultproxy.HealthMonitor` to suspect the node,
@@ -58,13 +63,14 @@ from typing import Dict, List, Optional, Tuple
 
 from ..servers import ServiceUnavailable
 from . import http11
+from .clock import Deadline
 from .engine import PolicyEngine, RouteOutcome
 from .faultproxy import MIN_HEALTHY, HealthMonitor, ResilienceConfig
 
 __all__ = ["FrontEnd"]
 
 
-class FrontEnd:
+class FrontEnd(http11.Server):
     """Accepts client requests and routes them through the engine."""
 
     def __init__(
@@ -100,7 +106,6 @@ class FrontEnd:
         self._arrival = 0
         #: Keep-alive connections to the back-ends.
         self.pool = http11.ConnectionPool(host)
-        self._server: Optional[asyncio.base_events.Server] = None
         self.requests = 0
         self.completed = 0
         self.failed = 0
@@ -112,22 +117,9 @@ class FrontEnd:
         self.shed = 0
         self.timeouts = 0
 
-    @property
-    def port(self) -> int:
-        assert self._server is not None, "frontend not started"
-        return self._server.sockets[0].getsockname()[1]
-
-    async def start(self, port: int = 0) -> int:
-        self._server = await asyncio.start_server(
-            self._handle, host=self.host, port=port
-        )
-        return self.port
-
     async def stop(self) -> None:
         self.pool.close()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await self._stop_listening()
 
     def reset_meters(self) -> None:
         """Warmup boundary: zero front-end counters (arrival index keeps
@@ -140,20 +132,20 @@ class FrontEnd:
 
     # -- client connection handling ---------------------------------------
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    def received(
+        self, connection: http11.ServerConnection, request: http11.Request
+    ) -> None:
+        connection.spawn(self._respond(connection, request))
+
+    async def _respond(
+        self, connection: http11.ServerConnection, request: http11.Request
     ) -> None:
         try:
-            request = await http11.read_request(reader)
-            if request is None:
-                return
             response = await self._serve(request)
-            writer.write(response)
-            await writer.drain()
-        except (http11.HTTPError, ConnectionError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            await http11.close_quietly(writer)
+        except BaseException:
+            connection.fail()
+            raise
+        connection.reply(response, keep_alive=False)
 
     async def _serve(self, request: http11.Request) -> bytes:
         if request.method != "GET" or not request.path.startswith("/f/"):
@@ -287,21 +279,18 @@ class FrontEnd:
             self.handoffs += 1
         self.engine.connection_opened(outcome.target)
         try:
-            response = await asyncio.wait_for(
-                self.pool.request(
+            with Deadline(self.resilience.request_timeout_s):
+                response = await self.pool.request(
                     self.backend_ports[fetch_node],
-                    "GET",
-                    f"/f/{outcome.file_id}",
-                    headers,
-                ),
-                timeout=self.resilience.request_timeout_s,
-            )
+                    http11.render_request(
+                        "GET", f"/f/{outcome.file_id}", headers, keep_alive=True
+                    ),
+                )
         except asyncio.TimeoutError:
             self.timeouts += 1
             self._abort(outcome)
             return None
-        except (ConnectionError, OSError, http11.HTTPError,
-                asyncio.IncompleteReadError):
+        except (OSError, http11.HTTPError):
             self._abort(outcome)
             return None
         if response.status != 200:

@@ -32,6 +32,7 @@ import numpy as np
 from ..sim.results import SimResult
 from ..workload.traces import Trace
 from . import http11
+from .clock import Deadline
 from .cluster import LiveCluster
 
 __all__ = ["LoadTestConfig", "Replay", "run_loadtest"]
@@ -182,10 +183,8 @@ class Replay:
         fid = int(self.ids[i])
         start = time.monotonic()
         try:
-            response = await asyncio.wait_for(
-                http11.roundtrip(host, port, "GET", f"/f/{fid}"),
-                timeout=self.config.request_timeout_s,
-            )
+            with Deadline(self.config.request_timeout_s):
+                response = await http11.roundtrip(host, port, "GET", f"/f/{fid}")
         except asyncio.TimeoutError:
             # The client's patience ran out: record a failed request and
             # move on — the replay must survive faulted back-ends, and
@@ -292,7 +291,3 @@ async def run_loadtest(
 ) -> SimResult:
     """Replay ``trace`` against a started ``cluster``; return the result."""
     return await Replay(cluster, trace, config or LoadTestConfig()).run()
-
-
-# Backward-compatible alias (pre-chaos private name).
-_Replay = Replay

@@ -22,6 +22,7 @@ from repro.live import (
 )
 from repro.live import http11
 from repro.live.backend import BackendServer
+from repro.live.clock import Deadline
 from repro.live.fileset import materialize_fileset
 from repro.servers import make_policy
 from repro.workload import synthesize
@@ -29,6 +30,10 @@ from repro.workload import synthesize
 pytestmark = pytest.mark.live
 
 HOST = "127.0.0.1"
+
+
+def get(path):
+    return http11.render_request("GET", path, keep_alive=True)
 
 
 def small_trace(requests=200):
@@ -83,11 +88,11 @@ def test_idle_connection_closed_by_peer_is_dropped_not_failed(tmp_path):
         backend, fid = await started_backend(tmp_path)
         pool = http11.ConnectionPool(HOST)
         try:
-            first = await pool.request(backend.port, "GET", f"/f/{fid}")
+            first = await pool.request(backend.port, get(f"/f/{fid}"))
             assert len(pool._idle[backend.port]) == 1
             backend.close_idle()  # the peer closes the idle connection
             await asyncio.sleep(0.05)
-            second = await pool.request(backend.port, "GET", f"/f/{fid}")
+            second = await pool.request(backend.port, get(f"/f/{fid}"))
         finally:
             pool.close()
             await backend.stop()
@@ -103,20 +108,26 @@ def test_timeout_mid_response_closes_the_connection():
     async def run():
         peer_saw_eof = asyncio.Event()
 
-        async def half_responder(reader, writer):
-            await http11.read_request(reader)
-            writer.write(b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\npartial")
-            await writer.drain()
-            if await reader.read() == b"":
-                peer_saw_eof.set()
-            writer.close()
+        class HalfResponder(asyncio.Protocol):
+            def connection_made(self, transport):
+                self.transport = transport
 
-        server = await asyncio.start_server(half_responder, HOST, 0)
+            def data_received(self, data):
+                self.transport.write(
+                    b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\npartial"
+                )
+
+            def eof_received(self):
+                peer_saw_eof.set()
+
+        loop = asyncio.get_running_loop()
+        server = await loop.create_server(HalfResponder, HOST, 0)
         port = server.sockets[0].getsockname()[1]
         pool = http11.ConnectionPool(HOST)
         try:
             with pytest.raises(asyncio.TimeoutError):
-                await asyncio.wait_for(pool.request(port, "GET", "/f/1"), 0.2)
+                with Deadline(0.2):
+                    await pool.request(port, get("/f/1"))
             idle = pool._idle.get(port, [])
             await asyncio.wait_for(peer_saw_eof.wait(), 2.0)
         finally:
@@ -138,16 +149,16 @@ def test_stop_is_bounded_with_warm_pools(tmp_path):
             LoadTestConfig(concurrency=4, passes=1, warmup_fraction=0.0),
         )
         pools = [cluster.frontend.pool] + [b.pool for b in cluster._inline]
-        warm = [w for p in pools for conns in p._idle.values() for _, w in conns]
+        warm = [c for p in pools for conns in p._idle.values() for c in conns]
         assert cluster.frontend.pool._idle[cluster.backend_ports[0]]
         backends = list(cluster._inline)
         await asyncio.wait_for(cluster.stop(), timeout=5.0)
         return warm, pools, backends
 
     warm, pools, backends = asyncio.run(run())
-    assert warm and all(w.is_closing() for w in warm)
+    assert warm and all(c.transport.is_closing() for c in warm)
     assert all(not p._idle for p in pools)
-    assert all(not b._idle for b in backends)
+    assert all(not b._connections for b in backends)
 
 
 def test_link_down_severs_carried_connections(tmp_path):
@@ -157,14 +168,14 @@ def test_link_down_severs_carried_connections(tmp_path):
         port = await proxy.start()
         pool = http11.ConnectionPool(HOST)
         try:
-            assert (await pool.request(port, "GET", f"/f/{fid}")).status == 200
+            assert (await pool.request(port, get(f"/f/{fid}"))).status == 200
             assert len(pool._idle[port]) == 1
             proxy.link_down = True
             await asyncio.sleep(0.05)
             with pytest.raises((ConnectionError, http11.HTTPError)):
-                await pool.request(port, "GET", f"/f/{fid}")
+                await pool.request(port, get(f"/f/{fid}"))
             proxy.link_down = False
-            after = await pool.request(port, "GET", f"/f/{fid}")
+            after = await pool.request(port, get(f"/f/{fid}"))
         finally:
             pool.close()
             await proxy.stop()
@@ -193,7 +204,7 @@ def test_loss_is_judged_per_request_over_pooled_connections(tmp_path):
         try:
             for _ in range(requests):
                 try:
-                    await pool.request(port, "GET", f"/f/{fid}")
+                    await pool.request(port, get(f"/f/{fid}"))
                 except (ConnectionError, http11.HTTPError):
                     failed += 1
         finally:

@@ -120,6 +120,30 @@ def test_probe_timeout_counts_as_failure():
     assert monitor.healthy_count() == 0
 
 
+def test_stop_is_not_lost_when_a_probe_completes_as_it_lands():
+    # The cancellation arrives while the probe's fetch is finishing, the
+    # instant in which a ``wait_for``-bounded probe on 3.11 returns the
+    # result and drops the cancellation, so ``stop()`` never returned.
+    monitor, _ = make_monitor(nodes=1)
+
+    async def fetch(node):
+        monitor._task.cancel()
+        return {"node": node, "incarnation": 0}
+
+    monitor._fetch_health = fetch
+
+    async def drive():
+        monitor.start()
+        done, _ = await asyncio.wait({monitor._task}, timeout=1.0)
+        task = monitor._task
+        await monitor.stop()  # returns at once once the task is done
+        return done, task
+
+    done, task = asyncio.run(drive())
+    assert task in done and task.cancelled()
+    assert monitor.probes == 1
+
+
 def test_incarnation_flip_while_up_forces_fail_recover_cycle():
     monitor, engine = make_monitor()
     incarnation = {"value": 0}

@@ -89,7 +89,7 @@ EXTRA_MODES: Tuple[Tuple[Tuple[str, ...], str, Tuple[int, ...]], ...] = (
     (("lard-ng",), "netloss", SEEDS),
     (("lard", "l2s"), "dfs", SEEDS),
     (("lard", "l2s"), "dfs-netloss", SEEDS),
-    (("lard", "l2s"), "persistent", SEEDS),
+    (POLICIES, "persistent", SEEDS),
     (("l2s",), "clarknet", SEEDS),
     (POLICIES, "outage", SEEDS),
     (POLICIES, "slow", SEEDS),

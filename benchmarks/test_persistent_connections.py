@@ -15,8 +15,8 @@ from conftest import run_once
 
 from repro.experiments import bench_requests, render_table
 from repro.servers import make_policy
-from repro.sim import run_persistent_simulation
-from repro.workload import synthesize
+from repro.sim import run_simulation
+from repro.workload import sessionize, synthesize
 
 LENGTHS = (1.0, 4.0, 8.0)
 
@@ -28,11 +28,8 @@ def test_persistent_connections(benchmark):
         out = {}
         for k in LENGTHS:
             for policy in ("l2s", "lard", "traditional"):
-                out[(policy, k)] = run_persistent_simulation(
-                    trace,
-                    make_policy(policy),
-                    nodes=8,
-                    mean_requests_per_connection=k,
+                out[(policy, k)] = run_simulation(
+                    sessionize(trace, k, seed=0), make_policy(policy), nodes=8
                 )
         return out
 

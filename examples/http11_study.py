@@ -16,8 +16,8 @@ Run:  python examples/http11_study.py
 
 from repro.experiments import render_table
 from repro.servers import make_policy
-from repro.sim import run_persistent_simulation
-from repro.workload import synthesize
+from repro.sim import run_simulation
+from repro.workload import sessionize, synthesize
 
 NODES = 8
 LENGTHS = (1.0, 2.0, 4.0, 8.0, 16.0)
@@ -32,11 +32,8 @@ def main() -> None:
     rows = []
     for policy_name in ("l2s", "lard", "traditional"):
         for k in LENGTHS:
-            r = run_persistent_simulation(
-                trace,
-                make_policy(policy_name),
-                nodes=NODES,
-                mean_requests_per_connection=k,
+            r = run_simulation(
+                sessionize(trace, k, seed=0), make_policy(policy_name), nodes=NODES
             )
             rows.append(
                 (

@@ -41,7 +41,8 @@ class Node:
         #: Open client connections currently assigned to this node — the
         #: load metric every policy in the paper uses.
         self.open_connections = 0
-        #: Completed requests (for completion-batch notifications).
+        #: Requests finished here (counted by the request lifecycle, per
+        #: request, including aborts that close a connection here).
         self.completed = 0
         #: Requests this node forwarded elsewhere.
         self.forwarded = 0
@@ -76,7 +77,6 @@ class Node:
         if self.open_connections <= 0:
             raise RuntimeError(f"node {self.id}: closing a connection at zero")
         self.open_connections -= 1
-        self.completed += 1
 
     # -- faults --------------------------------------------------------------
 

@@ -208,6 +208,7 @@ ARQ_RETRY = RetryPolicy(
 #: detection is the defense there, matching its soft-state design.
 DEFAULT_RELIABLE_KINDS = (
     "handoff",
+    "relay",
     "lard_done",
     "lardng_query",
     "lardng_reply",

@@ -153,6 +153,12 @@ class DistributionPolicy(ABC):
     #: the whole request stream: both substrates then warm every cache
     #: with one zero-time replay of the trace before the run.
     local_prewarm: bool = False
+    #: True when a persistent connection is decided once, at its first
+    #: request: the simulator then relays the connection's later
+    #: requests from the accepting node to the node holding it, with no
+    #: decision (LARD's front-end).  False decides every request at the
+    #: holding node, which may migrate the connection (L2S).
+    decide_once: bool = False
 
     def __init__(self) -> None:
         self.cluster: Optional[Cluster] = None
@@ -193,7 +199,13 @@ class DistributionPolicy(ABC):
 
     @abstractmethod
     def initial_node(self, index: int, file_id: int) -> int:
-        """Node on which the ``index``-th client connection arrives."""
+        """Node on which the ``index``-th client connection arrives.
+
+        ``file_id`` is the connection's first request.  The simulator
+        asks once per connection (once per request under HTTP/1.0), and
+        again when a client retry re-opens the connection under the
+        same index.
+        """
 
     @abstractmethod
     def decide(self, initial: int, file_id: int) -> Decision:
@@ -208,10 +220,12 @@ class DistributionPolicy(ABC):
         """Called after a request finishes at its service node."""
 
     def on_connection_end(self, node_id: int) -> None:
-        """Called when a client connection closes at ``node_id``.
+        """Called when a client connection closes at ``node_id`` or
+        migrates away from it.
 
         Under HTTP/1.0 this fires once per request (connection ==
-        request); under persistent connections once per connection.
+        request); under persistent connections once per close or
+        migration, while :meth:`on_complete` fires once per request.
         Policies whose dispatcher counts *connections* (the traditional
         fewest-connections switch) hook their decrement here.
         """

@@ -48,6 +48,9 @@ class LARDPolicy(DistributionPolicy):
     """Front-end LARD/R request distribution."""
 
     name = "lard"
+    #: The front-end hands a persistent connection off once and relays
+    #: its later requests to that back-end.
+    decide_once = True
 
     def __init__(
         self,
@@ -221,9 +224,9 @@ class LARDPolicy(DistributionPolicy):
         """Batch a completion notice towards the front-end.
 
         The front-end's view counts *connections* (one increment per
-        decide), so the decrement must also be per connection — under
-        persistent connections ``on_complete`` fires once per request
-        and would drive the view negative.
+        decide, and a persistent connection is decided once), so the
+        decrement is per connection too — ``on_complete`` fires once
+        per request and would drive the view negative.
         """
         if self._single_node:
             return

@@ -43,6 +43,8 @@ class DispatcherLARDPolicy(LARDPolicy):
     #: The simulator must obtain decisions through :meth:`decide_cb`,
     #: which charges the query round-trip.
     async_decide = True
+    # ``decide_once`` is inherited: one query per persistent connection,
+    # whose later requests the accepting node relays to the chosen one.
 
     def __init__(
         self,

@@ -10,6 +10,14 @@ exceeds what the bottleneck needs, the measured completion rate is the
 saturation throughput and is insensitive to the exact MPL (the MPL
 ablation benchmark demonstrates this).
 
+Persistent connections (HTTP/1.1): given a
+:class:`~repro.workload.SessionTrace`, the MPL and the open-loop arrivals
+count *connections*; each connection carries its requests one after
+another through the same request lifecycle (see
+:mod:`repro.sim.lifecycle`), and completions, warmup and every meter
+still count requests.  A plain :class:`~repro.workload.Trace` is the
+HTTP/1.0 case: one request per connection.
+
 Warmup: the first ``warmup_fraction`` of completions warms caches and
 policy state (server sets, load views); at the warmup boundary every
 meter is reset — cache *contents* and policy state survive — and
@@ -22,7 +30,7 @@ its latency signal high (see the ``_admission_armed`` comment).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,8 +40,8 @@ from ..des.core import URGENT
 from ..faults import AvailabilityTimeline, FaultInjector, FaultSchedule, RetryPolicy
 from ..netfaults import NetFaultInjector
 from ..servers import DistributionPolicy
-from ..workload import Trace
-from .lifecycle import start_fast_request
+from ..workload import SessionTrace, Trace
+from .lifecycle import _FastRequest
 from .results import SimResult
 
 __all__ = ["Simulation"]
@@ -44,7 +52,7 @@ class Simulation:
 
     def __init__(
         self,
-        trace: Trace,
+        trace: Union[Trace, SessionTrace],
         policy: DistributionPolicy,
         config: ClusterConfig,
         warmup_fraction: float = 0.3,
@@ -59,6 +67,9 @@ class Simulation:
         overload=None,
         sanitize: Optional[bool] = None,
     ):
+        sessions = trace if isinstance(trace, SessionTrace) else None
+        if sessions is not None:
+            trace = sessions.trace
         if len(trace) == 0:
             raise ValueError("trace is empty")
         if not 0.0 <= warmup_fraction < 1.0:
@@ -97,6 +108,25 @@ class Simulation:
             self._warmup_count = self._trace_len * (passes - 1)
         else:
             self._warmup_count = int(self._total * warmup_fraction)
+        #: Connection ``c`` carries requests ``[_conn_first[c],
+        #: _conn_first[c + 1])`` of the arrival sequence, and request
+        #: ``p`` belongs to connection ``_conn_of[p]``.
+        self._conn_first: Sequence[int]
+        self._conn_of: Sequence[int]
+        if sessions is None:
+            # HTTP/1.0: connection c is request c.
+            self._conn_first = range(self._total + 1)
+            self._conn_of = range(self._total)
+        else:
+            starts = np.concatenate(
+                [sessions.starts + p * self._trace_len for p in range(passes)]
+            )
+            self._conn_first = starts.tolist() + [self._total]
+            self._conn_of = np.repeat(
+                np.arange(len(starts)), np.diff(self._conn_first)
+            ).tolist()
+        self._conns = len(self._conn_first) - 1
+        #: Connections opened so far.
         self._next = 0
         self._completed = 0
         self._failed = 0
@@ -143,6 +173,8 @@ class Simulation:
         #: Client retry behaviour for aborted requests.  ``None`` keeps
         #: the historical semantics: an abort is a terminal failure.
         self.retry = retry
+        self._timeout_s = retry.timeout_s if retry is not None else None
+        #: Retries so far, per request position.
         self._attempts: Dict[int, int] = {}
         self._retried = 0
         #: Availability timeline (sampled goodput / failures / node
@@ -172,14 +204,15 @@ class Simulation:
         #: shed chains into shedding the whole remaining warmup at a
         #: single sim instant.)
         self._admission_armed = False
-        #: Indices admitted through the front door (so completions of
-        #: requests spawned before arming never release a slot they
-        #: never took).
+        #: Connections admitted through the front door (so completions
+        #: of connections spawned before arming never release a slot
+        #: they never took).
         self._admitted_idx: set = set()
         if overload is not None and overload.breakers is not None:
             policy.attach_breakers(overload.breakers)
-        #: Requests shed at the front door (terminal, never retried —
-        #: the live substrate's 503 with no client retry).
+        #: Requests shed at the front door with their connections
+        #: (terminal, never retried — the live substrate's 503 with no
+        #: client retry).
         self._shed_front = 0
         if self.timeline is not None:
             self.cluster.shed_listener = self.timeline.record_shed
@@ -187,11 +220,12 @@ class Simulation:
     # -- injection -------------------------------------------------------------
 
     def _spawn_next(self) -> bool:
-        """Inject the next trace request; False when the trace is spent."""
+        """Open the next connection; False when the trace is spent."""
         i = self._next
-        if i >= self._total:
+        if i >= self._conns:
             return False
         self._next += 1
+        first = self._conn_first[i]
         if self._admission is not None and self._admission_armed:
             verdict = self._admission.try_admit(self.env.now)
             if not verdict.admitted:
@@ -201,50 +235,50 @@ class Simulation:
                 # zero-delay event so a closed-loop shed burst unrolls
                 # as a chain of events instead of recursing through
                 # _after_request to trace depth.
-                self._shed_front += 1
-                self.env.call_later(0.0, self._front_shed)
+                self._shed_front += self._conn_first[i + 1] - first
+                self.env.call_later(0.0, lambda: self._front_shed(first))
                 return True
             self._admitted_idx.add(i)
-        self._spawn_index(i)
+        self._spawn_index(first)
         return True
 
-    def _front_shed(self) -> None:
-        """Terminal accounting for one front-door shed."""
-        self._failed += 1
+    def _front_shed(self, pos: int) -> None:
+        """Terminal accounting for one front-door shed connection."""
         if self.timeline is not None:
             self.timeline.record_shed()
-            self.timeline.record_failure()
-        self._after_request()
+        self._fail_rest(pos)
 
-    def _spawn_index(self, i: int) -> None:
-        fid = int(self._ids[i])
-        request = start_fast_request(
+    def _spawn_index(self, pos: int) -> None:
+        """Open the connection of request ``pos`` from that request on
+        (a retry re-opens it under the same connection index)."""
+        conn = self._conn_of[pos]
+        _FastRequest(
             self.cluster,
             self.policy,
-            i,
-            fid,
-            int(self._sizes[fid]),
+            conn,
+            pos,
+            self._conn_first[conn + 1],
+            self._ids,
+            self._sizes,
             self._on_done,
             self._on_failed,
+            self._timeout_s,
         )
-        if self.retry is not None and self.retry.timeout_s is not None:
-            # Client timeout: the client gives up on the request, which
-            # aborts into the normal failure/retry path (a no-op once it
-            # has completed or failed on its own).
-            self.env.call_later(self.retry.timeout_s, request.cancel)
 
     @property
     def _finished(self) -> int:
         return self._completed + self._failed
 
-    def _on_done(self, index: int, start: float, forwarded: bool, was_miss: bool) -> None:
-        self._attempts.pop(index, None)
+    def _on_done(self, pos: int, start: float, forwarded: bool, was_miss: bool) -> None:
+        self._attempts.pop(pos, None)
         self._completed += 1
         self._last_completion = self.env.now
-        if self._admission is not None and index in self._admitted_idx:
+        conn = self._conn_of[pos]
+        closed = pos + 1 == self._conn_first[conn + 1]
+        if closed and self._admission is not None and conn in self._admitted_idx:
             # Release the admission slot; the observed latency feeds the
             # queue-wait estimate and the adaptive concurrency limit.
-            self._admitted_idx.remove(index)
+            self._admitted_idx.remove(conn)
             self._admission.release(self.env.now, self.env.now - start)
         if self.timeline is not None:
             self.timeline.record_completion(was_miss)
@@ -256,44 +290,56 @@ class Simulation:
                 self.completion_times.append(self.env.now)
             if self.record_latencies:
                 self._latencies.append(self.env.now - start)
-        self._after_request()
+        self._after_request(closed)
 
-    def _on_failed(self, index: int) -> None:
+    def _on_failed(self, pos: int) -> None:
         if self.retry is not None:
-            attempt = self._attempts.get(index, 0) + 1
+            attempt = self._attempts.get(pos, 0) + 1
             if attempt <= self.retry.max_retries:
-                # Client retry: back off (capped exponential) and re-issue
-                # the same request.  Not terminal — the closed-loop slot
-                # stays occupied by this request until it resolves.
-                self._attempts[index] = attempt
+                # Client retry: back off (capped exponential) and re-open
+                # the connection at the same request.  Not terminal —
+                # the closed-loop slot stays occupied by this connection
+                # until it resolves.
+                self._attempts[pos] = attempt
                 self._retried += 1
                 if self.timeline is not None:
                     self.timeline.record_retry()
                 self.env.call_later(
                     self.retry.backoff(attempt),
-                    lambda i=index: self._spawn_index(i),
+                    lambda p=pos: self._spawn_index(p),
                 )
                 return
-            self._attempts.pop(index, None)
-        if self._admission is not None and index in self._admitted_idx:
-            # Terminal failure of an admitted request: free the slot but
-            # feed no latency (a fault says nothing about service rate).
-            self._admitted_idx.remove(index)
+            self._attempts.pop(pos, None)
+        conn = self._conn_of[pos]
+        if self._admission is not None and conn in self._admitted_idx:
+            # Terminal failure of an admitted connection: free the slot
+            # but feed no latency (a fault says nothing about service
+            # rate).
+            self._admitted_idx.remove(conn)
             self._admission.release(self.env.now, None)
-        self._failed += 1
-        if self.timeline is not None:
-            self.timeline.record_failure()
-        self._after_request()
+        self._fail_rest(pos)
 
-    def _after_request(self) -> None:
+    def _fail_rest(self, pos: int) -> None:
+        """Terminal failure of request ``pos``: its connection ends, and
+        the requests it had not sent yet fail with it."""
+        last = self._conn_first[self._conn_of[pos] + 1]
+        for p in range(pos, last):
+            self._failed += 1
+            if self.timeline is not None:
+                self.timeline.record_failure()
+            self._after_request(p + 1 == last)
+
+    def _after_request(self, closed: bool = True) -> None:
         if self._finished == self._warmup_count:
             self._begin_measurement()
         if self._injector is not None:
             self._injector.notify_finished(self._finished)
+        if not closed:
+            return
         if self.arrival_rate is None:
-            # Closed loop: a completion frees a slot for the next request.
+            # Closed loop: a closed connection frees a slot for the next.
             self._spawn_next()
-        elif self._next < self._warmup_count:
+        elif self._conn_first[self._next] < self._warmup_count:
             # Open-loop runs still *warm up* closed-loop — flooding a
             # cold cache with Poisson arrivals above its disk-bound cold
             # capacity would build an unbounded backlog before the
@@ -406,7 +452,7 @@ class Simulation:
         else:
             mpl = self.config.multiprogramming_per_node * self.config.nodes
             limit = self._warmup_count if self.arrival_rate is not None else self._total
-            for _ in range(min(mpl, max(1, limit), self._total)):
+            for _ in range(min(mpl, max(1, limit), self._conns)):
                 self._spawn_next()
         self.env.run()
 
@@ -472,7 +518,7 @@ class Simulation:
             ),
             message_stats=self._message_stats(),
             netfault_summary=self._netfault_summary(),
-            requests_generated=self._next,
+            requests_generated=self._conn_first[self._next],
             requests_failed_warmup=self._failed_at_measure,
         )
         return self._result

@@ -18,6 +18,18 @@ Mirrors Figure 2's path and Section 5.1's methodology:
 Connection accounting and the policy hooks around it drive L2S's load
 broadcasts and LARD's completion notices.
 
+A chain is one client *connection*: under HTTP/1.0 it carries one
+request, under persistent connections (HTTP/1.1, a
+:class:`~repro.workload.SessionTrace`) several.  When a reply leaves the
+router the connection's next request enters at the node holding it, or
+the connection closes.  An L2S-style policy decides each request at the
+holding node and *migrates* the connection with the same forward +
+hand-off as a first request; a ``decide_once`` policy (LARD) decides the
+first request only and relays the rest from the accepting node to the
+holding one (message CPU work plus a ``"relay"`` message, then the parse
+at the holder).  A one-request connection runs exactly the HTTP/1.0
+chain.
+
 Failure semantics (fault-injection runs): a node involved in the
 request crashing aborts the request at the next stage boundary.  The
 check is *incarnation-aware* — a request that started against a node
@@ -25,18 +37,19 @@ which crashed and already recovered still aborts, because its
 connection died with the old incarnation.  A client-side timeout (the
 driver cancels the request's chain) aborts at once: the request leaves
 the station queue it waits in, or frees the station it holds.  Aborts
-fire ``on_failed(index)``; the driver decides whether to retry.
+fire ``on_failed(pos)`` and end the connection; the driver decides
+whether to retry.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from ..cluster import Cluster
 from ..cluster.node import CPU_BULK, CPU_PROMPT
 from ..des.core import URGENT
 from ..servers import DistributionPolicy
-from ..servers.base import ServiceUnavailable
+from ..servers.base import Decision, ServiceUnavailable
 
 __all__ = ["start_fast_request", "NodeFailedError"]
 
@@ -70,31 +83,47 @@ def _breaker_success(cluster: Cluster, node_id: int) -> None:
 
 
 class _FastRequest:
-    """One client request as a callback chain.
+    """One client connection as a callback chain.
 
-    Walks the stage sequence — router, NI-in, parse, decide, (forward +
-    hand-off), connection open, fetch, reply, NI-out, router — with the
-    incarnation-aware abort checks at the stage boundaries, driven by
-    event callbacks: no generator process, and one kernel event — the
-    completion — per station visit.
+    Each request walks the stage sequence — router, NI-in, parse,
+    decide, (forward + hand-off), connection open, fetch, reply, NI-out,
+    router — with the incarnation-aware abort checks at the stage
+    boundaries, driven by event callbacks: no generator process, and one
+    kernel event — the completion — per station visit.
+
+    Connection ``index`` (what ``policy.initial_node`` sees) carries
+    requests ``pos .. last - 1`` of the arrival sequence; request ``p``
+    asks for file ``ids[p]`` of ``sizes[ids[p]]`` bytes, and a request
+    after the first enters at the node holding the connection (see the
+    module docstring).  ``on_done(p, start, forwarded,
+    was_miss)`` fires when request ``p``'s reply has left the cluster;
+    ``on_failed(p)`` fires when request ``p`` aborts, which ends the
+    connection (without a handler the abort raises
+    :class:`NodeFailedError`).  ``timeout_s`` is the client's timeout
+    on each request, or None.
 
     A stage visits at most one station, ``_at``; ``_visit`` is the
     visit's entry (what ``Resource.visit`` returned): queued while it
     waits there, the scheduled completion once it holds the station.
-    While the chain waits on anything else (the hand-off, a dispatcher
-    round-trip, a remote DFS read) ``_at`` is None.  :meth:`cancel`
-    hands ``_visit`` to ``Resource.withdraw``, which leaves the queue or
-    frees the station at once and drops the completion, so no station
-    stage runs after a cancel; every other later callback of the chain
-    sees ``ended`` and does nothing.  Messages the request already sent,
-    and work it handed to other nodes (a dispatcher's decision, a DFS
-    home's disk read), run to their end regardless.
+    While the chain waits on anything else (the hand-off, a relay, a
+    dispatcher round-trip, a remote DFS read) ``_at`` is None.
+    :meth:`cancel` hands ``_visit`` to ``Resource.withdraw``, which
+    leaves the queue or frees the station at once and drops the
+    completion, so no station stage runs after a cancel; every other
+    later callback of the chain sees ``ended`` and does nothing.
+    Messages the request already sent, and work it handed to other
+    nodes (a dispatcher's decision, a DFS home's disk read), run to
+    their end regardless.
     """
 
     __slots__ = (
         "cluster",
         "policy",
         "index",
+        "pos",
+        "last",
+        "ids",
+        "sizes",
         "file_id",
         "size_bytes",
         "size_kb",
@@ -110,9 +139,12 @@ class _FastRequest:
         "service_node",
         "service_inc",
         "opened",
+        "relaying",
         "ended",
         "redispatched",
         "misses_before",
+        "timeout_s",
+        "_timer",
         "_at",
         "_visit",
         "_san_tok",
@@ -123,25 +155,35 @@ class _FastRequest:
         cluster: Cluster,
         policy: DistributionPolicy,
         index: int,
-        file_id: int,
-        size_bytes: int,
+        pos: int,
+        last: int,
+        ids: Any,
+        sizes: Any,
         on_done: Optional[Callable[[int, float, bool, bool], None]],
         on_failed: Optional[Callable[[int], None]],
+        timeout_s: Optional[float],
     ):
         self.cluster = cluster
         self.policy = policy
         self.index = index
-        self.file_id = file_id
-        self.size_bytes = size_bytes
-        self.size_kb = size_bytes / 1024.0
+        self.pos = pos
+        self.last = last
+        self.ids = ids
+        self.sizes = sizes
+        self.file_id = file_id = int(ids[pos])
+        self.size_bytes = int(sizes[file_id])
+        self.size_kb = self.size_bytes / 1024.0
         self.on_done = on_done
         self.on_failed = on_failed
         self.env = cluster.env
         self.hw = cluster.config.hardware
         self.initial: Optional[int] = None
+        self.service_node = None
         self.opened = False
+        self.relaying = False
         self.ended = False
         self.redispatched = 0
+        self.timeout_s = timeout_s
         self._at = None
         self._visit = None
         # Sanitized runs track each chain as one in-flight operation so
@@ -153,9 +195,15 @@ class _FastRequest:
         # The urgent zero-delay kick runs the first stage before any
         # ordinary event at this instant.
         self.env.call_later(0.0, self._start, priority=URGENT)
+        # The client timeout: the client gives up on the request, which
+        # aborts into the normal failure path (a no-op once the request
+        # has completed or failed on its own).
+        self._timer = (
+            None if timeout_s is None else self.env.call_later(timeout_s, self.cancel)
+        )
 
     def cancel(self) -> None:
-        """Abort the request now (a client timeout).
+        """Abort the current request now (a client timeout).
 
         At an urgent zero-delay event the request leaves the station
         queue it waits in, or frees the station it holds, closes its
@@ -173,8 +221,6 @@ class _FastRequest:
             visit = self._visit
             self._at = self._visit = None
             station.withdraw(visit)
-        if self.opened:
-            self._close_connection()
         self._abort()
 
     # -- failure plumbing --------------------------------------------------
@@ -194,6 +240,10 @@ class _FastRequest:
             self._san_tok = None
 
     def _abort(self) -> None:
+        """End the connection: close it where it is open, then fail the
+        current request."""
+        if self.opened:
+            self._close_connection()
         self._end()
         if self.initial is not None:
             # Give dispatcher-style policies a chance to balance their
@@ -202,12 +252,16 @@ class _FastRequest:
             self.policy.on_request_aborted(self.initial, self.opened)
         if self.on_failed is None:
             raise NodeFailedError(self.initial if self.initial is not None else -1)
-        self.on_failed(self.index)
+        self.on_failed(self.pos)
 
     def _close_connection(self) -> None:
-        self.service_node.connection_closed()
+        """The connection closes at its node, counting the current
+        request as that node's completion."""
+        node = self.service_node
+        node.connection_closed()
+        node.completed += 1
         policy = self.policy
-        target = self.decision.target
+        target = node.id
         policy.on_connection_change(target)
         policy.on_complete(target, self.file_id)
         policy.on_connection_end(target)
@@ -230,6 +284,34 @@ class _FastRequest:
             self.hw.route_time(self.hw.request_kb), self._route_in_done
         )
 
+    def _next_request(self) -> None:  # simlint: hotpath
+        """The connection's next request enters at the node holding it."""
+        self.pos = pos = self.pos + 1
+        self.file_id = file_id = int(self.ids[pos])
+        self.size_bytes = int(self.sizes[file_id])
+        self.size_kb = self.size_bytes / 1024.0
+        self.redispatched = 0
+        self.start = self.env.now
+        if self._timer is not None:
+            # The finished request's timeout no longer applies.
+            self._timer[3] = _noop
+            self._timer = self.env.call_later(self.timeout_s, self.cancel)
+        node = self.service_node
+        if self.policy.decide_once:
+            # Later requests keep entering at the accepting node, which
+            # relays them to the holder without a decision.
+            self.relaying = node is not self.initial_node
+            if self.decision.forwarded:
+                self.decision = Decision(target=node.id, forwarded=False)
+        else:
+            self.initial = node.id
+            self.initial_node = node
+            self.initial_inc = self.service_inc
+        station = self._at = self.cluster.net.router
+        self._visit = station.visit(
+            self.hw.route_time(self.hw.request_kb), self._route_in_done
+        )
+
     def _route_in_done(self) -> None:  # simlint: hotpath
         self.cluster.net.router.release()
         if self._initial_dead():
@@ -244,9 +326,48 @@ class _FastRequest:
     def _ni_in_done(self) -> None:  # simlint: hotpath
         self.initial_node.ni_in.release()
         station = self._at = self.initial_node.cpu
+        if self.relaying:
+            self._visit = station.visit(
+                self.cluster.config.cpu_msg_overhead_s, self._relay_out, CPU_PROMPT
+            )
+            return
         self._visit = station.visit(
             self.hw.parse_time(), self._parse_done, CPU_PROMPT
         )
+
+    # -- relay (decide_once policies, after the first request) --------------
+
+    def _relay_out(self) -> None:  # simlint: hotpath
+        self.initial_node.cpu.release()
+        self._at = self._visit = None
+        if self._initial_dead():
+            _breaker_failure(self.cluster, self.initial)
+            self._abort()
+            return
+        self.cluster.net.transmit_cb(
+            self.initial,
+            self.service_node.id,
+            self.hw.request_kb,
+            "relay",
+            self._relayed,
+        )
+
+    def _relayed(self, ok: bool) -> None:  # simlint: hotpath
+        if self.ended:
+            return
+        if not ok or self._service_dead():
+            _breaker_failure(self.cluster, self.service_node.id)
+            self._abort()
+            return
+        station = self._at = self.service_node.cpu
+        self._visit = station.visit(
+            self.hw.parse_time(), self._relay_parsed, CPU_PROMPT
+        )
+
+    def _relay_parsed(self) -> None:  # simlint: hotpath
+        self.service_node.cpu.release()
+        self._at = self._visit = None
+        self._at_service()
 
     # -- decide + hand-off -------------------------------------------------
 
@@ -256,6 +377,10 @@ class _FastRequest:
         if self._initial_dead():
             _breaker_failure(self.cluster, self.initial)
             self._abort()
+            return
+        if self.opened and self.policy.decide_once:
+            # The connection stays where its first request was decided.
+            self._at_service()
             return
         self._decide()
 
@@ -318,7 +443,8 @@ class _FastRequest:
         # The hand-off (and all its retries) died in the fabric: the
         # policy rolls back its optimistic view charge, then the front
         # end either re-dispatches (partition tolerance on an unreliable
-        # fabric) or gives up.
+        # fabric) or gives up.  A connection being migrated stays where
+        # it is until then.
         target = self.decision.target
         self.policy.on_handoff_failed(self.initial, target)
         net = self.cluster.net
@@ -340,32 +466,39 @@ class _FastRequest:
 
     def _at_service(self) -> None:
         target = self.decision.target
-        self.service_node = node = self.cluster.node(target)
-        if node.failed:
-            # Dead on arrival: the hand-off reached a crashed node, so no
-            # connection will ever open there and no completion notice
-            # will ever acknowledge the decide-time view charge.
-            self.policy.on_handoff_failed(self.initial, target)
-            _breaker_failure(self.cluster, target)
-            self._abort()
-            return
-        if not _breaker_allows(self.cluster, target):
-            # An open circuit breaker (or a spent half-open probe
-            # budget): the node sheds the request and the client backs
-            # off and retries (the driver's RetryPolicy is the
-            # retry-after).  A shed connection never opens, so the view
-            # charge rolls back too.
-            # Sheds never feed the breakers: counting them as failures
-            # would let an overloaded-but-healthy node's breaker trip and
-            # then stay open on its own rejections.
-            self.policy.on_handoff_failed(self.initial, target)
-            self.cluster.note_shed(node)
-            self._abort()
-            return
-        self.service_inc = node.incarnation
-        node.connection_opened()
-        self.opened = True
-        self.policy.on_connection_change(target)
+        node = self.cluster.node(target)
+        if node is not self.service_node:
+            # The connection opens here: the first request's service
+            # node, or an L2S-style migration away from its holder.
+            if node.failed:
+                # Dead on arrival: the hand-off reached a crashed node,
+                # so no connection will ever open there and no
+                # completion notice will ever acknowledge the
+                # decide-time view charge.
+                self.policy.on_handoff_failed(self.initial, target)
+                _breaker_failure(self.cluster, target)
+                self._abort()
+                return
+            if not _breaker_allows(self.cluster, target):
+                # An open circuit breaker (or a spent half-open probe
+                # budget): the node sheds the request and the client
+                # backs off and retries (the driver's RetryPolicy is the
+                # retry-after).  A shed connection never opens, so the
+                # view charge rolls back too.
+                # Sheds never feed the breakers: counting them as
+                # failures would let an overloaded-but-healthy node's
+                # breaker trip and then stay open on its own rejections.
+                self.policy.on_handoff_failed(self.initial, target)
+                self.cluster.note_shed(node)
+                self._abort()
+                return
+            if self.opened:
+                self._migrate_out()
+            self.service_node = node
+            self.service_inc = node.incarnation
+            node.connection_opened()
+            self.opened = True
+            self.policy.on_connection_change(target)
         self.misses_before = node.cache.misses
         # Memory or disk: a hit is free, a miss reads the local disk or,
         # under the partitioned DFS layout, the file's remote home.
@@ -381,15 +514,21 @@ class _FastRequest:
             self._read_remote_failed,
         )
 
+    def _migrate_out(self) -> None:
+        """The connection leaves its holder (no request completes)."""
+        node = self.service_node
+        node.connection_closed()
+        policy = self.policy
+        policy.on_connection_change(node.id)
+        policy.on_connection_end(node.id)
+
     def _read_remote_done(self) -> None:
         if not self.ended:
             self._fetched()
 
     def _read_remote_failed(self) -> None:
-        if self.ended:
-            return
-        self._close_connection()
-        self._abort()
+        if not self.ended:
+            self._abort()
 
     def _read_disk(self) -> None:
         if self.ended:
@@ -410,7 +549,6 @@ class _FastRequest:
     def _after_fetch(self) -> None:
         if self._service_dead():
             _breaker_failure(self.cluster, self.decision.target)
-            self._close_connection()
             self._abort()
             return
         station = self._at = self.service_node.cpu
@@ -422,7 +560,6 @@ class _FastRequest:
         self.service_node.cpu.release()
         if self._service_dead():
             _breaker_failure(self.cluster, self.decision.target)
-            self._close_connection()
             self._abort()
             return
         station = self._at = self.service_node.ni_out
@@ -440,12 +577,31 @@ class _FastRequest:
     def _route_out_done(self) -> None:  # simlint: hotpath
         self.cluster.net.router.release()
         self._at = self._visit = None
+        if self.pos + 1 < self.last:
+            self._keep_alive()
+            return
         self._close_connection()
         _breaker_success(self.cluster, self.decision.target)
         self._end()
         if self.on_done is not None:
             was_miss = self.service_node.cache.misses > self.misses_before
-            self.on_done(self.index, self.start, self.decision.forwarded, was_miss)
+            self.on_done(self.pos, self.start, self.decision.forwarded, was_miss)
+
+    def _keep_alive(self) -> None:  # simlint: hotpath
+        """The reply left and the connection stays open for its next
+        request."""
+        node = self.service_node
+        node.completed += 1
+        self.policy.on_complete(node.id, self.file_id)
+        _breaker_success(self.cluster, node.id)
+        if self.on_done is not None:
+            was_miss = node.cache.misses > self.misses_before
+            self.on_done(self.pos, self.start, self.decision.forwarded, was_miss)
+        self._next_request()
+
+
+def _noop() -> None:
+    """Stands in for a disarmed timeout."""
 
 
 def start_fast_request(
@@ -457,7 +613,8 @@ def start_fast_request(
     on_done: Optional[Callable[[int, float, bool, bool], None]] = None,
     on_failed: Optional[Callable[[int], None]] = None,
 ) -> _FastRequest:
-    """Launch one client request; returns its chain.
+    """Launch one HTTP/1.0 client request (a one-request connection);
+    returns its chain.
 
     ``on_done(index, start_time, forwarded, was_miss)`` is invoked after
     the reply has fully left the cluster.  If a node involved crashes
@@ -466,6 +623,7 @@ def start_fast_request(
     ``on_failed`` handler the abort raises :class:`NodeFailedError` out
     of the event loop.
     """
+    ids, sizes = {index: file_id}, {file_id: size_bytes}
     return _FastRequest(
-        cluster, policy, index, file_id, size_bytes, on_done, on_failed
+        cluster, policy, index, index, index + 1, ids, sizes, on_done, on_failed, None
     )

@@ -14,7 +14,7 @@ from typing import Optional, Union
 from ..cluster import ClusterConfig
 from ..model import MB, ModelParameters, ServerModelResult, bound_for_population
 from ..servers import DistributionPolicy, make_policy
-from ..workload import Trace, synthesize
+from ..workload import SessionTrace, Trace, synthesize
 from .driver import Simulation
 from .results import SimResult
 
@@ -25,7 +25,7 @@ DEFAULT_SIM_CACHE_BYTES = 32 * MB
 
 
 def run_simulation(
-    trace: Union[Trace, str],
+    trace: Union[Trace, SessionTrace, str],
     policy: Union[DistributionPolicy, str],
     nodes: int = 16,
     cache_bytes: int = DEFAULT_SIM_CACHE_BYTES,
@@ -45,7 +45,9 @@ def run_simulation(
     ----------
     trace:
         A :class:`~repro.workload.Trace` or a preset name
-        ("calgary", "clarknet", "nasa", "rutgers").
+        ("calgary", "clarknet", "nasa", "rutgers"), or a
+        :class:`~repro.workload.SessionTrace` for persistent connections
+        (``sessionize(trace, k, seed=...)``).
     policy:
         A policy instance or registry name
         ("traditional", "round-robin", "lard", "l2s", "consistent-hash").

@@ -4,8 +4,11 @@ The paper's algorithms target non-persistent HTTP/1.0 ("each client
 request represents a different connection") and note that persistent
 connections need slight modifications, per Aron et al.  To evaluate that
 regime, :func:`sessionize` groups a trace's consecutive requests into
-connections with geometrically distributed lengths — mean length 1
-recovers the paper's HTTP/1.0 setup exactly.
+connections with geometrically distributed lengths.  The simulator takes
+a :class:`SessionTrace` wherever it takes a trace
+(``run_simulation(sessionize(trace, k, seed=...), ...)``) and runs each
+connection's requests through the one request lifecycle; mean length 1
+is the paper's HTTP/1.0 run, byte for byte.
 """
 
 from __future__ import annotations

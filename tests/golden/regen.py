@@ -22,7 +22,10 @@ the mode says otherwise), four nodes, two passes:
   byte-identical to ``traditional-plain-s2``;
 * ``dfs`` / ``dfs-netloss`` — partitioned disks (remote DFS reads),
   fault-free and with 2% message loss;
-* ``persistent`` — HTTP/1.1 connections of mean length 4;
+* ``persistent`` — HTTP/1.1 connections of mean length 4
+  (``sessionize(trace, 4.0, seed=seed)``); ``persistent-crash`` and
+  ``persistent-netloss`` run them under the ``crash`` and ``netloss``
+  faults (l2s and lard respectively, seed 1);
 * ``clarknet`` / ``nasa`` / ``rutgers`` — a fault-free run on that
   trace (l2s, lard and l2s respectively; ``nasa`` and ``rutgers`` on
   seed 1 only);
@@ -71,8 +74,7 @@ from repro.netfaults import NetFaultConfig, NetFaultSchedule
 from repro.overload import OverloadControl
 from repro.servers import make_policy
 from repro.sim import SimResult, Simulation
-from repro.sim.persistent import run_persistent_simulation
-from repro.workload import synthesize
+from repro.workload import sessionize, synthesize
 
 GOLDEN_DIR = os.path.dirname(os.path.abspath(__file__))
 
@@ -90,6 +92,8 @@ EXTRA_MODES: Tuple[Tuple[Tuple[str, ...], str, Tuple[int, ...]], ...] = (
     (("lard", "l2s"), "dfs", SEEDS),
     (("lard", "l2s"), "dfs-netloss", SEEDS),
     (POLICIES, "persistent", SEEDS),
+    (("l2s",), "persistent-crash", (1,)),
+    (("lard",), "persistent-netloss", (1,)),
     (("l2s",), "clarknet", SEEDS),
     (POLICIES, "outage", SEEDS),
     (POLICIES, "slow", SEEDS),
@@ -187,16 +191,10 @@ def simulate(policy: str, mode: str, seed: int) -> SimResult:
     trace = synthesize(
         mode if mode in TRACE_MODES else "calgary", REQUESTS, seed=seed
     )
+    if mode.startswith("persistent"):
+        trace = sessionize(trace, 4.0, seed=seed)
+        mode = mode.partition("-")[2] or "plain"
     config = ClusterConfig(nodes=NODES)
-    if mode == "persistent":
-        return run_persistent_simulation(
-            trace,
-            make_policy(policy),
-            mean_requests_per_connection=4.0,
-            config=config,
-            passes=2,
-            seed=seed,
-        )
     kwargs = {}
     if mode == "crash":
         kwargs["faults"] = FaultSchedule.parse(CRASH_SCHEDULE)

@@ -180,6 +180,7 @@ def test_config_active_flags_each_knob():
 
 def test_default_reliable_kinds_cover_stateful_traffic():
     assert "handoff" in DEFAULT_RELIABLE_KINDS
+    assert "relay" in DEFAULT_RELIABLE_KINDS
     assert "dfs_req" in DEFAULT_RELIABLE_KINDS
     # Load broadcasts stay fire-and-forget by design.
     assert "l2s_load" not in DEFAULT_RELIABLE_KINDS

@@ -61,16 +61,13 @@ UNRESOLVED = {
     "repro.chaos.generator.DEFAULT_POLICIES": (
         "repro.chaos.cli", "repro.farm.runner",
     ),
-    "repro.cluster.node.CPU_BULK": ("repro.sim.lifecycle", "repro.sim.persistent"),
-    "repro.cluster.node.CPU_PROMPT": (
-        "repro.cluster.network", "repro.sim.lifecycle", "repro.sim.persistent",
-    ),
+    "repro.cluster.node.CPU_BULK": ("repro.sim.lifecycle",),
+    "repro.cluster.node.CPU_PROMPT": ("repro.cluster.network", "repro.sim.lifecycle"),
     "repro.cluster.policies.CACHE_POLICIES": ("repro.cluster",),
     "repro.des.core.NORMAL": ("repro.des.resources",),
     "repro.des.core.URGENT": (
         "repro.chaos.oracle", "repro.cluster.network", "repro.faults.injector",
         "repro.faults.timeline", "repro.sim.driver", "repro.sim.lifecycle",
-        "repro.sim.persistent",
     ),
     "repro.experiments.figures.DEFAULT_NODE_COUNTS": ("repro.experiments",),
     "repro.experiments.figures.DEFAULT_SYSTEMS": ("repro.experiments",),
@@ -95,7 +92,7 @@ UNRESOLVED = {
     "repro.netfaults.model.NETFAULT_KINDS": ("repro.netfaults",),
     "repro.servers.POLICIES": ("repro.cli",),
     "repro.sim.runner.DEFAULT_SIM_CACHE_BYTES": (
-        "repro.experiments.figures", "repro.sim", "repro.sim.persistent",
+        "repro.experiments.figures", "repro.sim",
     ),
     "repro.workload.presets.DEFAULT_REQUESTS": ("repro.workload",),
     "repro.workload.presets.PRESETS": ("repro.workload",),

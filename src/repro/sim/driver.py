@@ -269,16 +269,26 @@ class Simulation:
     def _finished(self) -> int:
         return self._completed + self._failed
 
-    def _on_done(self, pos: int, start: float, forwarded: bool, was_miss: bool) -> None:
+    def _on_done(
+        self,
+        pos: int,
+        start: float,
+        forwarded: bool,
+        was_miss: bool,
+        closed: bool = True,
+    ) -> None:
         self._attempts.pop(pos, None)
         self._completed += 1
         self._last_completion = self.env.now
-        conn = self._conn_of[pos]
-        closed = pos + 1 == self._conn_first[conn + 1]
-        if closed and self._admission is not None and conn in self._admitted_idx:
-            # Release the admission slot; the observed latency feeds the
-            # queue-wait estimate and the adaptive concurrency limit.
-            self._admitted_idx.remove(conn)
+        if (
+            closed
+            and self._admission is not None
+            and self._conn_of[pos] in self._admitted_idx
+        ):
+            # Release the connection's admission slot; the observed
+            # latency feeds the queue-wait estimate and the adaptive
+            # concurrency limit.
+            self._admitted_idx.remove(self._conn_of[pos])
             self._admission.release(self.env.now, self.env.now - start)
         if self.timeline is not None:
             self.timeline.record_completion(was_miss)

@@ -95,12 +95,14 @@ class _FastRequest:
     requests ``pos .. last - 1`` of the arrival sequence; request ``p``
     asks for file ``ids[p]`` of ``sizes[ids[p]]`` bytes, and a request
     after the first enters at the node holding the connection (see the
-    module docstring).  ``on_done(p, start, forwarded,
-    was_miss)`` fires when request ``p``'s reply has left the cluster;
-    ``on_failed(p)`` fires when request ``p`` aborts, which ends the
-    connection (without a handler the abort raises
-    :class:`NodeFailedError`).  ``timeout_s`` is the client's timeout
-    on each request, or None.
+    module docstring).  ``on_done(p, start, forwarded, was_miss)`` fires
+    when request ``p``'s reply has left the cluster and the connection
+    has closed; when the connection stays open for its next request it
+    fires with a fifth argument, ``False`` (the connection is not
+    closed).  ``on_failed(p)`` fires when request ``p`` aborts, which
+    ends the connection (without a handler the abort raises
+    :class:`NodeFailedError`).  ``timeout_s`` is the client's timeout on
+    each request, or None.
 
     A stage visits at most one station, ``_at``; ``_visit`` is the
     visit's entry (what ``Resource.visit`` returned): queued while it
@@ -159,7 +161,7 @@ class _FastRequest:
         last: int,
         ids: Any,
         sizes: Any,
-        on_done: Optional[Callable[[int, float, bool, bool], None]],
+        on_done: Optional[Callable[..., None]],
         on_failed: Optional[Callable[[int], None]],
         timeout_s: Optional[float],
     ):
@@ -596,7 +598,9 @@ class _FastRequest:
         _breaker_success(self.cluster, node.id)
         if self.on_done is not None:
             was_miss = node.cache.misses > self.misses_before
-            self.on_done(self.pos, self.start, self.decision.forwarded, was_miss)
+            self.on_done(
+                self.pos, self.start, self.decision.forwarded, was_miss, False
+            )
         self._next_request()
 
 

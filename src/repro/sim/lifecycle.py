@@ -82,6 +82,27 @@ def _breaker_success(cluster: Cluster, node_id: int) -> None:
         ov.breakers.record_success(node_id, cluster.env.now)
 
 
+class _Rest:
+    """What a connection needs for its requests after the current one.
+
+    The connection carries requests up to ``last - 1`` of the arrival
+    sequence ``ids`` (file sizes in ``sizes``).  ``timer`` is the
+    current request's client timeout, re-armed for each request when
+    ``timeout_s`` is set; ``relaying`` is True once a ``decide_once``
+    policy's accepting node relays the requests to another node.
+    """
+
+    __slots__ = ("last", "ids", "sizes", "timeout_s", "timer", "relaying")
+
+    def __init__(self, last: int, ids: Any, sizes: Any, timeout_s: Optional[float]):
+        self.last = last
+        self.ids = ids
+        self.sizes = sizes
+        self.timeout_s = timeout_s
+        self.timer: Any = None
+        self.relaying = False
+
+
 class _FastRequest:
     """One client connection as a callback chain.
 
@@ -102,7 +123,8 @@ class _FastRequest:
     closed).  ``on_failed(p)`` fires when request ``p`` aborts, which
     ends the connection (without a handler the abort raises
     :class:`NodeFailedError`).  ``timeout_s`` is the client's timeout on
-    each request, or None.
+    each request, or None.  ``rest`` keeps what the later requests need;
+    a one-request connection has none.
 
     A stage visits at most one station, ``_at``; ``_visit`` is the
     visit's entry (what ``Resource.visit`` returned): queued while it
@@ -123,9 +145,7 @@ class _FastRequest:
         "policy",
         "index",
         "pos",
-        "last",
-        "ids",
-        "sizes",
+        "rest",
         "file_id",
         "size_bytes",
         "size_kb",
@@ -141,12 +161,9 @@ class _FastRequest:
         "service_node",
         "service_inc",
         "opened",
-        "relaying",
         "ended",
         "redispatched",
         "misses_before",
-        "timeout_s",
-        "_timer",
         "_at",
         "_visit",
         "_san_tok",
@@ -169,9 +186,7 @@ class _FastRequest:
         self.policy = policy
         self.index = index
         self.pos = pos
-        self.last = last
-        self.ids = ids
-        self.sizes = sizes
+        self.rest = None if last == pos + 1 else _Rest(last, ids, sizes, timeout_s)
         self.file_id = file_id = int(ids[pos])
         self.size_bytes = int(sizes[file_id])
         self.size_kb = self.size_bytes / 1024.0
@@ -180,12 +195,9 @@ class _FastRequest:
         self.env = cluster.env
         self.hw = cluster.config.hardware
         self.initial: Optional[int] = None
-        self.service_node = None
         self.opened = False
-        self.relaying = False
         self.ended = False
         self.redispatched = 0
-        self.timeout_s = timeout_s
         self._at = None
         self._visit = None
         # Sanitized runs track each chain as one in-flight operation so
@@ -197,12 +209,13 @@ class _FastRequest:
         # The urgent zero-delay kick runs the first stage before any
         # ordinary event at this instant.
         self.env.call_later(0.0, self._start, priority=URGENT)
-        # The client timeout: the client gives up on the request, which
-        # aborts into the normal failure path (a no-op once the request
-        # has completed or failed on its own).
-        self._timer = (
-            None if timeout_s is None else self.env.call_later(timeout_s, self.cancel)
-        )
+        if timeout_s is not None:
+            # The client timeout: the client gives up on the request,
+            # which aborts into the normal failure path (a no-op once the
+            # request has completed or failed on its own).
+            timer = self.env.call_later(timeout_s, self.cancel)
+            if self.rest is not None:
+                self.rest.timer = timer
 
     def cancel(self) -> None:
         """Abort the current request now (a client timeout).
@@ -288,21 +301,22 @@ class _FastRequest:
 
     def _next_request(self) -> None:  # simlint: hotpath
         """The connection's next request enters at the node holding it."""
+        rest = self.rest
         self.pos = pos = self.pos + 1
-        self.file_id = file_id = int(self.ids[pos])
-        self.size_bytes = int(self.sizes[file_id])
+        self.file_id = file_id = int(rest.ids[pos])
+        self.size_bytes = int(rest.sizes[file_id])
         self.size_kb = self.size_bytes / 1024.0
         self.redispatched = 0
         self.start = self.env.now
-        if self._timer is not None:
+        if rest.timeout_s is not None:
             # The finished request's timeout no longer applies.
-            self._timer[3] = _noop
-            self._timer = self.env.call_later(self.timeout_s, self.cancel)
+            rest.timer[3] = _noop
+            rest.timer = self.env.call_later(rest.timeout_s, self.cancel)
         node = self.service_node
         if self.policy.decide_once:
             # Later requests keep entering at the accepting node, which
             # relays them to the holder without a decision.
-            self.relaying = node is not self.initial_node
+            rest.relaying = node is not self.initial_node
             if self.decision.forwarded:
                 self.decision = Decision(target=node.id, forwarded=False)
         else:
@@ -328,7 +342,7 @@ class _FastRequest:
     def _ni_in_done(self) -> None:  # simlint: hotpath
         self.initial_node.ni_in.release()
         station = self._at = self.initial_node.cpu
-        if self.relaying:
+        if self.opened and self.rest.relaying:
             self._visit = station.visit(
                 self.cluster.config.cpu_msg_overhead_s, self._relay_out, CPU_PROMPT
             )
@@ -469,7 +483,7 @@ class _FastRequest:
     def _at_service(self) -> None:
         target = self.decision.target
         node = self.cluster.node(target)
-        if node is not self.service_node:
+        if not self.opened or node is not self.service_node:
             # The connection opens here: the first request's service
             # node, or an L2S-style migration away from its holder.
             if node.failed:
@@ -579,7 +593,7 @@ class _FastRequest:
     def _route_out_done(self) -> None:  # simlint: hotpath
         self.cluster.net.router.release()
         self._at = self._visit = None
-        if self.pos + 1 < self.last:
+        if self.rest is not None and self.pos + 1 < self.rest.last:
             self._keep_alive()
             return
         self._close_connection()

@@ -16,11 +16,10 @@ Two layers share one catalog:
 
 **Post-run checks** (exact, on the closed books):
 
-* request conservation — every generated request is served, failed, or
-  (for a run that ended early) identified as stranded in flight;
-  delegated to :meth:`repro.sim.results.SimResult.verify` when a result
-  exists, recomputed from driver counters when the run died before one
-  was built;
+* request conservation — every generated request is served or failed,
+  none stranded in flight; delegated to
+  :meth:`repro.sim.results.SimResult.verify`, whose other findings are
+  reported as ``result_verify``;
 * per-kind message reconciliation — ``sent == delivered + dropped +
   in-flight`` for every message kind, computed straight from the
   interconnect counters so it covers runs with *and* without a netfault
@@ -69,6 +68,7 @@ from .spec import Scenario
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.driver import Simulation
+    from ..sim.results import SimResult
 
 __all__ = ["Violation", "OracleConfig", "ChaosOracle", "availability_floor"]
 
@@ -181,7 +181,7 @@ class ChaosOracle:
         of the sampler spinning the clock forever.
         """
         sim = self._sim
-        if sim._finished < sim._total and sim.env.peek() != inf:
+        if sim.requests_finished < sim.requests_total and sim.env.peek() != inf:
             sim.env.call_later(self._interval, self._sample)
 
     def _sample(self) -> None:
@@ -210,17 +210,19 @@ class ChaosOracle:
                 f"{self._last_now!r}",
             )
         self._last_now = now
-        if sim._finished > sim._next:
+        finished = sim.requests_finished
+        generated = sim.requests_generated
+        if finished > generated:
             self._record(
                 "request_conservation",
-                f"finished {sim._finished} requests but only {sim._next} "
+                f"finished {finished} requests but only {generated} "
                 "were ever generated",
             )
-        if sim._next > sim._total:
+        if generated > sim.requests_total:
             self._record(
                 "request_conservation",
-                f"generated {sim._next} requests from a "
-                f"{sim._total}-request trace",
+                f"generated {generated} requests from a "
+                f"{sim.requests_total}-request trace",
             )
         for node in sim.cluster.nodes:
             cache = node.cache
@@ -241,10 +243,11 @@ class ChaosOracle:
 
     def finish(
         self,
-        early_error: Optional[str] = None,
+        result: "SimResult",
         baseline_times: Optional[Sequence[float]] = None,
     ) -> List[Violation]:
-        """Run the post-run checks; returns all violations collected.
+        """Run the post-run checks on the attached run's ``result``;
+        returns all violations collected.
 
         ``baseline_times`` are the measured-window completion timestamps
         of the counterfactual no-perturbation run (same scenario minus
@@ -256,24 +259,14 @@ class ChaosOracle:
             raise RuntimeError("oracle was never attached to a simulation")
         self._check_now(sim)
 
-        # Request conservation on the closed books.
-        if early_error is not None:
-            stranded = sim._next - sim._finished
-            self._record(
-                "request_conservation",
-                f"run ended early ({early_error}): {stranded} of "
-                f"{sim._next} generated requests stranded in flight",
+        # Request conservation (and the rest of the result's books).
+        for problem in result.verify():
+            check = (
+                "request_conservation"
+                if problem.startswith("request conservation")
+                else "result_verify"
             )
-        elif sim._next != sim._completed + sim._failed:
-            self._record(
-                "request_conservation",
-                f"generated {sim._next} != served {sim._completed} + "
-                f"failed {sim._failed}",
-            )
-        result = sim._result
-        if result is not None:
-            for problem in result.verify():
-                self._record("result_verify", problem)
+            self._record(check, problem)
 
         # Message books close for every kind, netfault layer or not.
         for kind, residual in sorted(self._reconcile(sim).items()):
@@ -285,15 +278,16 @@ class ChaosOracle:
                 )
 
         # Availability floor.
-        generated = sim._next
+        generated = result.requests_generated
+        failed = result.requests_failed
         if generated > 0:
-            served = sim._completed / generated
+            served = result.requests_completed / generated
             floor = availability_floor(self.scenario)
             if floor >= 1.0:
-                if sim._failed > 0:
+                if failed > 0:
                     self._record(
                         "availability_floor",
-                        f"plan has no disruptive faults yet {sim._failed} "
+                        f"plan has no disruptive faults yet {failed} "
                         "requests failed",
                     )
             elif served < floor:
@@ -302,14 +296,14 @@ class ChaosOracle:
                     f"served fraction {served:.4f} below the analytic "
                     f"floor {floor:.4f} for this fault plan",
                 )
-        if early_error is None:
-            self._metastable(sim, baseline_times)
+        if result.requests_stranded == 0:
+            self._metastable(sim, result, baseline_times)
         if self.config.strict:
-            shed = sum(n.shed for n in sim.cluster.nodes) + sim._shed_front
-            if sim._failed > 0 or shed > 0:
+            shed = result.requests_shed
+            if failed > 0 or shed > 0:
                 self._record(
                     "strict_service",
-                    f"strict mode: {sim._failed} failed and {shed} shed "
+                    f"strict mode: {failed} failed and {shed} shed "
                     "requests (expected zero)",
                 )
         return list(self.violations)
@@ -317,6 +311,7 @@ class ChaosOracle:
     def _metastable(
         self,
         sim: "Simulation",
+        result: "SimResult",
         baseline_times: Optional[Sequence[float]],
     ) -> None:
         """Post-perturbation goodput must re-converge (see module doc).
@@ -340,7 +335,7 @@ class ChaosOracle:
             return
         if baseline_times is None or len(baseline_times) < 32:
             return
-        warmup = sim._warmup_count / max(1, sim._total)
+        warmup = result.requests_warmup / max(1, sim.requests_total)
         span = max(1e-9, 1.0 - warmup)
 
         def rate(series: Sequence[float], f_lo: float, f_hi: float
@@ -402,7 +397,7 @@ class ChaosOracle:
         taken against the warmup-boundary snapshot.
         """
         net = sim.cluster.net
-        base = sim._inflight_at_measure
+        base = sim.inflight_at_measure
         kinds = set(net.message_counts)
         kinds.update(net.delivered_counts, net.dropped_counts)
         kinds.update(net.in_flight_counts, base)

@@ -32,25 +32,20 @@ __all__ = [
     "build_trace",
     "build_policy",
     "build_overload",
+    "build_simulation",
     "render_report",
 ]
 
 
 @dataclass(frozen=True)
 class ChaosOutcome:
-    """One scenario's run: results, oracle verdicts, bookkeeping."""
+    """One scenario's run: its result and the oracle verdicts."""
 
     scenario: Scenario
-    #: None when the run ended early (stranded requests — itself a
-    #: conservation violation, so ``violations`` is never empty then).
-    result: Optional[SimResult]
+    #: The run's result; stranded requests show as
+    #: ``result.requests_stranded`` and a conservation violation.
+    result: SimResult
     violations: List[Violation]
-    #: The driver's early-end error message, if any.
-    early_error: Optional[str]
-    #: Whole-run served fraction (completed / generated).
-    served_fraction: float
-    requests_failed: int
-    requests_retried: int
 
     @property
     def passed(self) -> bool:
@@ -113,10 +108,6 @@ def build_policy(scenario: Scenario):
     return make_policy(scenario.policy, **kwargs)
 
 
-# Backward-compatible alias (pre-live-bridge private name).
-_build_policy = build_policy
-
-
 def build_overload(scenario: Scenario) -> Optional[OverloadControl]:
     """The scenario's overload control, or ``None`` when unconfigured.
 
@@ -136,10 +127,43 @@ def build_overload(scenario: Scenario) -> Optional[OverloadControl]:
     )
 
 
-def _baseline_times(
+def build_simulation(
     scenario: Scenario,
-    oracle: ChaosOracle,
-    sanitize: Optional[bool],
+    trace: Trace,
+    multiprogramming_per_node: Optional[int] = None,
+) -> Simulation:
+    """The scenario's simulation over ``trace``: one pass, 10% warmup,
+    and the scenario's cluster, policy, faults, retries and overload
+    control.
+
+    Shared by :func:`run_scenario` and live chaos's sim side, which
+    passes the multiprogramming level matching its loadtest
+    concurrency.  Completion timestamps, which feed the metastable
+    oracle, are recorded when the scenario carries workload items.
+    """
+    config = ClusterConfig(
+        nodes=scenario.nodes,
+        cache_bytes=scenario.cache_mb * MB,
+        net_faults=scenario.netfault_config(),
+    )
+    if multiprogramming_per_node is not None:
+        config = config.with_(multiprogramming_per_node=multiprogramming_per_node)
+    return Simulation(
+        trace,
+        build_policy(scenario),
+        config,
+        warmup_fraction=0.1,
+        passes=1,
+        seed=scenario.seed,
+        faults=scenario.fault_schedule(),
+        retry=RetryPolicy(max_retries=scenario.retries),
+        overload=build_overload(scenario),
+        record_timeline=bool(scenario.workload_items()),
+    )
+
+
+def _baseline_times(
+    scenario: Scenario, oracle: ChaosOracle
 ) -> Optional[List[float]]:
     """Completion timestamps of the counterfactual no-perturbation run.
 
@@ -157,78 +181,24 @@ def _baseline_times(
     trace = synthesize(
         scenario.trace, num_requests=scenario.requests, seed=scenario.seed
     )
-    sim = Simulation(
-        trace,
-        build_policy(scenario),
-        ClusterConfig(
-            nodes=scenario.nodes,
-            cache_bytes=scenario.cache_mb * MB,
-            net_faults=scenario.netfault_config(),
-        ),
-        warmup_fraction=0.1,
-        passes=1,
-        seed=scenario.seed,
-        faults=scenario.fault_schedule(),
-        retry=RetryPolicy(max_retries=scenario.retries),
-        overload=build_overload(scenario),
-        record_timeline=True,
-        sanitize=sanitize,
-    )
-    try:
-        sim.run()
-    except RuntimeError:
+    sim = build_simulation(scenario, trace)
+    if sim.run().requests_stranded:
         return None  # no healthy baseline to compare against
     return sim.completion_times
 
 
 def run_scenario(
-    scenario: Scenario,
-    oracle_config: Optional[OracleConfig] = None,
-    sanitize: Optional[bool] = None,
+    scenario: Scenario, oracle_config: Optional[OracleConfig] = None
 ) -> ChaosOutcome:
     """Execute one scenario under the full oracle catalog."""
-    trace = build_trace(scenario)
-    config = ClusterConfig(
-        nodes=scenario.nodes,
-        cache_bytes=scenario.cache_mb * MB,
-        net_faults=scenario.netfault_config(),
-    )
-    sim = Simulation(
-        trace,
-        build_policy(scenario),
-        config,
-        warmup_fraction=0.1,
-        passes=1,
-        seed=scenario.seed,
-        faults=scenario.fault_schedule(),
-        retry=RetryPolicy(max_retries=scenario.retries),
-        overload=build_overload(scenario),
-        # Completion timestamps feed the metastable-failure oracle
-        # (post-perturbation goodput re-convergence).
-        record_timeline=bool(scenario.workload_items()),
-        sanitize=sanitize,
-    )
+    sim = build_simulation(scenario, build_trace(scenario))
     oracle = ChaosOracle(scenario, oracle_config)
     oracle.attach(sim)
-    result: Optional[SimResult] = None
-    early: Optional[str] = None
-    try:
-        result = sim.run()
-    except RuntimeError as exc:
-        early = str(exc)
+    result = sim.run()
     violations = oracle.finish(
-        early, baseline_times=_baseline_times(scenario, oracle, sanitize)
+        result, baseline_times=_baseline_times(scenario, oracle)
     )
-    generated = max(1, sim._next)
-    return ChaosOutcome(
-        scenario=scenario,
-        result=result,
-        violations=violations,
-        early_error=early,
-        served_fraction=sim._completed / generated,
-        requests_failed=sim._failed,
-        requests_retried=sim._retried,
-    )
+    return ChaosOutcome(scenario=scenario, result=result, violations=violations)
 
 
 def render_report(outcome: ChaosOutcome) -> str:
@@ -240,25 +210,19 @@ def render_report(outcome: ChaosOutcome) -> str:
         f"retries/request: {s.retries}  horizon est: {s.horizon_s:g}s",
     ]
     r = outcome.result
-    if r is not None:
-        lines.append(
-            f"  served {r.requests_measured + r.requests_warmup}"
-            f"/{r.requests_generated} "
-            f"(fraction {outcome.served_fraction:.4f}), "
-            f"failed {outcome.requests_failed}, "
-            f"retried {outcome.requests_retried}, "
-            f"shed {r.requests_shed}"
-        )
-        lines.append(
-            f"  measured {r.requests_measured} requests at "
-            f"{r.throughput_rps:.1f} req/s over {r.sim_seconds:.4f}s, "
-            f"miss {r.miss_rate:.4f}, forwarded {r.forwarded_fraction:.4f}"
-        )
-    else:
-        lines.append(
-            f"  RUN ENDED EARLY: {outcome.early_error} "
-            f"(served fraction {outcome.served_fraction:.4f})"
-        )
+    lines.append(
+        f"  served {r.requests_measured + r.requests_warmup}"
+        f"/{r.requests_generated} "
+        f"(fraction {r.requests_completed / max(1, r.requests_generated):.4f}), "
+        f"failed {r.requests_failed}, "
+        f"retried {r.requests_retried}, "
+        f"shed {r.requests_shed}"
+    )
+    lines.append(
+        f"  measured {r.requests_measured} requests at "
+        f"{r.throughput_rps:.1f} req/s over {r.sim_seconds:.4f}s, "
+        f"miss {r.miss_rate:.4f}, forwarded {r.forwarded_fraction:.4f}"
+    )
     if outcome.violations:
         lines.append(f"  VIOLATIONS ({len(outcome.violations)}):")
         for v in outcome.violations:

@@ -635,7 +635,7 @@ def _cmd_netfaults(args: argparse.Namespace) -> int:
             cache_bytes=scenario.cache_mb * MB,
             net_faults=nf,
         )
-        sim = run_netfault_simulation(
+        _, result = run_netfault_simulation(
             trace,
             scenario.policy,
             config,
@@ -649,7 +649,7 @@ def _cmd_netfaults(args: argparse.Namespace) -> int:
             loss_rates=(nf.loss_rate,),
             partition=None,
             cells=[
-                summarize_run(sim, scenario.policy, nf.loss_rate, "loss")
+                summarize_run(result, scenario.policy, nf.loss_rate, "loss")
             ],
         )
     elif args.sweep:
@@ -686,10 +686,10 @@ def _cmd_netfaults(args: argparse.Namespace) -> int:
         )
         cells = []
         for policy_name in policies:
-            sim = run_netfault_simulation(
+            _, result = run_netfault_simulation(
                 trace, policy_name, config, view_max_age_s=view_max_age
             )
-            cells.append(summarize_run(sim, policy_name, args.loss, "loss"))
+            cells.append(summarize_run(result, policy_name, args.loss, "loss"))
         report = NetFaultReport(
             trace=trace.name,
             nodes=args.nodes,
@@ -710,7 +710,7 @@ def _cmd_netfaults(args: argparse.Namespace) -> int:
 
 def _cmd_faults(args: argparse.Namespace) -> int:
     from .cluster import ClusterConfig
-    from .experiments import fault_recovery_experiment, run_fault_simulation
+    from .experiments import calibrate_then_inject, fault_recovery_experiment
     from .faults import FaultSchedule, RetryPolicy
     from .model import MB
     from .workload import synthesize
@@ -808,44 +808,36 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         )
     else:
         # Calibrate the timescale with a healthy run, then inject.
-        healthy = run_fault_simulation(
-            trace, args.policy, config, faults=None, failover_s=args.failover
-        )
-        total_s = healthy._last_completion
-        if spec_schedule is not None or args.spec is not None:
-            schedule = spec_schedule
-        elif args.schedule is not None:
-            schedule = FaultSchedule.parse(args.schedule)
-        else:
-            schedule = FaultSchedule.stochastic(
+        def schedule_for(total_s: float) -> Optional[FaultSchedule]:
+            if args.spec is not None:
+                return spec_schedule
+            if args.schedule is not None:
+                return FaultSchedule.parse(args.schedule)
+            return FaultSchedule.stochastic(
                 args.nodes,
                 horizon_s=args.horizon if args.horizon else total_s,
                 mtbf_s=args.mtbf,
                 mttr_s=args.mttr,
                 seed=args.seed,
             )
-        if schedule is not None:
-            print(f"schedule: {schedule.describe()}")
-        sim = run_fault_simulation(
+
+        run = calibrate_then_inject(
             trace,
             args.policy,
             config,
-            faults=schedule,
-            retry=retry,
-            timeline_interval_s=max(total_s, 1e-9) / 160,
+            schedule_for,
+            retry,
             failover_s=args.failover,
         )
-        timeline = sim.timeline
-        healthy_rps = healthy._completed / total_s if total_s > 0 else 0.0
-        faulted_rps = (
-            sim._completed / sim._last_completion
-            if sim._last_completion > 0
-            else 0.0
-        )
+        if run.sim.faults is not None:
+            print(f"schedule: {run.sim.faults.describe()}")
+        timeline = run.sim.timeline
         print(
             f"{args.policy} x {args.nodes} nodes, {args.trace}: healthy "
-            f"{healthy_rps:,.0f} req/s | faulted {faulted_rps:,.0f} req/s | "
-            f"failed {sim._failed:,} | retried {sim._retried:,}"
+            f"{run.healthy_throughput:,.0f} req/s | faulted "
+            f"{run.faulted_throughput:,.0f} req/s | "
+            f"failed {run.result.requests_failed:,} | "
+            f"retried {run.result.requests_retried:,}"
         )
     print()
     print(timeline.render())

@@ -8,10 +8,11 @@ one pytest-benchmark target.
 
 from .availability import (
     AvailabilityResult,
+    CalibratedFaultRun,
     FaultRecoveryResult,
     availability_experiment,
+    calibrate_then_inject,
     fault_recovery_experiment,
-    run_fault_simulation,
 )
 from .flashcrowd import (
     FlashCrowdResult,
@@ -64,9 +65,10 @@ from .tables import render_table1, render_table2, table1_rows, table2_rows
 __all__ = [
     "AvailabilityResult",
     "availability_experiment",
+    "CalibratedFaultRun",
+    "calibrate_then_inject",
     "FaultRecoveryResult",
     "fault_recovery_experiment",
-    "run_fault_simulation",
     "LoadPoint",
     "latency_vs_load",
     "model_latency_validation",

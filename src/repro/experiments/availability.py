@@ -22,21 +22,22 @@ failure".  Two experiments quantify it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from ..cluster import ClusterConfig
 from ..faults import AvailabilityTimeline, FaultSchedule, RetryPolicy
 from ..servers import make_policy
-from ..sim import Simulation
+from ..sim import SimResult, Simulation
 from ..workload import Trace, synthesize
 from .figures import bench_requests
 
 __all__ = [
     "AvailabilityResult",
     "availability_experiment",
+    "CalibratedFaultRun",
+    "calibrate_then_inject",
     "FaultRecoveryResult",
     "fault_recovery_experiment",
-    "run_fault_simulation",
 ]
 
 
@@ -65,16 +66,6 @@ class AvailabilityResult:
         return self.degraded_throughput / self.healthy_throughput
 
 
-def _measured_throughput(sim: Simulation) -> float:
-    """Measured-window rate even if the run ended short (total outage)."""
-    if sim._measure_start is None:
-        return 0.0
-    elapsed = sim._last_completion - sim._measure_start
-    if elapsed <= 0:
-        return 0.0
-    return sim._measured / elapsed
-
-
 def availability_experiment(
     policy_name: str,
     trace: Optional[Trace] = None,
@@ -97,32 +88,21 @@ def availability_experiment(
     trigger = len(trace) // 2  # mid-warmup (passes=2: warmup is one replay)
 
     def run(faults):
-        sim = Simulation(
-            trace,
-            make_policy(policy_name),
-            config,
-            passes=2,
-            faults=faults,
-            record_timeline=True,
-        )
-        try:
-            sim.run()
-        except RuntimeError:
-            # A total outage leaves the driver short of its request
-            # count; the measured window still stands.
-            pass
-        return sim
+        return Simulation(
+            trace, make_policy(policy_name), config, passes=2, faults=faults
+        ).run()
 
     healthy = run(None)
+    # A total outage leaves an empty measured window: zero throughput.
     degraded = run(FaultSchedule.single_crash(failed_node, after_requests=trigger))
     return AvailabilityResult(
         policy=policy_name,
         nodes=nodes,
         failed_node=failed_node,
-        healthy_throughput=_measured_throughput(healthy),
-        degraded_throughput=_measured_throughput(degraded),
-        requests_failed=degraded._failed,
-        completed_after=degraded._measured,
+        healthy_throughput=healthy.throughput_rps,
+        degraded_throughput=degraded.throughput_rps,
+        requests_failed=degraded.requests_failed,
+        completed_after=degraded.requests_measured,
     )
 
 
@@ -169,36 +149,71 @@ class FaultRecoveryResult:
         return self.outage_goodput / self.healthy_throughput
 
 
-def run_fault_simulation(
+#: Availability-timeline intervals over the healthy run's duration.
+TIMELINE_SAMPLES = 160
+
+
+def _whole_run_throughput(result: SimResult, duration_s: float) -> float:
+    """Completions per second of the whole run, warmup included."""
+    return result.requests_completed / duration_s if duration_s > 0 else 0.0
+
+
+@dataclass(frozen=True)
+class CalibratedFaultRun:
+    """A healthy calibration run, then the same run with faults injected
+    on the timescale it measured (:func:`calibrate_then_inject`)."""
+
+    #: The healthy run's result and duration (simulated seconds).
+    healthy: SimResult
+    total_s: float
+    #: The faulted run and its result.
+    sim: Simulation
+    result: SimResult
+
+    @property
+    def healthy_throughput(self) -> float:
+        return _whole_run_throughput(self.healthy, self.total_s)
+
+    @property
+    def faulted_throughput(self) -> float:
+        return _whole_run_throughput(self.result, self.sim.last_completion)
+
+
+def calibrate_then_inject(
     trace: Trace,
     policy_name: str,
     config: ClusterConfig,
-    faults: Optional[FaultSchedule],
-    retry: Optional[RetryPolicy] = None,
-    timeline_interval_s: Optional[float] = None,
-    passes: int = 2,
+    schedule_for: Callable[[float], Optional[FaultSchedule]],
+    retry: RetryPolicy,
     failover_s: Optional[float] = None,
-) -> Simulation:
-    """One fault-injected run with timeline + retry wiring (shared by the
-    experiment below and the ``repro faults`` CLI command)."""
+) -> CalibratedFaultRun:
+    """Run ``trace`` healthy to learn its duration ``T``, then again under
+    ``schedule_for(T)`` with client retries and an availability timeline
+    of :data:`TIMELINE_SAMPLES` intervals over ``T`` (shared by the
+    experiment below and the ``repro faults`` CLI command).  Both runs
+    replay the trace twice and measure the second pass.
+    """
     kwargs = {"failover_s": failover_s} if failover_s is not None else {}
-    policy = make_policy(policy_name, **kwargs)
-    sim = Simulation(
-        trace,
-        policy,
-        config,
-        passes=passes,
-        faults=faults,
+
+    def run(faults, **extra) -> Tuple[Simulation, SimResult]:
+        sim = Simulation(
+            trace,
+            make_policy(policy_name, **kwargs),
+            config,
+            passes=2,
+            faults=faults,
+            **extra,
+        )
+        return sim, sim.run()
+
+    healthy_sim, healthy = run(None)
+    total_s = healthy_sim.last_completion
+    sim, result = run(
+        schedule_for(total_s),
         retry=retry,
-        timeline_interval_s=timeline_interval_s,
+        timeline_interval_s=max(total_s, 1e-9) / TIMELINE_SAMPLES,
     )
-    try:
-        sim.run()
-    except RuntimeError:
-        # Retries exhausted against a permanent outage leave the driver
-        # short of its request count; the timeline still stands.
-        pass
-    return sim
+    return CalibratedFaultRun(healthy, total_s, sim, result)
 
 
 def fault_recovery_experiment(
@@ -211,7 +226,6 @@ def fault_recovery_experiment(
     crash_frac: float = 0.55,
     recover_frac: Optional[float] = 0.75,
     retry: Optional[RetryPolicy] = None,
-    samples: int = 160,
     failover_s: Optional[float] = None,
     cache_bytes: Optional[int] = None,
 ) -> FaultRecoveryResult:
@@ -231,8 +245,6 @@ def fault_recovery_experiment(
         raise ValueError(
             f"recover_frac must be in (crash_frac, 1), got {recover_frac}"
         )
-    if samples < 10:
-        raise ValueError(f"samples must be >= 10, got {samples}")
     if trace is None:
         requests = num_requests if num_requests is not None else bench_requests()
         trace = synthesize(trace_name, num_requests=requests)
@@ -243,30 +255,23 @@ def fault_recovery_experiment(
     if retry is None:
         retry = RetryPolicy()
 
-    healthy = run_fault_simulation(
-        trace, policy_name, config, faults=None, passes=2, failover_s=failover_s
+    def schedule_for(total_s: float) -> FaultSchedule:
+        crash_at = crash_frac * total_s
+        if recover_frac is None:
+            return FaultSchedule.single_crash(failed_node, at=crash_at)
+        return FaultSchedule.crash_and_recover(
+            failed_node, crash_at, recover_frac * total_s
+        )
+
+    run = calibrate_then_inject(
+        trace, policy_name, config, schedule_for, retry, failover_s
     )
-    total_s = healthy._last_completion
+    total_s = run.total_s
     crash_at = crash_frac * total_s
     recover_at = recover_frac * total_s if recover_frac is not None else None
-    if recover_at is not None:
-        schedule = FaultSchedule.crash_and_recover(failed_node, crash_at, recover_at)
-    else:
-        schedule = FaultSchedule.single_crash(failed_node, at=crash_at)
-
-    sim = run_fault_simulation(
-        trace,
-        policy_name,
-        config,
-        faults=schedule,
-        retry=retry,
-        timeline_interval_s=total_s / samples,
-        passes=2,
-        failover_s=failover_s,
-    )
-    timeline = sim.timeline
+    timeline = run.sim.timeline
     assert timeline is not None
-    end = max(total_s, sim._last_completion)
+    end = max(total_s, run.sim.last_completion)
     outage_end = recover_at if recover_at is not None else end
     # Second half of the outage: past the drain of requests that were
     # already in service when the node died.
@@ -287,16 +292,10 @@ def fault_recovery_experiment(
         failed_node=failed_node,
         crash_at=crash_at,
         recover_at=recover_at,
-        healthy_throughput=(
-            healthy._completed / total_s if total_s > 0 else 0.0
-        ),
-        faulted_throughput=(
-            sim._completed / sim._last_completion
-            if sim._last_completion > 0
-            else 0.0
-        ),
-        requests_failed=sim._failed,
-        requests_retried=sim._retried,
+        healthy_throughput=run.healthy_throughput,
+        faulted_throughput=run.faulted_throughput,
+        requests_failed=run.result.requests_failed,
+        requests_retried=run.result.requests_retried,
         outage_goodput=outage_goodput,
         recovered_goodput=recovered_goodput,
         reheat_miss_rate=reheat,

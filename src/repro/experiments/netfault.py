@@ -166,12 +166,14 @@ def run_netfault_simulation(
     passes: int = 2,
     record_latencies: bool = True,
     view_max_age_s: Optional[float] = None,
-) -> Simulation:
+) -> Tuple[Simulation, SimResult]:
     """One netfault run (shared by the experiment and ``repro netfaults``).
 
     L2S alone takes ``view_max_age_s`` — its defense against load
     vectors going stale behind a partition; the other policies have no
-    equivalent knob.
+    equivalent knob.  Heavy loss or an unhealed partition can strand
+    requests past their retry budgets; the result still reports the
+    measured window.
     """
     kwargs = (
         {"view_max_age_s": view_max_age_s}
@@ -185,22 +187,15 @@ def run_netfault_simulation(
         passes=passes,
         record_latencies=record_latencies,
     )
-    try:
-        sim.run()
-    except RuntimeError:
-        # Heavy loss or an unhealed partition can strand requests past
-        # their retry budgets; the measured window still stands.
-        pass
-    return sim
+    return sim, sim.run()
 
 
 def summarize_run(
-    sim: Simulation,
+    result: SimResult,
     policy_name: str,
     loss_rate: float,
     scenario: str,
 ) -> NetFaultCell:
-    result = _result_or_partial(sim)
     stats = result.message_stats
     summary = result.netfault_summary
     served = result.requests_measured
@@ -228,47 +223,6 @@ def summarize_run(
         reconciliation_residual=max(
             (abs(v) for v in recon.values()), default=0
         ),
-    )
-
-
-def _result_or_partial(sim: Simulation) -> SimResult:
-    """The run's :class:`SimResult`, synthesized from driver state when
-    the run ended short (e.g. an unhealed partition stranded requests)."""
-    result = getattr(sim, "_result", None)
-    if result is not None:
-        return result
-    # The driver raised before building a result: reconstruct the
-    # measured-window essentials directly.
-    elapsed = (
-        sim._last_completion - sim._measure_start
-        if sim._measure_start is not None
-        else 0.0
-    )
-    return SimResult(
-        policy=sim.policy.name,
-        trace=sim.trace.name,
-        nodes=sim.config.nodes,
-        cache_bytes=sim.config.cache_bytes,
-        requests_measured=sim._measured,
-        requests_warmup=sim._warmup_count,
-        sim_seconds=elapsed,
-        throughput_rps=sim._measured / elapsed if elapsed > 0 else 0.0,
-        miss_rate=sim.cluster.overall_miss_rate(),
-        forwarded_fraction=0.0,
-        cpu_utilizations=[],
-        mean_response_s=sim._response.mean,
-        messages_per_request=0.0,
-        node_completions=[n.completed for n in sim.cluster.nodes],
-        policy_stats=sim.policy.stats(),
-        requests_failed=sim._failed,
-        requests_retried=sim._retried,
-        requests_shed=sum(n.shed for n in sim.cluster.nodes),
-        message_stats=sim._message_stats(),
-        netfault_summary=sim._netfault_summary(),
-        # A short run has requests stranded in flight, so verify() on
-        # this partial result reports the conservation gap — truthfully.
-        requests_generated=sim._next,
-        requests_failed_warmup=sim._failed_at_measure,
     )
 
 
@@ -321,13 +275,13 @@ def netfault_experiment(
             config = ClusterConfig(
                 nodes=nodes, net_faults=nf if nf.active else None
             )
-            sim = run_netfault_simulation(
+            _, result = run_netfault_simulation(
                 trace,
                 policy_name,
                 config,
                 view_max_age_s=view_max_age_s,
             )
-            cells.append(summarize_run(sim, policy_name, loss, "loss"))
+            cells.append(summarize_run(result, policy_name, loss, "loss"))
 
         if partition_group is None:
             continue
@@ -341,7 +295,7 @@ def netfault_experiment(
             jitter_s=jitter_s,
             seed=seed,
         )
-        calib = run_netfault_simulation(
+        calib, calib_result = run_netfault_simulation(
             trace,
             policy_name,
             ClusterConfig(
@@ -349,9 +303,9 @@ def netfault_experiment(
             ),
             view_max_age_s=view_max_age_s,
         )
-        cells.append(summarize_run(calib, policy_name, 0.0, "protocol"))
-        boundary = calib._measure_start
-        duration = calib._last_completion
+        cells.append(summarize_run(calib_result, policy_name, 0.0, "protocol"))
+        boundary = calib.measure_start
+        duration = calib.last_completion
         if boundary is None or duration <= boundary:
             continue
         span = duration - boundary
@@ -362,13 +316,13 @@ def netfault_experiment(
         nf = NetFaultConfig(
             schedule=NetFaultSchedule.partition(group, start, end), **base
         )
-        sim = run_netfault_simulation(
+        _, result = run_netfault_simulation(
             trace,
             policy_name,
             ClusterConfig(nodes=nodes, net_faults=nf),
             view_max_age_s=view_max_age_s,
         )
-        cells.append(summarize_run(sim, policy_name, 0.0, "partition"))
+        cells.append(summarize_run(result, policy_name, 0.0, "partition"))
 
     return NetFaultReport(
         trace=trace.name,

@@ -27,10 +27,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
 
-from ..chaos.runner import build_overload, build_policy, build_trace
-from ..cluster import ClusterConfig
+from ..chaos.runner import (
+    build_overload,
+    build_policy,
+    build_simulation,
+    build_trace,
+)
 from ..faults import RetryPolicy
-from ..sim.driver import Simulation
 from ..sim.results import SimResult
 from .cluster import MB, LiveCluster, LiveClusterConfig
 from .compare import CompareReport
@@ -103,29 +106,15 @@ class LiveChaosOutcome:
 
 
 def run_sim_side(scenario, concurrency: int = 16) -> SimResult:
-    """The sim's prediction for this scenario at the live operating point.
-
-    Identical to :func:`repro.chaos.runner.run_scenario`'s setup except
-    the multiprogramming level mirrors the loadtest concurrency, exactly
+    """The sim's prediction for this scenario at the live operating point:
+    :func:`repro.chaos.runner.run_scenario`'s simulation, with the
+    multiprogramming level mirroring the loadtest concurrency, exactly
     as the clean-run compare does.
     """
-    trace = build_trace(scenario)
-    config = ClusterConfig(
-        nodes=scenario.nodes,
-        cache_bytes=scenario.cache_mb * MB,
-        net_faults=scenario.netfault_config(),
+    return build_simulation(
+        scenario,
+        build_trace(scenario),
         multiprogramming_per_node=max(1, concurrency // scenario.nodes),
-    )
-    return Simulation(
-        trace,
-        build_policy(scenario),
-        config,
-        warmup_fraction=0.1,
-        passes=1,
-        seed=scenario.seed,
-        faults=scenario.fault_schedule(),
-        retry=RetryPolicy(max_retries=scenario.retries),
-        overload=build_overload(scenario),
     ).run()
 
 

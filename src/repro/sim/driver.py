@@ -168,8 +168,6 @@ class Simulation:
         #: Per-kind in-flight message levels at the warmup boundary, for
         #: the sent/delivered/dropped reconciliation in message_stats.
         self._inflight_at_measure: Dict[str, int] = {}
-        #: The built result, kept for callers that tolerate short runs.
-        self._result: Optional[SimResult] = None
         #: Client retry behaviour for aborted requests.  ``None`` keeps
         #: the historical semantics: an abort is a terminal failure.
         self.retry = retry
@@ -268,6 +266,38 @@ class Simulation:
     @property
     def _finished(self) -> int:
         return self._completed + self._failed
+
+    # -- read-only run state (for samplers and calibration runs) ---------------
+
+    @property
+    def requests_total(self) -> int:
+        """Requests the run will generate: trace length x passes."""
+        return self._total
+
+    @property
+    def requests_generated(self) -> int:
+        """Requests whose connections have been opened so far."""
+        return self._conn_first[self._next]
+
+    @property
+    def requests_finished(self) -> int:
+        """Requests completed or terminally failed so far."""
+        return self._finished
+
+    @property
+    def measure_start(self) -> Optional[float]:
+        """When the warmup boundary was crossed (``None`` before)."""
+        return self._measure_start
+
+    @property
+    def last_completion(self) -> float:
+        """Time of the latest completion, warmup included (0 before any)."""
+        return self._last_completion
+
+    @property
+    def inflight_at_measure(self) -> Dict[str, int]:
+        """Per-kind in-flight message levels at the warmup boundary."""
+        return dict(self._inflight_at_measure)
 
     def _on_done(
         self,
@@ -442,7 +472,14 @@ class Simulation:
     # -- run ---------------------------------------------------------------------
 
     def run(self) -> SimResult:
-        """Execute the whole trace and return the measured results."""
+        """Execute the whole trace and return the measured results.
+
+        Every run returns a result.  A run that strands requests (they
+        never complete or fail) reports them as
+        :attr:`SimResult.requests_stranded`, the gap :meth:`SimResult.verify`
+        flags; a run with no completion after the warmup boundary has an
+        empty window: ``sim_seconds == 0`` and zero rates.
+        """
         if self.policy.local_prewarm:
             self._prewarm()
         if self._injector is not None:
@@ -466,17 +503,17 @@ class Simulation:
                 self._spawn_next()
         self.env.run()
 
-        if self._finished != self._total:
-            raise RuntimeError(
-                f"simulation ended early: {self._finished}/{self._total} requests"
-            )
-        assert self._measure_start is not None
-        elapsed = self._last_completion - self._measure_start
-        if elapsed <= 0:
-            raise RuntimeError("measurement window is empty; lower warmup_fraction")
+        warmup, failed_warmup = self._warmup_count, self._failed_at_measure
+        start = self._measure_start
+        if start is None:
+            # Stranded before the warmup boundary: every finished
+            # request is warmup, and nothing was measured.
+            warmup, failed_warmup = self._finished, self._failed
+            start = self._last_completion
+        elapsed = max(0.0, self._last_completion - start)
 
         cluster = self.cluster
-        throughput = self._measured / elapsed
+        throughput = self._measured / elapsed if elapsed > 0 else 0.0
         util = [n.cpu_utilization(elapsed) for n in cluster.nodes]
         completions = [n.completed for n in cluster.nodes]
         n_alive = max(1, sum(1 for n in cluster.nodes if not n.failed))
@@ -498,13 +535,13 @@ class Simulation:
             "ni_in": node_mean("ni_in"),
             "ni_out": node_mean("ni_out"),
         }
-        self._result = SimResult(
+        return SimResult(
             policy=self.policy.name,
             trace=self.trace.name,
             nodes=self.config.nodes,
             cache_bytes=self.config.cache_bytes,
             requests_measured=self._measured,
-            requests_warmup=self._warmup_count,
+            requests_warmup=warmup,
             sim_seconds=elapsed,
             throughput_rps=throughput,
             miss_rate=cluster.overall_miss_rate(),
@@ -528,10 +565,9 @@ class Simulation:
             ),
             message_stats=self._message_stats(),
             netfault_summary=self._netfault_summary(),
-            requests_generated=self._conn_first[self._next],
-            requests_failed_warmup=self._failed_at_measure,
+            requests_generated=self.requests_generated,
+            requests_failed_warmup=failed_warmup,
         )
-        return self._result
 
     def _message_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-kind message accounting over the measured window.

@@ -160,6 +160,20 @@ class SimResult:
         return max(self.station_utilizations, key=self.station_utilizations.get)
 
     @property
+    def requests_completed(self) -> int:
+        """Requests served over the whole run, warmup included."""
+        warmup_completed = self.requests_warmup - self.requests_failed_warmup
+        return warmup_completed + self.requests_measured
+
+    @property
+    def requests_stranded(self) -> int:
+        """Generated requests that neither completed nor failed: the
+        conservation gap :meth:`verify` reports (0 on a whole run)."""
+        if self.requests_generated <= 0:
+            return 0
+        return self.requests_generated - self.requests_completed - self.requests_failed
+
+    @property
     def mean_cpu_utilization(self) -> float:
         if not self.cpu_utilizations:
             return 0.0

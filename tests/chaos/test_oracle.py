@@ -1,6 +1,7 @@
 """Invariant oracles: the clean case, strict mode, floors, dedup."""
 
 import os
+from types import SimpleNamespace
 
 import pytest
 
@@ -98,9 +99,10 @@ class TestViolationBookkeeping:
         assert len(oracle.violations) == 2
 
     def test_finish_requires_attachment(self):
+        result = run_scenario(_clean_scenario()).result
         oracle = ChaosOracle(_clean_scenario())
         with pytest.raises(RuntimeError):
-            oracle.finish()
+            oracle.finish(result)
 
 
 class TestFaultedRuns:
@@ -144,12 +146,13 @@ class _StubClusterConfig:
 
 
 class _StubSim:
-    """Just enough Simulation surface for the metastable check."""
+    """Just enough Simulation (and SimResult) surface for the metastable
+    check: ``result`` stands in for the run's SimResult."""
 
     def __init__(self, times, warmup_count=100, total=None):
         self.completion_times = list(times)
-        self._warmup_count = warmup_count
-        self._total = (
+        self.result = SimpleNamespace(requests_warmup=warmup_count)
+        self.requests_total = (
             total if total is not None else warmup_count + len(times)
         )
         self.config = _StubClusterConfig()
@@ -187,7 +190,8 @@ class TestMetastableCheck:
 
     def _violations(self, times, baseline):
         oracle = ChaosOracle(_ramp_scenario())
-        oracle._metastable(_StubSim(times), baseline)
+        sim = _StubSim(times)
+        oracle._metastable(sim, sim.result, baseline)
         return [v for v in oracle.violations if v.check == "metastable_failure"]
 
     def test_collapse_below_both_yardsticks_fires(self):
@@ -212,7 +216,8 @@ class TestMetastableCheck:
     def test_ratio_zero_disables(self):
         perturbed = _collapsing(1000, 0.45, fast=1e-3, slow=5e-2)
         oracle = ChaosOracle(_ramp_scenario(), OracleConfig(metastable_ratio=0.0))
-        oracle._metastable(_StubSim(perturbed), _uniform(1000, 1e-3))
+        sim = _StubSim(perturbed)
+        oracle._metastable(sim, sim.result, _uniform(1000, 1e-3))
         assert oracle.violations == []
 
     def test_end_to_end_ramp_scenario_passes(self):

@@ -107,15 +107,18 @@ def test_retries_are_counted_and_bounded(trace):
         faults=sched,
         retry=RetryPolicy(max_retries=2, base_backoff_s=0.01, cap_s=0.05),
     )
-    # A permanently-dead front-end leaves no measurement window; the run
-    # still drains every slot before the driver reports that.
-    with pytest.raises(RuntimeError, match="measurement window"):
-        sim.run()
-    assert sim._retried > 0
+    # A permanently-dead front-end leaves an empty measurement window;
+    # the run still drains every slot and returns its result.
+    r = sim.run()
+    assert r.sim_seconds == 0.0
+    assert r.throughput_rps == 0.0
+    assert r.requests_retried > 0
     # Bounded retries: every slot eventually fails terminally, so the
     # run still conserves requests.
-    assert sim._completed + sim._failed == 2 * len(trace)
-    assert sim._failed > 0
+    assert r.requests_completed + r.requests_failed == 2 * len(trace)
+    assert r.requests_stranded == 0
+    assert r.verify() == []
+    assert r.requests_failed > 0
 
 
 def test_client_timeout_interrupts_requests(trace):
@@ -199,13 +202,12 @@ def test_lardng_no_failover_is_outage(trace):
         retry=RetryPolicy(max_retries=2, base_backoff_s=0.01, cap_s=0.05),
     )
     # With no failover configured the dispatcher's death is permanent, so
-    # the run may end with an empty measurement window.
-    try:
-        sim.run()
-    except RuntimeError:
-        pass
+    # the run ends with an empty measurement window.
+    r = sim.run()
     assert sim.policy.stats()["elections"] == 0
-    assert sim._failed > 0
+    assert r.sim_seconds == 0.0
+    assert r.requests_completed + r.requests_failed == 2 * len(trace)
+    assert r.requests_failed > 0
 
 
 def test_lardng_election_aborts_if_dispatcher_recovered(trace):

@@ -2,8 +2,6 @@
 
 from math import inf
 
-import pytest
-
 from repro.chaos import ScenarioGenerator
 from repro.chaos.runner import run_scenario
 from repro.cluster import ClusterConfig
@@ -141,12 +139,59 @@ def test_stranded_request_ends_a_timeline_run(monkeypatch):
         trace, make_policy("lard"), ClusterConfig(nodes=4),
         timeline_interval_s=0.01,
     )
-    with pytest.raises(RuntimeError, match="ended early: 1199/1200"):
-        sim.run()
+    r = sim.run()
+    assert r.requests_stranded == 1
+    assert r.requests_completed + r.requests_failed == 1199
+    assert r.requests_generated == 1200
+    # verify() reports exactly the stranded gap.
+    [problem] = r.verify()
+    assert problem.startswith("request conservation: generated 1200 ")
+    assert problem.endswith("= 1199")
     # The sampler stopped once nothing else was queued: the queue drained
     # long before the bound.
     assert sim.env.peek() == inf
     assert sim.timeline.samples[-1].t < 10.0
+
+
+def test_stranded_run_keeps_its_measured_values(monkeypatch):
+    _strand_50th_completion(monkeypatch)
+    trace = synthesize("calgary", 1200, seed=1)
+    sim = Simulation(
+        trace, make_policy("lard"), ClusterConfig(nodes=4),
+        record_latencies=True,
+    )
+    r = sim.run()
+    assert r.requests_stranded == 1
+    assert r.requests_measured > 0 and r.sim_seconds > 0
+    # The values a run measures are reported, not placeholders.
+    assert len(r.cpu_utilizations) == 4
+    assert all(0.0 < u <= 1.0 for u in r.cpu_utilizations)
+    assert 0.0 < r.forwarded_fraction <= 1.0  # LARD hands requests off
+    assert r.messages_per_request > 0.0
+    assert set(r.latency_percentiles) == {"p50", "p90", "p95", "p99", "max"}
+
+
+def test_run_stranded_before_the_warmup_boundary(monkeypatch):
+    # Only the first 10 completions arrive; the boundary (25 finished
+    # requests) is never crossed, so nothing is measured.
+    real_done = Simulation._on_done
+    calls = {"n": 0}
+
+    def on_done(self, *args):
+        calls["n"] += 1
+        if calls["n"] <= 10:
+            real_done(self, *args)
+
+    monkeypatch.setattr(Simulation, "_on_done", on_done)
+    r = Simulation(tiny_trace(50), make_policy("round-robin"), cfg()).run()
+    assert r.requests_warmup == r.requests_completed == 10
+    assert r.requests_measured == 0
+    assert r.sim_seconds == 0.0 and r.throughput_rps == 0.0
+    assert r.requests_stranded == r.requests_generated - 10 > 0
+    [problem] = r.verify()
+    generated = r.requests_generated
+    assert problem.startswith(f"request conservation: generated {generated} ")
+    assert problem.endswith("= 10")
 
 
 def test_stranded_request_is_a_chaos_conservation_violation(monkeypatch):
@@ -154,6 +199,9 @@ def test_stranded_request_is_a_chaos_conservation_violation(monkeypatch):
     outcome = run_scenario(ScenarioGenerator(42).generate(0))
     # The oracle's sampler stopped once nothing else was queued.
     assert [env.peek() for env in ran] == [inf]
-    assert outcome.early_error is not None
-    assert "ended early" in outcome.early_error
-    assert "request_conservation" in {v.check for v in outcome.violations}
+    assert outcome.result.requests_stranded == 1
+    conservation = [
+        v for v in outcome.violations if v.check == "request_conservation"
+    ]
+    assert len(conservation) == 1
+    assert conservation[0].detail == outcome.result.verify()[0]

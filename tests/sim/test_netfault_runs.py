@@ -28,8 +28,7 @@ def cfg(nodes=4, **kw):
 
 
 def result_of(trace, policy, config, **kw):
-    sim = run_netfault_simulation(trace, policy, config, **kw)
-    return sim, sim._result
+    return run_netfault_simulation(trace, policy, config, **kw)
 
 
 def test_inert_config_is_byte_identical_to_no_config(trace):

@@ -13,7 +13,7 @@ minimal reproducer.  Drive it with ``repro chaos`` (see docs/CHAOS.md).
 
 from .generator import ScenarioGenerator, generate_scenario
 from .oracle import ChaosOracle, OracleConfig, Violation, availability_floor
-from .runner import ChaosOutcome, render_report, run_scenario
+from .runner import ChaosOutcome, render_report, run_scenario, run_trial
 from .shrink import ShrinkResult, shrink_scenario
 from .spec import ChaosSpecError, PlanItem, Scenario
 
@@ -31,5 +31,6 @@ __all__ = [
     "generate_scenario",
     "render_report",
     "run_scenario",
+    "run_trial",
     "shrink_scenario",
 ]

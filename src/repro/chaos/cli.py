@@ -3,15 +3,17 @@
 Subcommands::
 
     repro chaos run --trials 200 --seed 42      # a seeded sweep
+    repro chaos run --trials 200 --workers 4    # the same, on 4 cores
     repro chaos replay scenario.json            # one stored scenario
     repro chaos shrink scenario.json            # minimize a failure
     repro chaos soak --minutes 10 --seed 7      # bounded wall-clock soak
 
 ``run`` and ``replay`` print deterministic reports (CI diffs them
-byte-for-byte); ``shrink`` writes the minimal reproducer next to the
-input with a ``.min.json`` suffix plus the exact replay line.  Exit
-status is 0 when every oracle passed and 1 otherwise, so the commands
-gate in CI directly.
+byte-for-byte; ``run`` prints the same for any ``--workers``);
+``shrink`` writes the minimal reproducer next to the input with a
+``.min.json`` suffix plus the exact replay line.  Exit status is 0 when
+every oracle passed and 1 otherwise, so the commands gate in CI
+directly.
 
 Soak mode is the one place the chaos package may read the wall clock:
 it budgets *real* minutes, not simulated ones.  The chaos package is
@@ -25,11 +27,12 @@ import argparse
 import os
 import sys
 import time
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
+from ..farm.runner import FarmWorkerError, farm_workers, pool_map
 from .generator import DEFAULT_POLICIES, ScenarioGenerator
 from .oracle import OracleConfig
-from .runner import render_report, run_scenario
+from .runner import render_report, run_scenario, run_trial
 from .shrink import render_shrink, shrink_scenario
 from .spec import ChaosSpecError, Scenario
 
@@ -51,31 +54,12 @@ def _generator(ns: argparse.Namespace) -> ScenarioGenerator:
     )
 
 
-def _sweep(
-    gen: ScenarioGenerator,
-    trials: Sequence[int],
-    config: OracleConfig,
-    out_dir: Optional[str],
-    quiet: bool,
-) -> int:
-    """Run the given trial indices; returns the number of failures."""
-    failures = 0
-    for trial in trials:
-        scenario = gen.generate(trial)
-        outcome = run_scenario(scenario, config)
-        if outcome.passed:
-            if not quiet:
-                print(render_report(outcome))
-        else:
-            failures += 1
-            print(render_report(outcome))
-            if out_dir is not None:
-                os.makedirs(out_dir, exist_ok=True)
-                path = os.path.join(out_dir, f"{scenario.name}.json")
-                scenario.save(path)
-                print(f"  scenario saved: {path}")
-                print(f"  replay: {scenario.replay_cli(path)}")
-    return failures
+def _save(scenario: Scenario, out_dir: str) -> str:
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, f"{scenario.name}.json")
+    scenario.save(path)
+    print(f"  scenario saved: {path}")
+    return path
 
 
 def _cmd_run(ns: argparse.Namespace) -> int:
@@ -85,7 +69,23 @@ def _cmd_run(ns: argparse.Namespace) -> int:
         f"chaos run: {ns.trials} trials, seed {ns.seed}, "
         f"policies {','.join(gen.policies)}, trace {gen.trace}"
     )
-    failures = _sweep(gen, range(ns.trials), config, ns.out, ns.quiet)
+    # Trials run in any process and order; reports print in trial order
+    # and only this process writes files, so stdout is the same for
+    # every worker count.
+    tasks = [(gen, trial, config) for trial in range(ns.trials)]
+    failures = 0
+    for passed, report, scenario in pool_map(
+        run_trial, tasks, workers=farm_workers(ns.workers)
+    ):
+        if passed:
+            if not ns.quiet:
+                print(report)
+            continue
+        failures += 1
+        print(report)
+        if ns.out is not None:
+            path = _save(scenario, ns.out)
+            print(f"  replay: {scenario.replay_cli(path)}")
     print(
         f"chaos run: {ns.trials - failures}/{ns.trials} trials passed "
         f"all oracles"
@@ -134,15 +134,11 @@ def _cmd_soak(ns: argparse.Namespace) -> int:
     trial = 0
     failures = 0
     while time.monotonic() < deadline and trial < ns.max_trials:
-        scenario = gen.generate(trial)
-        outcome = run_scenario(scenario, config)
-        if not outcome.passed:
+        passed, report, scenario = run_trial((gen, trial, config))
+        if not passed:
             failures += 1
-            print(render_report(outcome))
-            os.makedirs(out_dir, exist_ok=True)
-            path = os.path.join(out_dir, f"{scenario.name}.json")
-            scenario.save(path)
-            print(f"  scenario saved: {path}")
+            print(report)
+            path = _save(scenario, out_dir)
             if not ns.no_shrink:
                 result = shrink_scenario(
                     scenario, oracle_config=config, max_runs=ns.max_runs
@@ -195,6 +191,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory for failing scenario files")
     p_run.add_argument("--quiet", action="store_true",
                        help="print only failing trials and the summary")
+    p_run.add_argument("--workers", type=int, default=None,
+                       help="worker processes "
+                       "(default: REPRO_FARM_WORKERS or 1)")
     p_run.set_defaults(func=_cmd_run)
 
     p_replay = sub.add_parser(
@@ -248,6 +247,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except FileNotFoundError as exc:
         print(f"chaos: {exc}", file=sys.stderr)
         return 2
+    except FarmWorkerError as exc:
+        print(f"chaos: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

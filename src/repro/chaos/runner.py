@@ -1,18 +1,19 @@
 """Scenario execution: spec -> simulation -> verdict.
 
 :func:`run_scenario` is the single execution path shared by ``repro
-chaos run`` (fresh scenarios), ``repro chaos replay`` (a scenario file),
-and the shrinker's predicate (candidate scenarios).  Everything the run
-does derives from the :class:`~repro.chaos.spec.Scenario` alone, so the
-same spec always produces the same :class:`~repro.sim.results.SimResult`
-and the same violations — byte-identical replay reports are what the CI
-chaos-smoke job diffs.
+chaos run``/``soak`` (fresh scenarios, through :func:`run_trial`),
+``repro chaos replay`` (a scenario file), and the shrinker's predicate
+(candidate scenarios).  Everything the run does derives from the
+:class:`~repro.chaos.spec.Scenario` alone, so the same spec always
+produces the same :class:`~repro.sim.results.SimResult` and the same
+violations — byte-identical replay reports are what the CI chaos-smoke
+job diffs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..cluster import ClusterConfig
 from ..experiments.flashcrowd import flash_crowd_trace
@@ -26,9 +27,13 @@ from ..workload.tracegen import flash_ramp_trace, popularity_churn_trace
 from .oracle import ChaosOracle, OracleConfig, Violation
 from .spec import Scenario
 
+if TYPE_CHECKING:
+    from .generator import ScenarioGenerator
+
 __all__ = [
     "ChaosOutcome",
     "run_scenario",
+    "run_trial",
     "build_trace",
     "build_policy",
     "build_overload",
@@ -199,6 +204,21 @@ def run_scenario(
         result, baseline_times=_baseline_times(scenario, oracle)
     )
     return ChaosOutcome(scenario=scenario, result=result, violations=violations)
+
+
+def run_trial(
+    task: Tuple[ScenarioGenerator, int, OracleConfig],
+) -> Tuple[bool, str, Scenario]:
+    """One seeded sweep trial: ``(passed, report, scenario)``.
+
+    The scenario is rebuilt from the generator's seed and the trial
+    index, so a farm worker computes exactly what a serial sweep does.
+    Module-level (picklable) and free of side effects: the caller
+    prints the report and saves a failing scenario.
+    """
+    gen, trial, config = task
+    outcome = run_scenario(gen.generate(trial), config)
+    return outcome.passed, render_report(outcome), outcome.scenario
 
 
 def render_report(outcome: ChaosOutcome) -> str:

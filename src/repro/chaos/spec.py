@@ -20,10 +20,9 @@ Every fault is a :class:`PlanItem` — a *windowed* unit (a crash always
 carries its recovery, an outage its repair) so that dropping an item
 during shrinking can never leave an unmatched recover/heal event behind.
 Items expand into the two existing schedule types via
-:meth:`Scenario.fault_schedule` and :meth:`Scenario.netfault_config`;
-the ``repro faults`` and ``repro netfaults`` CLIs accept a scenario file
-through ``--spec`` and run the relevant half, so the two legacy
-grammars and the chaos harness share one source of truth.
+:meth:`Scenario.fault_schedule` and :meth:`Scenario.netfault_config`,
+so the two legacy grammars and the chaos harness share one source of
+truth.
 
 Validation raises :class:`ChaosSpecError` whose message always names the
 offending field (``plan[3].node: ...``), so a hand-edited scenario file

@@ -14,16 +14,12 @@ Commands
     Reproduce one of the scaling figures (model + all three systems).
 ``repro faults TRACE POLICY [--schedule SPEC | --mtbf S --mttr S | --crash-node I]``
     Fault-injection run: crash/recover/slow nodes on a schedule, retry
-    aborted requests, and print the availability timeline.  Accepts a
-    chaos scenario file via ``--spec`` (its node-fault half runs; the
-    positional TRACE/POLICY then become optional overrides).
+    aborted requests, and print the availability timeline.
 ``repro netfaults TRACE [--policies P1,P2] [--loss R] [--schedule SPEC]``
     Unreliable-interconnect run: seeded message loss / duplication /
     delay and timed link-down or partition schedules, with the
     message-reliability protocol on, reported as a deterministic
     policy-comparison table (``--sweep`` runs the full A3 loss sweep).
-    Accepts a chaos scenario file via ``--spec`` (its fabric half runs
-    under the scenario's own policy).
 ``repro chaos {run,replay,shrink,soak}``
     Randomized fault-scenario fuzzing: seeded sweeps of combined fault
     plans under invariant oracles, byte-identical replay of stored
@@ -49,11 +45,11 @@ FILE] [--no-project]``
     taint into scheduling/results/scenarios, hot-path allocation,
     async safety, policy-contract conformance (see docs/ANALYSIS.md).
     Exits nonzero on findings (or, with --baseline, on *new* findings).
-``repro farm {sweep,chaos}``
+``repro farm sweep``
     Multi-core sweep runner: shard a trace x policy x nodes x seed grid
-    (or a batch of chaos trials) across worker processes with
-    deterministic shard merging — the merged output is byte-identical
-    to a serial run (see docs/FARM.md and ``repro farm --help``).
+    across worker processes with deterministic shard merging — the
+    merged output is byte-identical to a serial run (see docs/FARM.md
+    and ``repro farm --help``).
 ``repro live {serve,loadtest,compare}``
     The live substrate: boot a real localhost asyncio cluster driven by
     the same distribution policies the simulator runs, replay traces
@@ -128,20 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_flt = sub.add_parser(
         "faults", help="fault-injection run with an availability timeline"
     )
+    p_flt.add_argument("trace", help="calgary|clarknet|nasa|rutgers")
     p_flt.add_argument(
-        "trace", nargs="?", default=None,
-        help="calgary|clarknet|nasa|rutgers (optional with --spec)",
-    )
-    p_flt.add_argument(
-        "policy", nargs="?", default=None,
-        help="l2s|lard|lard-ng|traditional|round-robin|consistent-hash "
-        "(optional with --spec)",
-    )
-    p_flt.add_argument(
-        "--spec", default=None, metavar="SCENARIO.json",
-        help="chaos scenario file: run its node-fault half with its "
-        "trace/policy/nodes/seed/retries (positional TRACE/POLICY "
-        "override when given)",
+        "policy",
+        help="l2s|lard|lard-ng|traditional|round-robin|consistent-hash",
     )
     p_flt.add_argument("--nodes", type=int, default=8)
     p_flt.add_argument("--requests", type=int, default=None)
@@ -205,10 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         "netfaults",
         help="unreliable-interconnect run (loss/dup/delay/partition)",
     )
-    p_net.add_argument(
-        "trace", nargs="?", default=None,
-        help="calgary|clarknet|nasa|rutgers (optional with --spec)",
-    )
+    p_net.add_argument("trace", help="calgary|clarknet|nasa|rutgers")
     p_net.add_argument(
         "--policies", default="traditional,lard,lard-ng,l2s",
         help="comma-separated policy names (default: the paper's four)",
@@ -250,12 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sweep", action="store_true",
         help="run the full A3 experiment (loss sweep + timed partition) "
         "instead of the single scenario",
-    )
-    p_net.add_argument(
-        "--spec", default=None, metavar="SCENARIO.json",
-        help="chaos scenario file: run its fabric half (loss/dup/delay/"
-        "jitter rates, link outages, partitions) under the scenario's "
-        "own trace, policy, cluster size, and seed",
     )
     p_net.add_argument(
         "--out", default=None, metavar="PATH",
@@ -589,70 +566,9 @@ def _cmd_netfaults(args: argparse.Namespace) -> int:
         print("--policies must name at least one policy", file=sys.stderr)
         return 2
     view_max_age = args.view_max_age if args.view_max_age > 0 else None
-    if args.trace is None and args.spec is None:
-        print(
-            "netfaults: TRACE is required without --spec", file=sys.stderr
-        )
-        return 2
-    if args.trace is not None:
-        trace = synthesize(
-            args.trace, num_requests=args.requests, seed=args.seed
-        )
+    trace = synthesize(args.trace, num_requests=args.requests, seed=args.seed)
 
-    if args.spec is not None:
-        if args.sweep or args.schedule is not None:
-            print(
-                "--spec carries its own fabric plan; it is exclusive "
-                "with --sweep and --schedule",
-                file=sys.stderr,
-            )
-            return 2
-        from .chaos.spec import ChaosSpecError, Scenario
-
-        try:
-            scenario = Scenario.load(args.spec)
-        except ChaosSpecError as exc:
-            print(f"netfaults: invalid scenario — {exc}", file=sys.stderr)
-            return 2
-        nf = scenario.netfault_config()
-        if nf is None:
-            # No fabric items: exercise the reliability protocol on a
-            # clean fabric rather than silently doing nothing.
-            print(
-                f"note: {args.spec} has no fabric items; running with "
-                "the reliability protocol on a clean fabric"
-            )
-            nf = NetFaultConfig(seed=scenario.seed, always_on=True)
-        # The scenario supplies the workload; an explicit positional
-        # TRACE still wins, mirroring `repro faults --spec`.
-        trace = synthesize(
-            args.trace or scenario.trace,
-            num_requests=args.requests or scenario.requests,
-            seed=scenario.seed,
-        )
-        config = ClusterConfig(
-            nodes=scenario.nodes,
-            cache_bytes=scenario.cache_mb * MB,
-            net_faults=nf,
-        )
-        _, result = run_netfault_simulation(
-            trace,
-            scenario.policy,
-            config,
-            view_max_age_s=scenario.view_max_age_s,
-        )
-        report = NetFaultReport(
-            trace=trace.name,
-            nodes=scenario.nodes,
-            requests=len(trace),
-            seed=scenario.seed,
-            loss_rates=(nf.loss_rate,),
-            partition=None,
-            cells=[
-                summarize_run(result, scenario.policy, nf.loss_rate, "loss")
-            ],
-        )
-    elif args.sweep:
+    if args.sweep:
         report = netfault_experiment(
             trace=trace,
             nodes=args.nodes,
@@ -721,47 +637,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     if args.schedule is not None and args.mtbf is not None:
         print("--schedule and --mtbf/--mttr are exclusive", file=sys.stderr)
         return 2
-
-    spec_schedule = None
-    if args.spec is not None:
-        if args.schedule is not None or args.mtbf is not None:
-            print(
-                "--spec carries its own schedule; it is exclusive with "
-                "--schedule and --mtbf/--mttr",
-                file=sys.stderr,
-            )
-            return 2
-        from .chaos.spec import ChaosSpecError, Scenario
-
-        try:
-            scenario = Scenario.load(args.spec)
-        except ChaosSpecError as exc:
-            print(f"faults: invalid scenario — {exc}", file=sys.stderr)
-            return 2
-        # The scenario supplies the run shape; explicit positionals
-        # still win so a stored scenario can be rerun elsewhere.
-        args.trace = args.trace or scenario.trace
-        args.policy = args.policy or scenario.policy
-        args.nodes = scenario.nodes
-        args.memory = scenario.cache_mb
-        args.seed = scenario.seed
-        args.requests = args.requests or scenario.requests
-        args.retries = scenario.retries
-        if args.failover is None:
-            args.failover = scenario.failover_s
-        spec_schedule = scenario.fault_schedule()
-        if spec_schedule is None:
-            print(
-                f"note: {args.spec} has no node-fault items "
-                "(fabric/workload items belong to `repro netfaults` and "
-                "`repro chaos`); running the healthy baseline",
-            )
-    if args.trace is None or args.policy is None:
-        print(
-            "faults: TRACE and POLICY are required without --spec",
-            file=sys.stderr,
-        )
-        return 2
     if args.failover is not None and args.policy != "lard-ng":
         print("--failover only applies to lard-ng", file=sys.stderr)
         return 2
@@ -772,7 +647,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         max_retries=args.retries, timeout_s=args.timeout
     )
 
-    if args.spec is None and args.schedule is None and args.mtbf is None:
+    if args.schedule is None and args.mtbf is None:
         # Fraction mode: crash one node partway through, reboot it later.
         r = fault_recovery_experiment(
             args.policy,
@@ -808,9 +683,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         )
     else:
         # Calibrate the timescale with a healthy run, then inject.
-        def schedule_for(total_s: float) -> Optional[FaultSchedule]:
-            if args.spec is not None:
-                return spec_schedule
+        def schedule_for(total_s: float) -> FaultSchedule:
             if args.schedule is not None:
                 return FaultSchedule.parse(args.schedule)
             return FaultSchedule.stochastic(

@@ -176,14 +176,16 @@ class CalibratedFaultRun:
 
     @property
     def faulted_throughput(self) -> float:
-        return _whole_run_throughput(self.result, self.sim.last_completion)
+        # Over the faulted run's end, not its last completion: an outage
+        # that outlasts every completion still lowers the rate.
+        return _whole_run_throughput(self.result, self.sim.env.now)
 
 
 def calibrate_then_inject(
     trace: Trace,
     policy_name: str,
     config: ClusterConfig,
-    schedule_for: Callable[[float], Optional[FaultSchedule]],
+    schedule_for: Callable[[float], FaultSchedule],
     retry: RetryPolicy,
     failover_s: Optional[float] = None,
 ) -> CalibratedFaultRun:

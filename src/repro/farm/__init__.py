@@ -1,24 +1,16 @@
 """Multi-core sweep runner with deterministic shard merging.
 
 ``repro farm`` shards a sweep grid (trace x policy x node-count x seed)
-or a batch of chaos trials across a process pool and merges the shard
-results back in grid order, so the merged output is byte-identical to a
-serial run of the same spec — parallelism is a pure wall-clock
-optimization, never a source of nondeterminism (see docs/FARM.md).
+across a process pool and merges the shard results back in grid order,
+so the merged output is byte-identical to a serial run of the same spec
+— parallelism is a pure wall-clock optimization, never a source of
+nondeterminism (see docs/FARM.md).
 """
 
 from .spec import FarmSpecError, Shard, SweepSpec, derive_shard_seed
-from .runner import (
-    ChaosFarmResult,
-    FarmResult,
-    FarmWorkerError,
-    pool_map,
-    run_chaos_farm,
-    run_sweep,
-)
+from .runner import FarmResult, FarmWorkerError, pool_map, run_sweep
 
 __all__ = [
-    "ChaosFarmResult",
     "FarmResult",
     "FarmSpecError",
     "FarmWorkerError",
@@ -26,6 +18,5 @@ __all__ = [
     "SweepSpec",
     "derive_shard_seed",
     "pool_map",
-    "run_chaos_farm",
     "run_sweep",
 ]

@@ -1,4 +1,4 @@
-"""``repro farm`` — shard sweeps and chaos trials across CPU cores.
+"""``repro farm`` — shard sweeps across CPU cores.
 
 Subcommands::
 
@@ -6,21 +6,20 @@ Subcommands::
         --nodes 16 --seeds 4 --requests 4000 --workers 4
     repro farm sweep --spec sweep.json --workers 8 --out merged.json
     repro farm sweep --quick --workers 2       # CI smoke grid
-    repro farm chaos --trials 16 --workers 4 --seed 42
 
 The merged output (table and ``--out`` JSON) is byte-identical for any
 ``--workers`` value, including 1 — see docs/FARM.md for the contract.
-Progress lines go to stderr so stdout stays diffable.
+Progress lines go to stderr so stdout stays diffable.  Seeded chaos
+trials fan out the same way through ``repro chaos run --workers``.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
-from .runner import FarmWorkerError, farm_workers, run_chaos_farm, run_sweep
+from .runner import FarmWorkerError, farm_workers, run_sweep
 from .spec import FarmSpecError, SweepSpec
 
 __all__ = ["main", "build_parser"]
@@ -100,33 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument(
         "--no-progress", action="store_true",
         help="suppress per-shard progress lines on stderr",
-    )
-
-    p_ch = sub.add_parser(
-        "chaos", help="farm seeded chaos trials (repro chaos run, sharded)"
-    )
-    p_ch.add_argument("--trials", type=int, default=8)
-    p_ch.add_argument("--seed", type=int, default=0)
-    p_ch.add_argument(
-        "--policies", default=None,
-        help="comma-separated policy names (default: the chaos set)",
-    )
-    p_ch.add_argument("--trace", default="calgary")
-    p_ch.add_argument("--requests", type=int, default=None)
-    p_ch.add_argument(
-        "--strict", action="store_true", help="strict oracle config"
-    )
-    p_ch.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: REPRO_FARM_WORKERS or 1)",
-    )
-    p_ch.add_argument(
-        "--out", default=None, metavar="DIR",
-        help="directory for failing scenarios (default chaos-farm)",
-    )
-    p_ch.add_argument(
-        "--no-progress", action="store_true",
-        help="suppress per-trial progress lines on stderr",
     )
     return parser
 
@@ -211,57 +183,8 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos(ns: argparse.Namespace) -> int:
-    workers = farm_workers(ns.workers)
-    policies = _str_list(ns.policies) if ns.policies else None
-    print(
-        f"farm chaos: {ns.trials} trials, seed {ns.seed}, "
-        f"{workers} worker(s)",
-        file=sys.stderr,
-    )
-
-    def progress(trial: int, passed: bool) -> None:
-        print(
-            f"  trial {trial}: {'ok' if passed else 'FAIL'}",
-            file=sys.stderr,
-        )
-
-    try:
-        farm = run_chaos_farm(
-            ns.trials,
-            seed=ns.seed,
-            workers=workers,
-            policies=policies,
-            trace=ns.trace,
-            requests=ns.requests,
-            strict=ns.strict,
-            progress=None if ns.no_progress else progress,
-        )
-    except FarmWorkerError as exc:
-        print(f"farm chaos: {exc}", file=sys.stderr)
-        return 1
-    out_dir = ns.out or "chaos-farm"
-    for trial, report, scenario_json in farm.failing_reports():
-        print(report)
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, f"trial{trial:05d}.json")
-        with open(path, "w") as fh:
-            fh.write(scenario_json)
-        print(f"  scenario saved: {path}")
-    print(
-        f"farm chaos: {farm.trials - farm.failures}/{farm.trials} trials "
-        "passed all oracles"
-    )
-    return 1 if farm.failures else 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
-    ns = build_parser().parse_args(argv)
-    if ns.command == "sweep":
-        return _cmd_sweep(ns)
-    if ns.command == "chaos":
-        return _cmd_chaos(ns)
-    raise AssertionError(f"unhandled command {ns.command!r}")
+    return _cmd_sweep(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -12,7 +12,8 @@ The execution contract (docs/FARM.md):
   fail identically on retry) and propagates.
 
 ``pool_map`` is the reusable core; the figure experiments
-(:mod:`repro.experiments.figures`) fan out through it too.
+(:mod:`repro.experiments.figures`) and ``repro chaos run`` fan out
+through it too.
 """
 
 from __future__ import annotations
@@ -29,12 +30,10 @@ from ..sim import SimResult
 from .spec import Shard, SweepSpec
 
 __all__ = [
-    "ChaosFarmResult",
     "FarmResult",
     "FarmWorkerError",
     "farm_workers",
     "pool_map",
-    "run_chaos_farm",
     "run_sweep",
 ]
 
@@ -221,83 +220,3 @@ def run_sweep(
     )
     results = pool_map(_run_sweep_shard, tasks, workers=workers, progress=hook)
     return FarmResult(spec=spec, results=tuple(results), workers=workers)
-
-
-# ---------------------------------------------------------------------------
-# Chaos-trial farming
-# ---------------------------------------------------------------------------
-
-
-def _run_chaos_trial(
-    args: Tuple[int, int, Tuple[str, ...], str, Optional[int], bool]
-) -> Tuple[bool, str, Optional[str]]:
-    """One chaos trial — regenerated in the worker from (seed, trial).
-
-    Returns ``(passed, report_text, scenario_json)``; the scenario JSON
-    travels back only for failures so the *parent* does all file writes
-    (workers stay side-effect-free).
-    """
-    trial, seed, policies, trace, requests, strict = args
-    from ..chaos.generator import ScenarioGenerator
-    from ..chaos.oracle import OracleConfig
-    from ..chaos.runner import render_report, run_scenario
-
-    kwargs = {} if requests is None else {"requests": requests}
-    gen = ScenarioGenerator(seed, policies=policies, trace=trace, **kwargs)
-    scenario = gen.generate(trial)
-    outcome = run_scenario(scenario, OracleConfig(strict=strict))
-    scenario_json = None if outcome.passed else scenario.to_json()
-    return outcome.passed, render_report(outcome), scenario_json
-
-
-@dataclass(frozen=True)
-class ChaosFarmResult:
-    """A farmed chaos sweep: per-trial verdicts in trial order."""
-
-    trials: int
-    seed: int
-    workers: int
-    #: ``(passed, report, scenario_json-or-None)`` per trial, in order.
-    outcomes: Tuple[Tuple[bool, str, Optional[str]], ...]
-
-    @property
-    def failures(self) -> int:
-        return sum(1 for passed, _, _ in self.outcomes if not passed)
-
-    def failing_reports(self) -> List[Tuple[int, str, str]]:
-        """(trial, report, scenario_json) for every failed trial."""
-        return [
-            (i, report, spec_json)
-            for i, (passed, report, spec_json) in enumerate(self.outcomes)
-            if not passed and spec_json is not None
-        ]
-
-
-def run_chaos_farm(
-    trials: int,
-    seed: int = 0,
-    workers: int = 1,
-    policies: Optional[Sequence[str]] = None,
-    trace: str = "calgary",
-    requests: Optional[int] = None,
-    strict: bool = False,
-    progress: Optional[Callable[[int, bool], None]] = None,
-) -> ChaosFarmResult:
-    """Farm ``trials`` seeded chaos trials across ``workers`` processes.
-
-    Each trial regenerates its scenario from ``(seed, trial_index)`` in
-    the worker, so the verdict set is identical to a serial
-    ``repro chaos run --trials N --seed S`` sweep regardless of worker
-    count or completion order.
-    """
-    from ..chaos.generator import DEFAULT_POLICIES
-
-    pols = tuple(policies) if policies else DEFAULT_POLICIES
-    tasks = [(t, seed, pols, trace, requests, strict) for t in range(trials)]
-    hook = (
-        (lambda i, r: progress(i, r[0])) if progress is not None else None
-    )
-    outcomes = pool_map(_run_chaos_trial, tasks, workers=workers, progress=hook)
-    return ChaosFarmResult(
-        trials=trials, seed=seed, workers=workers, outcomes=tuple(outcomes)
-    )

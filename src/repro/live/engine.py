@@ -137,9 +137,9 @@ class PolicyEngine:
        already happened when the front-end calls this).
     2. :meth:`connection_opened` at the target — increments the target's
        open-connection count, then fires ``on_connection_change``.
-    3. :meth:`request_completed` — decrement, then ``on_connection_change``,
-       ``on_complete``, ``on_connection_end``, in exactly the simulator's
-       close-path order.
+    3. :meth:`request_completed` — decrement, then ``on_connection_change``
+       and ``on_connection_end``, in exactly the simulator's close-path
+       order.
 
     Aborts route through :meth:`request_aborted` and failed hand-offs
     through :meth:`handoff_failed`, same as the sim's fault paths.
@@ -229,7 +229,7 @@ class PolicyEngine:
             self.membership.node(node_id).open_connections += 1
             self.policy.on_connection_change(node_id)
 
-    def request_completed(self, node_id: int, file_id: int) -> None:
+    def request_completed(self, node_id: int) -> None:
         """The request finished at its service node (close-path hooks)."""
         with self._lock:
             node = self.membership.node(node_id)
@@ -237,7 +237,6 @@ class PolicyEngine:
             assert node.open_connections >= 0, "connection count went negative"
             self.completed += 1
             self.policy.on_connection_change(node_id)
-            self.policy.on_complete(node_id, file_id)
             self.policy.on_connection_end(node_id)
 
     def request_aborted(self, initial: int, opened: bool, target: Optional[int] = None) -> None:

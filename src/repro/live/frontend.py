@@ -299,7 +299,7 @@ class FrontEnd(http11.Server):
             )
             self.failed += 1
             return False, http11.render_response(response.status, response.body)
-        self.engine.request_completed(outcome.target, outcome.file_id)
+        self.engine.request_completed(outcome.target)
         self.completed += 1
         relay_headers = {
             "X-Cache": response.headers.get("x-cache", "MISS"),

@@ -216,16 +216,13 @@ class DistributionPolicy(ABC):
     def on_connection_change(self, node_id: int) -> None:
         """Called after a node's open-connection count changes."""
 
-    def on_complete(self, node_id: int, file_id: int) -> None:
-        """Called after a request finishes at its service node."""
-
     def on_connection_end(self, node_id: int) -> None:
         """Called when a client connection closes at ``node_id`` or
         migrates away from it.
 
         Under HTTP/1.0 this fires once per request (connection ==
         request); under persistent connections once per close or
-        migration, while :meth:`on_complete` fires once per request.
+        migration, however many requests the connection carried.
         Policies whose dispatcher counts *connections* (the traditional
         fewest-connections switch) hook their decrement here.
         """
@@ -263,11 +260,6 @@ class DistributionPolicy(ABC):
         (mirroring the sim's incarnation counter).
         """
         self.failed_nodes.discard(node_id)
-
-    def usable_nodes(self) -> int:
-        """How many nodes the policy currently routes to."""
-        cluster = self._require_cluster()
-        return cluster.num_nodes - len(self.failed_nodes)
 
     def on_request_aborted(self, node_id: int, opened: bool) -> None:
         """A request aborted mid-flight (crash or client timeout).

@@ -225,8 +225,7 @@ class LARDPolicy(DistributionPolicy):
 
         The front-end's view counts *connections* (one increment per
         decide, and a persistent connection is decided once), so the
-        decrement is per connection too — ``on_complete`` fires once
-        per request and would drive the view negative.
+        decrement is per connection too, not per request.
         """
         if self._single_node:
             return

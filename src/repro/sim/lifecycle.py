@@ -270,16 +270,17 @@ class _FastRequest:
         self.on_failed(self.pos)
 
     def _close_connection(self) -> None:
-        """The connection closes at its node, counting the current
-        request as that node's completion."""
+        """The connection closes at (or migrates away from) its node.
+
+        No request completes here: a served request is counted where
+        its reply leaves (:meth:`_route_out_done`, :meth:`_keep_alive`),
+        and an aborted one is not counted at all.
+        """
         node = self.service_node
         node.connection_closed()
-        node.completed += 1
         policy = self.policy
-        target = node.id
-        policy.on_connection_change(target)
-        policy.on_complete(target, self.file_id)
-        policy.on_connection_end(target)
+        policy.on_connection_change(node.id)
+        policy.on_connection_end(node.id)
 
     # -- inbound -----------------------------------------------------------
 
@@ -509,7 +510,7 @@ class _FastRequest:
                 self._abort()
                 return
             if self.opened:
-                self._migrate_out()
+                self._close_connection()
             self.service_node = node
             self.service_inc = node.incarnation
             node.connection_opened()
@@ -529,14 +530,6 @@ class _FastRequest:
             self._read_remote_done,
             self._read_remote_failed,
         )
-
-    def _migrate_out(self) -> None:
-        """The connection leaves its holder (no request completes)."""
-        node = self.service_node
-        node.connection_closed()
-        policy = self.policy
-        policy.on_connection_change(node.id)
-        policy.on_connection_end(node.id)
 
     def _read_remote_done(self) -> None:
         if not self.ended:
@@ -596,6 +589,7 @@ class _FastRequest:
         if self.rest is not None and self.pos + 1 < self.rest.last:
             self._keep_alive()
             return
+        self.service_node.completed += 1
         self._close_connection()
         _breaker_success(self.cluster, self.decision.target)
         self._end()
@@ -608,7 +602,6 @@ class _FastRequest:
         request."""
         node = self.service_node
         node.completed += 1
-        self.policy.on_complete(node.id, self.file_id)
         _breaker_success(self.cluster, node.id)
         if self.on_done is not None:
             was_miss = node.cache.misses > self.misses_before

@@ -4,9 +4,13 @@ import os
 
 import pytest
 
+from repro.chaos import runner
 from repro.chaos.cli import main as chaos_main
+from repro.chaos.generator import ScenarioGenerator
+from repro.chaos.oracle import OracleConfig, Violation
 from repro.chaos.spec import Scenario
 from repro.cli import main as repro_main
+from repro.farm.runner import pool_map
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 PLANTED = os.path.join(DATA, "planted.json")
@@ -29,6 +33,45 @@ def test_run_reports_are_deterministic(capsys):
     first = capsys.readouterr().out
     assert chaos_main(args) == 0
     assert capsys.readouterr().out == first
+
+
+def test_run_trial_matches_across_worker_counts():
+    gen = ScenarioGenerator(11, requests=300)
+    tasks = [(gen, trial, OracleConfig()) for trial in range(3)]
+    serial = pool_map(runner.run_trial, tasks, workers=1)
+    assert pool_map(runner.run_trial, tasks, workers=2) == serial
+    assert [s.name for _, _, s in serial] == [
+        gen.generate(t).name for t in range(3)
+    ]
+
+
+def test_run_stdout_identical_for_any_worker_count(capsys):
+    args = ["run", "--trials", "2", "--seed", "11", "--requests", "300"]
+    assert chaos_main(args + ["--workers", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert chaos_main(args + ["--workers", "2"]) == 0
+    assert capsys.readouterr().out == serial
+    assert "2/2 trials passed" in serial
+
+
+def test_run_saves_each_failing_scenario_with_its_replay_line(
+    tmp_path, capsys, monkeypatch
+):
+    planted = Violation("planted", "forced failure")
+    monkeypatch.setattr(
+        runner.ChaosOracle, "finish", lambda self, *a, **k: [planted]
+    )
+    out_dir = tmp_path / "failures"
+    assert chaos_main([
+        "run", "--trials", "1", "--seed", "11", "--requests", "200",
+        "--policies", "traditional", "--workers", "1", "--out", str(out_dir),
+    ]) == 1
+    path = str(out_dir / "chaos-s11-t0000.json")
+    assert Scenario.load(path).name == "chaos-s11-t0000"
+    out = capsys.readouterr().out
+    assert "[planted] forced failure" in out
+    assert f"  scenario saved: {path}\n  replay: repro chaos replay {path}" in out
+    assert "0/1 trials passed" in out
 
 
 def test_replay_passing_scenario(capsys):

@@ -102,17 +102,6 @@ def test_top_level_cli_delegates_to_farm(capsys):
     assert "traditional" in captured.out
 
 
-def test_chaos_farm_cli_smoke(capsys, tmp_path):
-    rc = farm_main(
-        ["chaos", "--trials", "2", "--seed", "11", "--requests", "300",
-         "--workers", "2", "--no-progress", "--out", str(tmp_path / "f")]
-    )
-    captured = capsys.readouterr()
-    assert rc in (0, 1)
-    assert "2 trials" in captured.err
-    assert "farm chaos:" in captured.out
-
-
 def test_progress_goes_to_stderr_not_stdout(capsys):
     rc = farm_main(
         ["sweep", "--traces", "calgary", "--policies", "traditional",

@@ -11,12 +11,7 @@ import os
 
 import pytest
 
-from repro.farm.runner import (
-    FarmWorkerError,
-    pool_map,
-    run_chaos_farm,
-    run_sweep,
-)
+from repro.farm.runner import FarmWorkerError, pool_map, run_sweep
 from repro.farm.spec import SweepSpec
 
 #: Small enough for CI, large enough to exercise every policy path.
@@ -154,13 +149,3 @@ def test_shard_result_unchanged_under_sanitizer():
         sanitize=True,
     )
     assert dataclasses.asdict(sanitized) == dataclasses.asdict(result)
-
-
-# -- chaos farming -----------------------------------------------------------
-
-
-def test_chaos_farm_matches_serial_verdicts():
-    serial = run_chaos_farm(3, seed=11, workers=1, requests=300)
-    farmed = run_chaos_farm(3, seed=11, workers=2, requests=300)
-    assert farmed.outcomes == serial.outcomes
-    assert farmed.failures == serial.failures

@@ -8,6 +8,7 @@ tests/golden/regen.py`` and explain the diff in the same commit.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 
 import pytest
@@ -37,6 +38,19 @@ def test_golden_chaos_report(trial):
     with open(chaos_path_for(trial), encoding="utf-8") as fh:
         expected = fh.read()
     assert render_chaos(trial) == expected
+
+
+def test_golden_node_completions_are_the_measured_requests():
+    # A node completes a request only when its reply leaves: a timed-out
+    # or crashed request is not a completion at the node it died on.
+    unbalanced = []
+    for scenario in SCENARIOS:
+        with open(path_for(*scenario), encoding="utf-8") as fh:
+            stored = json.load(fh)
+        result = stored.get("result", stored)
+        if sum(result["node_completions"]) != result["requests_measured"]:
+            unbalanced.append(os.path.basename(path_for(*scenario)))
+    assert unbalanced == []
 
 
 def test_golden_files_are_distinct():

@@ -41,7 +41,7 @@ class RecordingEngine:
     def request_aborted(self, initial, opened, target):
         self.calls.append("request_aborted")
 
-    def request_completed(self, target, file_id):
+    def request_completed(self, target):
         self.calls.append("request_completed")
 
 

@@ -39,9 +39,6 @@ class RecordingPolicy(DistributionPolicy):
     def on_connection_change(self, node_id):
         self.calls.append(("on_connection_change", node_id))
 
-    def on_complete(self, node_id, file_id):
-        self.calls.append(("on_complete", node_id, file_id))
-
     def on_connection_end(self, node_id):
         self.calls.append(("on_connection_end", node_id))
 
@@ -59,15 +56,14 @@ def test_engine_fires_hooks_in_sim_lifecycle_order():
     assert (outcome.initial, outcome.target) == (0, 3)
     assert outcome.forwarded
     engine.connection_opened(outcome.target)
-    engine.request_completed(outcome.target, outcome.file_id)
+    engine.request_completed(outcome.target)
     # Exactly the simulator's order: initial_node, decide, the open-path
-    # connection change, then the close path (change, complete, end).
+    # connection change, then the close path (change, end).
     assert policy.calls == [
         ("initial_node", 0, 7),
         ("decide", 0, 7),
         ("on_connection_change", 3),
         ("on_connection_change", 3),
-        ("on_complete", 3, 7),
         ("on_connection_end", 3),
     ]
 
@@ -77,7 +73,7 @@ def test_engine_tracks_open_connections():
     engine.connection_opened(1)
     engine.connection_opened(1)
     assert engine.membership.node(1).open_connections == 2
-    engine.request_completed(1, 0)
+    engine.request_completed(1)
     assert engine.membership.node(1).open_connections == 1
     assert engine.check_invariants() == []
 
@@ -145,7 +141,7 @@ def test_engine_reset_meters_keeps_policy_state():
     for i in range(8):
         outcome = engine.route(i, i % 3)
         engine.connection_opened(outcome.target)
-        engine.request_completed(outcome.target, outcome.file_id)
+        engine.request_completed(outcome.target)
     before = engine.stats()
     assert before["routed"] == 8
     engine.reset_meters()
@@ -165,7 +161,7 @@ def test_real_policies_run_on_the_live_membership(name):
         outcome = engine.route(i, i % 7)
         assert 0 <= outcome.target < 4
         engine.connection_opened(outcome.target)
-        engine.request_completed(outcome.target, outcome.file_id)
+        engine.request_completed(outcome.target)
     assert engine.completed == 50
     assert engine.check_invariants() == []
     assert all(n.open_connections == 0 for n in engine.membership.nodes)
@@ -187,6 +183,6 @@ def test_engine_failure_hooks_update_membership():
         outcome = engine.route(i, i)
         assert outcome.target != 2
         engine.connection_opened(outcome.target)
-        engine.request_completed(outcome.target, outcome.file_id)
+        engine.request_completed(outcome.target)
     engine.recover_node(2)
     assert engine.check_invariants() == []

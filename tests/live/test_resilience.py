@@ -176,11 +176,10 @@ def test_engine_membership_hooks_are_idempotent():
     engine.fail_node(2)  # probe and suspicion racing to one conclusion
     assert engine.down_nodes == [2]
     assert engine.policy.failed_nodes == {2}
-    assert engine.policy.usable_nodes() == 3
     engine.recover_node(2)
     engine.recover_node(2)
     assert engine.down_nodes == []
-    assert engine.policy.usable_nodes() == 4
+    assert engine.policy.failed_nodes == set()
     assert engine.stats()["down_nodes"] == []
 
 

@@ -217,36 +217,46 @@ def test_simulate_verify_flag(capsys):
     assert "verify: books balance" in out
 
 
-CHAOS_DATA = "tests/chaos/data"
-
-
-def test_faults_accepts_spec(capsys):
-    assert main(["faults", "--spec", f"{CHAOS_DATA}/planted.json"]) == 0
-    out = capsys.readouterr().out
-    # The scenario's own policy, cluster size, and crash schedule ran.
-    assert "l2s" in out
-    assert "schedule:" in out and "crash(2)" in out
-
-
-def test_faults_spec_positionals_override(capsys):
+def test_faults_schedule_mode(capsys):
+    # The node-fault half of tests/chaos/data/planted.json, as flags.
     assert (
         main(
             [
-                "faults", "calgary", "traditional",
-                "--spec", f"{CHAOS_DATA}/planted.json",
+                "faults", "calgary", "l2s", "--nodes", "4", "--memory", "8",
+                "--seed", "1337", "--requests", "300", "--retries", "0",
+                "--schedule", "crash:2@0.20712,recover:2@0.455664",
             ]
         )
         == 0
     )
-    assert "traditional" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "l2s" in out
+    assert "schedule:" in out and "crash(2)" in out
 
 
-def test_faults_spec_exclusive_with_schedule(capsys):
+def test_faults_throughput_counts_the_whole_faulted_run(capsys):
+    # LARD's front-end dies at t=0.05 s and nothing completes after it,
+    # so the faulted rate must be taken over the run's end, not over its
+    # last completion.
     assert (
         main(
             [
-                "faults", "--spec", f"{CHAOS_DATA}/planted.json",
-                "--schedule", "crash:1@0.1",
+                "faults", "calgary", "lard", "--nodes", "4",
+                "--requests", "300", "--schedule", "crash:0@0.05",
+                "--retries", "2",
+            ]
+        )
+        == 0
+    )
+    assert "healthy 243 req/s | faulted 39 req/s" in capsys.readouterr().out
+
+
+def test_faults_schedule_exclusive_with_mtbf(capsys):
+    assert (
+        main(
+            [
+                "faults", "calgary", "l2s", "--schedule", "crash:1@0.1",
+                "--mtbf", "5", "--mttr", "1",
             ]
         )
         == 2
@@ -254,23 +264,29 @@ def test_faults_spec_exclusive_with_schedule(capsys):
     assert "exclusive" in capsys.readouterr().err
 
 
-def test_faults_requires_trace_without_spec(capsys):
-    assert main(["faults"]) == 2
-    assert "required without --spec" in capsys.readouterr().err
+def test_faults_requires_trace_and_policy(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["faults", "calgary"])
+    assert excinfo.value.code == 2
+    assert "policy" in capsys.readouterr().err
 
 
-def test_netfaults_accepts_spec(capsys):
-    assert main(["netfaults", "--spec", f"{CHAOS_DATA}/smoke.json"]) == 0
+def test_netfaults_single_policy_schedule(capsys):
+    # The fabric half of tests/chaos/data/smoke.json, as flags.
+    assert (
+        main(
+            [
+                "netfaults", "calgary", "--policies", "l2s", "--nodes", "8",
+                "--memory", "16", "--seed", "458755", "--requests", "600",
+                "--loss", "0", "--jitter", "0.00016528",
+                "--schedule", "link:6-2@0.14708..0.186157",
+                "--view-max-age", "0.103428",
+            ]
+        )
+        == 0
+    )
     out = capsys.readouterr().out
     assert "l2s" in out
-
-
-def test_netfaults_spec_exclusive_with_sweep(capsys):
-    assert (
-        main(["netfaults", "--spec", f"{CHAOS_DATA}/smoke.json", "--sweep"])
-        == 2
-    )
-    assert "exclusive" in capsys.readouterr().err
 
 
 def test_simulate_sanitize_exits_nonzero_on_a_leak(capsys, monkeypatch):

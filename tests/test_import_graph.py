@@ -58,9 +58,7 @@ UNRESOLVED = {
     "repro.analysis.rules.RULES": (
         "repro.analysis", "repro.analysis.engine", "repro.analysis.simlint",
     ),
-    "repro.chaos.generator.DEFAULT_POLICIES": (
-        "repro.chaos.cli", "repro.farm.runner",
-    ),
+    "repro.chaos.generator.DEFAULT_POLICIES": ("repro.chaos.cli",),
     "repro.cluster.node.CPU_BULK": ("repro.sim.lifecycle",),
     "repro.cluster.node.CPU_PROMPT": ("repro.cluster.network", "repro.sim.lifecycle"),
     "repro.cluster.policies.CACHE_POLICIES": ("repro.cluster",),
